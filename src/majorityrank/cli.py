@@ -15,8 +15,10 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 from typing import TextIO
 
@@ -29,17 +31,30 @@ from .errors import DegenerateRankingError, InputError, NumericalError, Singleto
 from .majority import build_majority, count_cycles
 from .markovian import markovian_ranking
 from .metarank import closest_weak_order, rankings_majority
-from .solutions import sort_by_solution
+from .solutions import MES, UC, WTC, sort_by_solution
 
-METHODS = ("copeland1", "copeland2", "copeland3", "uc-sort", "mes-sort", "wtc-sort", "markovian")
+_AGGREGATE = {  # method -> (majority structure, scheme) -> ranking
+    "copeland1": lambda structure, scheme: copeland_ranking(structure, 1, scheme=scheme),
+    "copeland2": lambda structure, scheme: copeland_ranking(structure, 2, scheme=scheme),
+    "copeland3": lambda structure, scheme: copeland_ranking(structure, 3, scheme=scheme),
+    "uc-sort": lambda structure, scheme: sort_by_solution(structure, UC).ranking(scheme=scheme),
+    "mes-sort": lambda structure, scheme: sort_by_solution(structure, MES).ranking(scheme=scheme),
+    "wtc-sort": lambda structure, scheme: sort_by_solution(structure, WTC).ranking(scheme=scheme),
+    "markovian": lambda structure, scheme: markovian_ranking(structure, scheme=scheme),
+}
+METHODS = tuple(_AGGREGATE)
 MEASURE_FLAGS = {"tau-b": TAU_B, "coinciding": COINCIDING}
 _MEASURE_DECIMALS = {TAU_B: 3, COINCIDING: 2}
 
 
-def _open_output(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The ``--output`` file, or stdout when absent or ``-``; a file is closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return Path(path).open("w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        yield handle
 
 
 def _load_profile(ranks_csv: str, weights_path: str | None):
@@ -49,29 +64,11 @@ def _load_profile(ranks_csv: str, weights_path: str | None):
     return alternatives, rankings, mio.build_profile(alternatives, rankings, weights)
 
 
-def _aggregate(structure, method: str, scheme: str):
-    if method == "copeland1":
-        return copeland_ranking(structure, 1, scheme=scheme)
-    if method == "copeland2":
-        return copeland_ranking(structure, 2, scheme=scheme)
-    if method == "copeland3":
-        return copeland_ranking(structure, 3, scheme=scheme)
-    if method == "markovian":
-        return markovian_ranking(structure, scheme=scheme)
-    kind = {"uc-sort": "UC", "mes-sort": "MES", "wtc-sort": "WTC"}[method]
-    return sort_by_solution(structure, kind).ranking(scheme=scheme)
-
-
 def cmd_rank(args: argparse.Namespace) -> int:
     _, _, profile = _load_profile(args.ranks_csv, args.weights)
-    structure = build_majority(profile)
-    ranking = _aggregate(structure, args.method, args.scheme)
-    handle, close = _open_output(args.output)
-    try:
+    ranking = _AGGREGATE[args.method](build_majority(profile), args.scheme)
+    with _output(args.output) as handle:
         mio.save_ranking(handle, ranking)
-    finally:
-        if close:
-            handle.close()
     return 0
 
 
@@ -96,12 +93,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     measure = MEASURE_FLAGS[args.measure]
     matrix = correlation_matrix(rankings, measure)
     decimals = _MEASURE_DECIMALS[measure]
-    handle, close = _open_output(args.output)
-    try:
+    with _output(args.output) as handle:
         mio.write_labeled_matrix(handle, matrix.labels, matrix.values, fmt=lambda v: f"{v:.{decimals}f}")
-    finally:
-        if close:
-            handle.close()
     return 0
 
 
@@ -137,32 +130,24 @@ def cmd_metarank(args: argparse.Namespace) -> int:
     if args.emit_dot:
         with Path(args.emit_dot).open("w", encoding="utf-8") as handle:
             _write_dot(handle, comparison)
-    handle, close = _open_output(args.output)
-    try:
+    with _output(args.output) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["candidate", "rank", *(f"wins_vs_{name}" for name in comparison.candidates)])
         order = sorted(comparison.candidates, key=lambda name: (weak_order.ranks[name], name))
         for name in order:
             i = comparison.candidates.index(name)
             writer.writerow([name, weak_order.ranks[name], *(int(w) for w in comparison.wins[i])])
-    finally:
-        if close:
-            handle.close()
     return 0
 
 
 def cmd_cip(args: argparse.Namespace) -> int:
     records = mio.load_indicators(args.indicators_csv)
     ranking = cip_ranking(records, scheme=args.scheme)
-    handle, close = _open_output(args.output)
-    try:
+    with _output(args.output) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["country", "index", "rank"])
         for record in records:
             writer.writerow([record.country, f"{cip_index(record):.6g}", ranking.ranks[record.country]])
-    finally:
-        if close:
-            handle.close()
     return 0
 
 

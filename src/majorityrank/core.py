@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -132,11 +133,11 @@ class Ranking:
 
     def to_dense(self) -> "Ranking":
         """Relabel to the dense scheme, preserving the order and all ties."""
-        return from_scores(self.alternatives, {a: -r for a, r in self.ranks.items()}, scheme=DENSE)
+        return from_ranks(self.alternatives, self.ranks, scheme=DENSE)
 
     def to_competition(self) -> "Ranking":
         """Relabel to the competition scheme, preserving the order and all ties."""
-        return from_scores(self.alternatives, {a: -r for a, r in self.ranks.items()}, scheme=COMPETITION)
+        return from_ranks(self.alternatives, self.ranks, scheme=COMPETITION)
 
 
 def from_scores(
@@ -166,14 +167,18 @@ def from_scores(
             raise InputError(f"value for alternative {name!r} is not finite: {v!r}")
         scored[name] = round(v, decimals) if decimals is not None else v
 
-    distinct = sorted(set(scored.values()), reverse=True)
-    if scheme == DENSE:
-        position = {v: i + 1 for i, v in enumerate(distinct)}
-        ranks = {name: position[v] for name, v in scored.items()}
-    else:
-        better_count = {v: sum(1 for u in scored.values() if u > v) for v in distinct}
-        ranks = {name: 1 + better_count[v] for name, v in scored.items()}
-    return Ranking(alternatives, ranks, scheme=scheme)
+    multiplicity = Counter(scored.values())
+    position: dict[float, int] = {}
+    better = 0  # alternatives with a strictly higher value
+    for i, v in enumerate(sorted(multiplicity, reverse=True)):
+        position[v] = 1 + (i if scheme == DENSE else better)
+        better += multiplicity[v]
+    return Ranking(alternatives, {name: position[v] for name, v in scored.items()}, scheme=scheme)
+
+
+def from_ranks(alternatives: AlternativeSet, ranks: Mapping[str, int], scheme: str = DENSE) -> Ranking:
+    """Relabel a weak order given by any rank numbers (smaller is better) in ``scheme``."""
+    return from_scores(alternatives, {a: -r for a, r in ranks.items()}, scheme=scheme)
 
 
 def compare(ranking: Ranking, a: str, b: str) -> Comparison:

@@ -14,6 +14,7 @@ impute.
 from __future__ import annotations
 
 import csv
+import math
 import time
 import warnings
 from collections.abc import Mapping
@@ -28,7 +29,7 @@ from .copeland import copeland_ranking
 from .core import AlternativeSet, Criterion, Profile, Ranking
 from .correlation import COINCIDING, TAU_B, correlation_matrix, kendall_tau_b
 from .errors import InputError
-from .majority import build_majority, count_cycles
+from .majority import _CYCLE_LENGTHS, build_majority, count_cycles
 from .markovian import markovian_ranking
 from .metarank import closest_weak_order, optimal_order_count, rankings_majority
 from .solutions import MES, UC, sort_by_solution
@@ -269,18 +270,52 @@ def _fixture(fixtures_dir: Path, filename: str) -> Path:
     return path
 
 
-def _read_simple_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_simple_csv(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Stripped header and numbered non-blank rows (the header is row 1), each as wide as the header."""
     with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        return [h.strip() for h in header], [row for row in reader if row]
+        numbered = [(number, [cell.strip() for cell in row])
+                    for number, row in enumerate(csv.reader(handle), start=1) if row]
+    if not numbered:
+        raise InputError(f"{path}: empty file, no header (row 1)")
+    (_, header), rows = numbered[0], numbered[1:]
+    for row_number, row in rows:
+        if len(row) != len(header):
+            raise InputError(f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}")
+    return header, rows
+
+
+def _parse_cell(path: Path, row_number: int, column: str, text: str, kind: type[int] | type[float]) -> int | float:
+    """One finite integer or float cell, or an InputError naming where it sits."""
+    try:
+        value = kind(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise InputError(f"{path}: {text!r} is not {noun} (row {row_number}, col {column})")
+
+
+def _load_reference_cycles(path: Path) -> list[tuple[int, int]]:
+    """Published cycle counts as (k, count) pairs."""
+    header, rows = _read_simple_csv(path)
+    if len(header) != 2:
+        raise InputError(f"{path}: header must have 2 columns (k, cycles), got {len(header)}")
+    cycles = []
+    for number, row in rows:
+        k, count = (_parse_cell(path, number, column, text, int) for column, text in zip(header, row))
+        if k not in _CYCLE_LENGTHS:
+            raise InputError(f"{path}: cycle length {k} is not one of {_CYCLE_LENGTHS} (row {number}, col {header[0]})")
+        cycles.append((k, count))
+    return cycles
 
 
 def _load_reference_matrix(path: Path) -> tuple[list[str], list[list[float]]]:
     header, rows = _read_simple_csv(path)
     labels = header[1:]
-    values = [[float(cell) for cell in row[1:]] for row in rows]
-    if [row[0].strip() for row in rows] != labels:
+    values = [[_parse_cell(path, number, column, text, float) for column, text in zip(labels, row[1:])]
+              for number, row in rows]
+    if [row[0] for _, row in rows] != labels:
         raise InputError(f"{path}: row labels must match column labels")
     return labels, values
 
@@ -295,25 +330,17 @@ def _load_reference_meta(path: Path) -> dict[str, tuple[int, int, str]]:
     It must be a permutation of the row labels, so that every candidate's
     expectation comes from exactly one row.
     """
-    with path.open(encoding="utf-8", newline="") as handle:
-        numbered = [(number, [cell.strip() for cell in row])
-                    for number, row in enumerate(csv.reader(handle), start=1) if row]
-    if not numbered or tuple(numbered[0][1]) != META_COLUMNS:
+    header, rows = _read_simple_csv(path)
+    if tuple(header) != META_COLUMNS:
         raise InputError(f"{path}: header must be {','.join(META_COLUMNS)}")
     meta: dict[str, tuple[int, int, str]] = {}
     data_rows: dict[str, int] = {}
-    for row_number, row in numbered[1:]:
-        if len(row) != len(META_COLUMNS):
-            raise InputError(f"{path}: row {row_number} has {len(row)} cells, expected {len(META_COLUMNS)}")
+    for row_number, row in rows:
         label, tau_text, r_text, data = row
         if label in meta:
             raise InputError(f"{path}: duplicate ranking {label!r} (row {row_number}, col ranking)")
-        ranks = []
-        for column, text in zip(META_COLUMNS[1:3], (tau_text, r_text)):
-            try:
-                ranks.append(int(text))
-            except ValueError:
-                raise InputError(f"{path}: rank {text!r} is not an integer (row {row_number}, col {column})") from None
+        ranks = [_parse_cell(path, row_number, column, text, int)
+                 for column, text in zip(META_COLUMNS[1:3], (tau_text, r_text))]
         if data in data_rows:
             raise InputError(
                 f"{path}: data_column {data!r} already names row {data_rows[data]} (row {row_number}, col data_column)"
@@ -341,13 +368,26 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     alternatives, criteria_rankings = load_ranks(_fixture(fixtures, "table6_criteria.csv"))
     weights = load_weights(_fixture(fixtures, "weights.cfg"))
     profile = build_profile(alternatives, criteria_rankings, weights)
+    # every reference is read and validated before any computation
+    reference_cycles = _load_reference_cycles(_fixture(fixtures, "table1_cycles.csv"))
+    aggregates_path = _fixture(fixtures, "table6_aggregates.csv")
+    agg_alternatives, published_aggregates = load_ranks(aggregates_path)
+    if agg_alternatives.items != alternatives.items:
+        raise InputError("aggregate fixture covers a different country set")
+    for name in ("CIP", *AGGREGATE_METHODS):
+        if name not in published_aggregates:
+            raise InputError(f"{aggregates_path}: no {name} column (row 1)")
+    reference_file = {TAU_B: "table3_taub.csv", COINCIDING: "table3_r.csv"}
+    reference_matrices = {
+        measure: _load_reference_matrix(_fixture(fixtures, filename)) for measure, filename in reference_file.items()
+    }
+    reference_meta = _load_reference_meta(_fixture(fixtures, "table5_meta.csv"))
+
     structure = build_majority(profile)
     checks: list[CheckResult] = []
 
     # cycle counts are exact references
-    header, rows = _read_simple_csv(_fixture(fixtures, "table1_cycles.csv"))
-    for row in rows:
-        k, expected = int(row[0]), int(row[1])
+    for k, expected in reference_cycles:
         computed = count_cycles(structure, k)
         checks.append(CheckResult(
             name=f"cycle count k={k}",
@@ -356,9 +396,6 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
         ))
 
     # aggregate rankings against the published columns
-    agg_alternatives, published_aggregates = load_ranks(_fixture(fixtures, "table6_aggregates.csv"))
-    if agg_alternatives.items != alternatives.items:
-        raise InputError("aggregate fixture covers a different country set")
     computed_aggregates = {
         "Copeland1": copeland_ranking(structure, 1),
         "Copeland2": copeland_ranking(structure, 2),
@@ -397,14 +434,11 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     candidates["CIP"] = published_aggregates["CIP"]
     candidates.update(computed_aggregates)
     tolerance = {TAU_B: (0.001, 0.005), COINCIDING: (0.01, 0.05)}
-    reference_file = {TAU_B: "table3_taub.csv", COINCIDING: "table3_r.csv"}
-    matrices = {}
     for measure in (TAU_B, COINCIDING):
-        labels, reference = _load_reference_matrix(_fixture(fixtures, reference_file[measure]))
+        labels, reference = reference_matrices[measure]
         if set(labels) != set(candidates):
             raise InputError(f"{reference_file[measure]}: labels do not match the candidate set")
         matrix = correlation_matrix([(name, candidates[name]) for name in labels], measure)
-        matrices[measure] = matrix
         n_criteria = len(criteria_rankings)
         block_dev = full_dev = 0.0
         for i in range(len(labels)):
@@ -426,7 +460,6 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
         ))
 
     # meta-rankings against the published weak orders
-    reference_meta = _load_reference_meta(_fixture(fixtures, "table5_meta.csv"))
     if set(reference_meta) != set(candidates):
         raise InputError("table5_meta.csv: rankings do not match the candidate set")
     notes = []

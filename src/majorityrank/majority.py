@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AlternativeSet, Profile
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 # Closed k-walks on a loop-free asymmetric digraph cannot revisit a vertex
 # for k <= 5 (a revisit would split off a closed walk of length 1 or 2),
@@ -109,9 +109,21 @@ def count_cycles(ms: MajorityStructure, k: int) -> int:
     if k not in _CYCLE_LENGTHS:
         raise InputError(f"cycle length must be one of {_CYCLE_LENGTHS}, got {k}")
     m = len(ms)
-    if m ** k >= 2 ** 62:  # int64 trace stays exact
-        raise InputError(f"cycle counting supports at most {int(2 ** 62 ** (1 / 5))} alternatives")
+    limit = _max_exact_size(k)
+    if m > limit:
+        raise InputError(f"counting {k}-cycles supports at most {limit} alternatives, got {m}")
     power = np.linalg.matrix_power(ms.beats.astype(np.int64), k)
     trace = int(np.trace(power))
-    assert trace % k == 0
+    if trace % k:
+        raise NumericalError(f"trace of the {k}-th majority power, {trace}, is not a multiple of {k}")
     return trace // k
+
+
+def _max_exact_size(k: int) -> int:
+    """Largest m with m**k < 2**62, which keeps the int64 k-th power and its trace exact."""
+    m = int(2 ** (62 / k))
+    while m ** k >= 2 ** 62:
+        m -= 1
+    while (m + 1) ** k < 2 ** 62:
+        m += 1
+    return m

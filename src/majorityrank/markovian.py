@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import DENSE, Ranking
+from .core import DENSE, Ranking, from_ranks
 from .errors import InputError, NumericalError, SingletonLeagueError
 from .majority import MajorityStructure
 from .solutions import WTC, sort_by_solution
@@ -200,4 +200,4 @@ def markovian_ranking(ms: MajorityStructure, scheme: str = DENSE) -> Ranking:
             ranks[name] = next_rank
             previous = p
         next_rank += 1
-    return Ranking(ms.alternatives, ranks, scheme=scheme)
+    return from_ranks(ms.alternatives, ranks, scheme=scheme)

@@ -14,21 +14,24 @@ order agrees across all linear orders at minimal Kendall distance from
 the digraph stay ordered, pairs that vary are tied.  For an acyclic
 digraph the optimal orders are exactly its linear extensions and the
 fixed pairs are those comparable in the transitive closure; otherwise the
-optimal orders are found exactly by branch and bound over subsets.
+optimal orders are found exactly by a dynamic program over the subsets of
+candidates, which caps cyclic digraphs at 20 candidates.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COMPETITION, AlternativeSet, Criterion, Ranking
+from .core import COMPETITION, AlternativeSet, Criterion, Ranking, from_ranks
 from .correlation import COINCIDING, TAU_B, PairStats, measure_function, pair_stats
 from .errors import DegenerateRankingError, InputError, SizeLimitError
 
 SUBSET_SOLVER_LIMIT = 20
+_DP_BLOCK = 1024  # states per step of the subset DP, which bounds its temporaries to about 1 MB
 
 NamedRankings = Mapping[str, Ranking] | Sequence[tuple[str, Ranking]]
 
@@ -157,50 +160,25 @@ def rankings_majority(
 
 
 def _find_cycle(adj: np.ndarray) -> list[int]:
-    n = len(adj)
-    color = [0] * n
-    parent = [-1] * n
+    """One directed cycle, first vertex repeated at the end; [] for an acyclic digraph.
 
-    def dfs(u: int) -> list[int] | None:
-        color[u] = 1
-        for v in np.flatnonzero(adj[u]):
-            if color[v] == 0:
-                parent[v] = u
-                found = dfs(int(v))
-                if found:
-                    return found
-            elif color[v] == 1:
-                cycle = [int(v), u]
-                while cycle[-1] != v and parent[cycle[-1]] != -1:
-                    cycle.append(parent[cycle[-1]])
-                    if cycle[-1] == v:
-                        break
-                return cycle
-        color[u] = 2
-        return None
-
-    for s in range(n):
-        if color[s] == 0:
-            found = dfs(s)
-            if found:
-                return found[::-1]
-    return []
-
-
-def _is_acyclic(adj: np.ndarray) -> bool:
-    n = len(adj)
-    indegree = adj.sum(axis=0).astype(int)
-    alive = np.ones(n, dtype=bool)
-    removed = 0
+    Kahn peeling removes every vertex that no remaining vertex beats.  Each
+    leftover vertex then has a leftover predecessor, so walking predecessors
+    from any of them must revisit a vertex, closing a cycle.
+    """
+    alive = np.ones(len(adj), dtype=bool)
     while True:
-        sources = np.flatnonzero(alive & (indegree == 0))
-        if len(sources) == 0:
+        sources = alive & ~adj[alive].any(axis=0)
+        if not sources.any():
             break
-        for s in sources:
-            alive[s] = False
-            indegree -= adj[s].astype(int)
-            removed += 1
-    return removed == n
+        alive &= ~sources
+    if not alive.any():
+        return []
+    walk = [int(np.argmax(alive))]
+    while walk.count(walk[-1]) == 1:
+        walk.append(int(np.argmax(alive & adj[:, walk[-1]])))
+    loop = walk[walk.index(walk[-1]):]
+    return loop[::-1]
 
 
 def _transitive_closure(adj: np.ndarray) -> np.ndarray:
@@ -210,167 +188,97 @@ def _transitive_closure(adj: np.ndarray) -> np.ndarray:
     return closure
 
 
-class _SubsetSolver:
+def _order_dp(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """Exact minimum-inversion linear orders against a digraph, by subset DP.
 
-    States are the sets of still-unplaced candidates; placing x next costs
-    one inversion per unplaced y that beats x.  The DP yields the optimal
-    cost, the number of optimal orders, and which ordered pairs are
-    realised by at least one optimal order.
+    A state is the bitmask S of still-unplaced candidates; placing x first
+    costs one inversion per y in S that beats x.  The tables are filled
+    forward in popcount order, a block of states of one popcount at a time,
+    each block at once over states x candidates: ``cost[S]`` is the fewest
+    inversions of any order of S, ``count[S]`` the number of orders of S
+    reaching it, and ``choice[S]`` the mask of candidates that may go
+    first.  Also returns the blocks, in the order they were filled.
     """
+    n = len(adj)
+    if n > SUBSET_SOLVER_LIMIT:
+        raise SizeLimitError(f"exact order search is capped at {SUBSET_SOLVER_LIMIT} candidates, got {n}")
+    # count[S] <= |S|! and 20! < 2**63 <= 21!, so int64 counts are exact up to the cap
+    if math.factorial(n) > np.iinfo(np.int64).max:
+        raise SizeLimitError(f"optimal order counts over {n} candidates overflow int64")
+    bits = np.int32(1) << np.arange(n, dtype=np.int32)
+    states = np.arange(1 << n, dtype=np.int32)
+    size = sum((states >> x) & 1 for x in range(n))
+    blocks: list[np.ndarray] = []  # the non-empty states by popcount, no block straddling two
+    for k in range(1, n + 1):
+        layer = states[size == k]
+        blocks += np.array_split(layer, -(-len(layer) // _DP_BLOCK))
+    beaten_by = adj.astype(np.float32)
+    cost = np.zeros(1 << n, dtype=np.int32)
+    count = np.zeros(1 << n, dtype=np.int64)
+    choice = np.zeros(1 << n, dtype=np.int32)
+    count[0] = 1
+    for block in blocks:
+        inside = (block[:, None] & bits) != 0
+        rest = block[:, None] ^ bits
+        # inside @ beaten_by counts, per candidate x, the members of S that beat x (small exact integers)
+        value = (inside @ beaten_by).astype(np.int32) + cost[rest]
+        value[~inside] = np.iinfo(np.int32).max
+        best = value.min(axis=1)
+        optimal = value == best[:, None]
+        cost[block] = best
+        count[block] = np.where(optimal, count[rest], 0).sum(axis=1)
+        choice[block] = np.where(optimal, bits, 0).sum(axis=1)
+    return cost, count, choice, blocks
 
-    def __init__(self, adj: np.ndarray):
-        self.n = len(adj)
-        if self.n > SUBSET_SOLVER_LIMIT:
-            raise SizeLimitError(
-                f"exact order search is capped at {SUBSET_SOLVER_LIMIT} candidates, got {self.n}"
-            )
-        self.in_masks = [0] * self.n  # beaten-by masks
-        for x in range(self.n):
-            mask = 0
-            for y in np.flatnonzero(adj[:, x]):
-                mask |= 1 << int(y)
-            self.in_masks[x] = mask
-        self.full = (1 << self.n) - 1
-        self._cost: dict[int, int] = {0: 0}
 
-    def _members(self, state: int) -> list[int]:
-        out = []
-        while state:
-            bit = state & -state
-            out.append(bit.bit_length() - 1)
-            state ^= bit
-        return out
+def _realized_pairs(adj: np.ndarray) -> np.ndarray:
+    """realized[u, v] is True iff some optimal order places u before v.
 
-    def cost(self, state: int) -> int:
-        cached = self._cost.get(state)
-        if cached is not None:
-            return cached
-        best = None
-        for x in self._members(state):
-            value = bin(self.in_masks[x] & state).count("1") + self.cost(state & ~(1 << x))
-            if best is None or value < best:
-                best = value
-        self._cost[state] = best
-        return best
-
-    def optimal_choices(self, state: int) -> list[int]:
-        target = self.cost(state)
-        return [
-            x
-            for x in self._members(state)
-            if bin(self.in_masks[x] & state).count("1") + self.cost(state & ~(1 << x)) == target
-        ]
-
-    def count_optimal(self) -> int:
-        counts: dict[int, int] = {0: 1}
-
-        def rec(state: int) -> int:
-            cached = counts.get(state)
-            if cached is not None:
-                return cached
-            total = sum(rec(state & ~(1 << x)) for x in self.optimal_choices(state))
-            counts[state] = total
-            return total
-
-        return rec(self.full)
-
-    def realized_pairs(self) -> np.ndarray:
-        """realized[u, v] is True iff some optimal order places u before v."""
-        realized = np.zeros((self.n, self.n), dtype=bool)
-        seen = {self.full}
-        stack = [self.full]
-        while stack:
-            state = stack.pop()
-            rest = self._members(state)
-            for x in self.optimal_choices(state):
-                for y in rest:
-                    if y != x:
-                        realized[x, y] = True
-                nxt = state & ~(1 << x)
-                if nxt and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return realized
-
-    def enumerate_optimal(self, cap: int) -> list[tuple[int, ...]]:
-        orders: list[tuple[int, ...]] = []
-        prefix: list[int] = []
-
-        def rec(state: int) -> None:
-            if len(orders) > cap:
-                return
-            if state == 0:
-                orders.append(tuple(prefix))
-                return
-            for x in self.optimal_choices(state):
-                prefix.append(x)
-                rec(state & ~(1 << x))
-                prefix.pop()
-
-        rec(self.full)
-        if len(orders) > cap:
-            raise SizeLimitError(f"more than {cap} optimal orders")
-        return orders
+    One backward pass marks the states that optimal orders pass through;
+    u precedes v in one of them iff u may go first in a marked state that
+    still holds v.
+    """
+    n = len(adj)
+    _, _, choice, blocks = _order_dp(adj)
+    bits = np.int32(1) << np.arange(n, dtype=np.int32)
+    reached = np.zeros(1 << n, dtype=bool)
+    reached[-1] = True
+    first_in = np.zeros(n, dtype=np.int32)  # first_in[u]: union of marked states where u may go first
+    for block in reversed(blocks):
+        marked = block[reached[block]]
+        may_go_first = (choice[marked][:, None] & bits) != 0
+        reached[(marked[:, None] ^ bits)[may_go_first]] = True
+        first_in |= np.bitwise_or.reduce(np.where(may_go_first, marked[:, None], 0), axis=0)
+    realized = (first_in[:, None] & bits) != 0
+    np.fill_diagonal(realized, False)
+    return realized
 
 
 def _fixed_pair_order(mc: MetaComparison) -> np.ndarray:
     """Strict partial order of pairs ordered identically in every optimal order."""
     adj = mc.majority
-    if _is_acyclic(adj):
+    cycle = _find_cycle(adj)
+    if not cycle:
         return _transitive_closure(adj)
     if len(adj) > SUBSET_SOLVER_LIMIT:
-        cycle = [mc.candidates[i] for i in _find_cycle(adj)]
+        names = [mc.candidates[i] for i in cycle]
         raise SizeLimitError(
-            f"majority digraph over {len(adj)} candidates is cyclic (e.g. {' > '.join(cycle)}); "
+            f"majority digraph over {len(adj)} candidates is cyclic (e.g. {' > '.join(names)}); "
             f"exact search handles at most {SUBSET_SOLVER_LIMIT}"
         )
-    realized = _SubsetSolver(adj).realized_pairs()
+    realized = _realized_pairs(adj)
     return realized & ~realized.T
-
-
-def _tie_blocks(order: np.ndarray) -> list[list[int]]:
-    """Connected components of incomparability, merged while any cross pair disagrees."""
-    n = len(order)
-    incomparable = ~order & ~order.T & ~np.eye(n, dtype=bool)
-    labels = list(range(n))
-
-    def merge(a: int, b: int) -> None:
-        keep, drop = min(a, b), max(a, b)
-        for i in range(n):
-            if labels[i] == drop:
-                labels[i] = keep
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if incomparable[i, j]:
-                merge(labels[i], labels[j])
-
-    while True:
-        ids = sorted(set(labels))
-        conflict = None
-        for a in ids:
-            for b in ids:
-                if a >= b:
-                    continue
-                members_a = [i for i in range(n) if labels[i] == a]
-                members_b = [i for i in range(n) if labels[i] == b]
-                directions = {bool(order[i, j]) for i in members_a for j in members_b}
-                if len(directions) != 1:
-                    conflict = (a, b)
-                    break
-            if conflict:
-                break
-        if conflict is None:
-            break
-        merge(*conflict)
-
-    ids = sorted(set(labels))
-    return [[i for i in range(n) if labels[i] == cid] for cid in ids]
 
 
 def closest_weak_order(mc: MetaComparison) -> Ranking:
     """Condense the majority digraph into a weak order over the candidates.
+
+    The tied blocks are the connected components of incomparability under
+    the fixed pairs.  The fixed pairs form a strict partial order (a
+    transitive closure, or the intersection of the optimal orders), whose
+    incomparability components are totally ordered: each lies wholly above
+    or wholly below each other one.  So the blocks are the maximal runs of
+    any linear extension that no incomparable pair straddles.
 
     The output uses competition numbering: each tied block keeps the rank
     one past the number of candidates strictly above it.
@@ -379,46 +287,41 @@ def closest_weak_order(mc: MetaComparison) -> Ranking:
         SizeLimitError: cyclic digraph over more than 20 candidates.
     """
     order = _fixed_pair_order(mc)
-    blocks = _tie_blocks(order)
-    dominated = {
-        idx: sum(1 for other in blocks if other is not block and order[block[0], other[0]])
-        for idx, block in enumerate(blocks)
-    }
-    sorted_blocks = sorted(range(len(blocks)), key=lambda idx: dominated[idx], reverse=True)
-    ranks: dict[str, int] = {}
-    above = 0
-    for idx in sorted_blocks:
-        for i in blocks[idx]:
-            ranks[mc.candidates[i]] = above + 1
-        above += len(blocks[idx])
-    return Ranking(AlternativeSet(mc.candidates), ranks, scheme=COMPETITION)
+    n = len(order)
+    extension = np.argsort(order.sum(axis=0), kind="stable")  # fewer candidates above come first
+    comparable = order[np.ix_(extension, extension)]
+    comparable |= comparable.T
+    # position of the last candidate incomparable with each one (itself at least)
+    last_tie = n - 1 - np.argmax(~comparable[:, ::-1], axis=1)
+    block_ends = np.maximum.accumulate(last_tie) == np.arange(n)
+    block = np.concatenate(([1], 1 + np.cumsum(block_ends[:-1])))
+    ranks = {mc.candidates[i]: int(b) for i, b in zip(extension, block)}
+    return from_ranks(AlternativeSet(mc.candidates), ranks, scheme=COMPETITION)
 
 
 def optimal_order_count(mc: MetaComparison) -> int:
     """Number of linear orders at minimal Kendall distance from the majority digraph."""
-    return _SubsetSolver(mc.majority).count_optimal()
+    _, count, _, _ = _order_dp(mc.majority)
+    return int(count[-1])
 
 
 def optimal_linear_orders(mc: MetaComparison, cap: int = 10 ** 6) -> list[tuple[str, ...]]:
     """All minimum-distance linear orders, best candidate first (capped enumeration)."""
-    solver = _SubsetSolver(mc.majority)
-    return [tuple(mc.candidates[i] for i in order) for order in solver.enumerate_optimal(cap)]
+    _, count, choice, _ = _order_dp(mc.majority)
+    if count[-1] > cap:
+        raise SizeLimitError(f"more than {cap} optimal orders")
+    orders: list[tuple[tuple[int, ...], int]] = [((), len(choice) - 1)]
+    for _ in mc.candidates:
+        orders = [
+            (prefix + (x,), state & ~(1 << x))
+            for prefix, state in orders
+            for x in range(len(mc.candidates))
+            if choice[state] >> x & 1
+        ]
+    return [tuple(mc.candidates[i] for i in prefix) for prefix, _ in orders]
 
 
 def minimum_distance(mc: MetaComparison) -> int:
     """Minimal number of majority pairs any candidate linear order must invert."""
-    solver = _SubsetSolver(mc.majority)
-    return solver.cost(solver.full)
-
-
-def inversions_against(mc: MetaComparison, order: Sequence[str]) -> int:
-    """Number of majority pairs that a given candidate order inverts."""
-    if sorted(order) != sorted(mc.candidates):
-        raise InputError("order must list every candidate exactly once")
-    position = {name: i for i, name in enumerate(order)}
-    total = 0
-    for i, a in enumerate(mc.candidates):
-        for j, b in enumerate(mc.candidates):
-            if mc.majority[i, j] and position[a] > position[b]:
-                total += 1
-    return total
+    cost, _, _, _ = _order_dp(mc.majority)
+    return int(cost[-1])

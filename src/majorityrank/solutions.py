@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DENSE, AlternativeSet, Ranking
+from .core import DENSE, AlternativeSet, Ranking, from_ranks
 from .errors import InputError
 from .majority import MajorityStructure
 
@@ -47,12 +47,9 @@ class SortedClasses:
     classes: tuple[frozenset[str], ...]
 
     def ranking(self, scheme: str = DENSE) -> Ranking:
-        """Dense ranking assigning rank k to every member of the k-th class."""
-        ranks = {}
-        for k, cls in enumerate(self.classes, start=1):
-            for name in cls:
-                ranks[name] = k
-        return Ranking(self.alternatives, ranks, scheme=scheme)
+        """Ranking that places the k-th class k-th, numbered in ``scheme``."""
+        ranks = {name: k for k, cls in enumerate(self.classes, start=1) for name in cls}
+        return from_ranks(self.alternatives, ranks, scheme=scheme)
 
 
 def uncovered_set(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = None) -> SolutionSet:
@@ -227,7 +224,8 @@ def sort_by_solution(ms: MajorityStructure, kind: str) -> SortedClasses:
     classes: list[frozenset[str]] = []
     while remaining:
         best = _SOLVERS[kind](ms, remaining).members
-        assert best, "solution concepts never return an empty set"
+        if not best:  # every concept picks a non-empty subset; guard the loop's progress anyway
+            raise RuntimeError(f"{kind} selected nothing from {len(remaining)} alternatives")
         classes.append(best)
         remaining -= best
     return SortedClasses(alternatives=ms.alternatives, kind=kind, classes=tuple(classes))

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 
-from majorityrank import AlternativeSet, MajorityStructure, Ranking
+from majorityrank import AlternativeSet, MajorityStructure, MetaComparison, Ranking
 
 
 def random_structure(rng: random.Random, m: int, tie_prob: float = 0.2) -> MajorityStructure:
@@ -144,3 +144,19 @@ def naive_pair_stats(r1: Ranking, r2: Ranking) -> tuple[int, int, int, int, int,
                 else:
                     discordant += 1
     return total, concordant, discordant, ties1, ties2, ties_both
+
+
+def brute_minimum(comparison: MetaComparison) -> tuple[int, list[tuple[str, ...]]]:
+    """Fewest inverted majority arcs over every linear order, and the orders attaining it.
+
+    Orders list the best candidate first and come in lexicographic order of
+    candidate indices.
+    """
+    n = len(comparison.candidates)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    position = np.argsort(perms, axis=1)
+    winners, losers = np.nonzero(comparison.majority)
+    costs = (position[:, winners] > position[:, losers]).sum(axis=1)
+    best = costs.min()
+    orders = [tuple(comparison.candidates[i] for i in perm) for perm in perms[costs == best].tolist()]
+    return int(best), orders

@@ -7,8 +7,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from majorityrank import bundled_fixtures_dir
-from majorityrank.cli import main
+from majorityrank import COMPETITION, DENSE, AlternativeSet, Ranking, bundled_fixtures_dir
+from majorityrank.cli import METHODS, main
+from majorityrank.core import SCHEMES
 
 CRITERIA_CSV = str(bundled_fixtures_dir() / "table6_criteria.csv")
 
@@ -230,6 +231,49 @@ def test_reproduce_rejects_bad_meta_data_column(tmp_path, capsys, row, data_colu
     assert "table5_meta.csv" in error and problem in error
     assert f"(row {row}, col data_column)" in error
     assert "Traceback" not in error
+
+
+@pytest.mark.parametrize("filename, edit, problem, where", [
+    ("table1_cycles.csv", lambda text: "", "empty file", "(row 1)"),
+    ("table1_cycles.csv", lambda text: text.replace("5,", "6,", 1), "cycle length 6 is not one of", "(row 4, col k)"),
+    ("table3_taub.csv", lambda text: text.replace("0.767", "0.7x67", 1), "'0.7x67' is not a finite number",
+     "(row 2, col MXpc)"),
+    ("table6_aggregates.csv", lambda text: text.replace(",UC,", ",UCx,", 1), "no UC column", "(row 1)"),
+], ids=["empty-cycles", "bad-cycle-length", "non-numeric-taub", "missing-aggregate"])
+def test_reproduce_rejects_malformed_reference(tmp_path, capsys, filename, edit, problem, where):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(bundled_fixtures_dir(), fixtures)
+    path = fixtures / filename
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    code, out = run_main("reproduce", str(fixtures))
+    assert code == 2
+    assert out == ""
+    error = capsys.readouterr().err
+    assert filename in error and problem in error and where in error
+    assert "Traceback" not in error
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_rank_output_conforms_to_every_scheme(tmp_path, method):
+    # two stacked Condorcet 3-cycles above a last place: every method ties within each cycle
+    table = tmp_path / "cycles.csv"
+    table.write_text(
+        "country,c1,c2,c3\n"
+        "a,1,3,2\nb,2,1,3\nc,3,2,1\n"
+        "d,4,6,5\ne,5,4,6\nf,6,5,4\n"
+        "g,7,7,7\n",
+        encoding="utf-8",
+    )
+    weights = tmp_path / "w.cfg"
+    weights.write_text("c1 = 1\nc2 = 1\nc3 = 1\n", encoding="utf-8")
+    expected = {DENSE: [1, 1, 1, 2, 2, 2, 3], COMPETITION: [1, 1, 1, 4, 4, 4, 7]}
+    for scheme in SCHEMES:
+        code, out = run_main("rank", str(table), "--weights", str(weights), "--method", method, "--scheme", scheme)
+        assert code == 0
+        rows = list(csv.reader(stdio.StringIO(out)))[1:]
+        ranking = Ranking(AlternativeSet([name for name, _ in rows]), {name: int(r) for name, r in rows}, scheme=scheme)
+        assert ranking.conforms_to_scheme(), (method, scheme)
+        assert [int(r) for _, r in rows] == expected[scheme], (method, scheme)
 
 
 def test_console_entry_point_runs_in_subprocess():

@@ -8,6 +8,7 @@ from majorityrank import (
     Criterion,
     InputError,
     MajorityStructure,
+    NumericalError,
     Profile,
     build_majority,
     count_cycles,
@@ -85,6 +86,28 @@ def test_cycle_length_bounds(toy_structure):
     for bad in (2, 6, 0):
         with pytest.raises(InputError):
             count_cycles(toy_structure, bad)
+
+
+@pytest.mark.parametrize("k, limit", [(3, 1664510), (4, 46340), (5, 5404)])
+def test_cycle_count_size_limit_names_the_per_k_bound(k, limit):
+    class Oversized:  # count_cycles checks the size before it reads any matrix
+        def __len__(self):
+            return limit + 1
+
+    assert limit ** k < 2 ** 62 <= (limit + 1) ** k
+    with pytest.raises(InputError, match=f"counting {k}-cycles supports at most {limit} alternatives, got {limit + 1}"):
+        count_cycles(Oversized(), k)
+
+
+def test_cycle_count_rejects_a_trace_that_is_not_a_multiple_of_k():
+    class TwoCycle:  # symmetric arcs, which a majority structure never holds: 2 closed 4-walks
+        beats = np.array([[0, 1], [1, 0]], dtype=bool)
+
+        def __len__(self):
+            return 2
+
+    with pytest.raises(NumericalError, match="not a multiple of 4"):
+        count_cycles(TwoCycle(), 4)
 
 
 def test_trichotomy_and_symmetry_on_random_profiles():

@@ -1,4 +1,4 @@
-import itertools
+import math
 import random
 
 import numpy as np
@@ -18,7 +18,8 @@ from majorityrank import (
     rankings_majority,
 )
 from conftest import order_ranking
-from oracles import random_ranking
+from majorityrank.metarank import _realized_pairs
+from oracles import brute_minimum, random_ranking
 
 
 def make_comparison(names, edges):
@@ -185,58 +186,67 @@ def test_condensation_is_idempotent_on_random_digraphs():
         assert second.ranks == first.ranks
 
 
-def brute_minimum(comparison):
-    best_cost = None
-    best_orders = []
-    names = comparison.candidates
-    index = {name: k for k, name in enumerate(names)}
-    for perm in itertools.permutations(names):
-        position = {name: k for k, name in enumerate(perm)}
-        cost = sum(
-            1
-            for a in names for b in names
-            if comparison.majority[index[a], index[b]] and position[a] > position[b]
-        )
-        if best_cost is None or cost < best_cost:
-            best_cost, best_orders = cost, [perm]
-        elif cost == best_cost:
-            best_orders.append(perm)
-    return best_cost, best_orders
+def incomparability_ranks(names, fixed):
+    """Competition ranks of the blocks that incomparability under ``fixed`` connects."""
+    block = {name: {name} for name in names}
+    for a in names:
+        for b in names:
+            if a != b and not fixed[a, b] and not fixed[b, a] and block[a] is not block[b]:
+                merged = block[a] | block[b]
+                for member in merged:
+                    block[member] = merged
+    return {
+        name: 1 + sum(1 for other in names if other not in block[name] and fixed[other, name])
+        for name in names
+    }
 
 
 def test_subset_solver_matches_exhaustive_search():
     rng = random.Random(71)
-    for _ in range(40):
-        n = rng.randint(2, 7)
+    cyclic = 0
+    for trial in range(60):
+        n = rng.randint(1, 8)
         names = [f"r{i}" for i in range(n)]
+        density = rng.choice((0.3, 0.6, 0.9, 1.0))
         edges = []
         for i in range(n):
             for j in range(i + 1, n):
                 roll = rng.random()
-                if roll < 0.45:
+                if roll < density / 2:
                     edges.append((names[i], names[j]))
-                elif roll < 0.9:
+                elif roll < density:
                     edges.append((names[j], names[i]))
         comparison = make_comparison(names, edges)
         expected_cost, expected_orders = brute_minimum(comparison)
+        cyclic += expected_cost > 0
         assert minimum_distance(comparison) == expected_cost
         assert optimal_order_count(comparison) == len(expected_orders)
-        assert sorted(optimal_linear_orders(comparison)) == sorted(expected_orders)
-        # pairs that vary across optima always tie; fixed pairs keep their
-        # order unless a chain of varying pairs pulls both into one block
+        assert optimal_linear_orders(comparison) == expected_orders
+        realized = {(a, b) for order in expected_orders for k, a in enumerate(order) for b in order[k + 1:]}
+        dp_realized = _realized_pairs(comparison.majority)
+        assert {(names[i], names[j]) for i, j in zip(*np.nonzero(dp_realized))} == realized
+        # the weak order: blocks are the incomparability components of the
+        # pairs fixed in every optimal order, ranked by competition numbering
+        fixed = {(a, b): (a, b) in realized and (b, a) not in realized for a in names for b in names}
         ranking = closest_weak_order(comparison)
-        for a in names:
-            for b in names:
-                if a >= b:
-                    continue
-                fixed_ab = all(order.index(a) < order.index(b) for order in expected_orders)
-                fixed_ba = all(order.index(b) < order.index(a) for order in expected_orders)
-                if not fixed_ab and not fixed_ba:
-                    assert ranking.ranks[a] == ranking.ranks[b]
-                elif fixed_ab:
-                    assert ranking.ranks[a] <= ranking.ranks[b]
-                else:
-                    assert ranking.ranks[b] <= ranking.ranks[a]
+        assert dict(ranking.ranks) == incomparability_ranks(names, fixed), trial
+        assert ranking.conforms_to_scheme()
+    assert 10 < cyclic < 60  # the battery holds both cyclic and acyclic digraphs
+
+
+def test_edgeless_twenty_candidates_count_every_order():
+    # every one of the 20! orders is optimal: the largest count the int64 DP holds
+    comparison = make_comparison([f"r{i}" for i in range(20)], [])
+    assert optimal_order_count(comparison) == math.factorial(20)
+    assert minimum_distance(comparison) == 0
+    assert set(closest_weak_order(comparison).ranks.values()) == {1}
+
+
+def test_order_enumeration_cap_is_checked_up_front():
+    comparison = make_comparison([f"r{i}" for i in range(6)], [])
+    with pytest.raises(SizeLimitError, match="more than 719 optimal orders"):
+        optimal_linear_orders(comparison, cap=719)
+    assert len(optimal_linear_orders(comparison, cap=720)) == 720
 
 
 def test_cyclic_size_limit():
@@ -245,4 +255,20 @@ def test_cyclic_size_limit():
     comparison = make_comparison(names, edges)
     with pytest.raises(SizeLimitError) as excinfo:
         closest_weak_order(comparison)
-    assert ">" in str(excinfo.value)  # the reported cycle
+    assert " > ".join(names + names[:1]) in str(excinfo.value)  # the reported cycle
+
+
+def test_long_cycle_is_reported_without_recursion():
+    # a cycle r2 > ... > r1497 > r2, longer than the interpreter's recursion
+    # limit, with a source r1499 above it and a tail r1 > r0 below it
+    n = 1500
+    names = [f"r{i}" for i in range(n)]
+    edges = [(names[i], names[i + 1]) for i in range(2, n - 2)] + [(names[n - 2], names[2])]
+    edges += [(names[n - 1], names[2]), (names[2], names[1]), (names[1], names[0])]
+    comparison = make_comparison(names, edges)
+    with pytest.raises(SizeLimitError) as excinfo:
+        closest_weak_order(comparison)
+    cycle = str(excinfo.value).split("(e.g. ")[1].split(");")[0].split(" > ")
+    assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1 == n - 3
+    for a, b in zip(cycle, cycle[1:]):
+        assert comparison.majority[names.index(a), names.index(b)]

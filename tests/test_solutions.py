@@ -7,6 +7,7 @@ from majorityrank import (
     AlternativeSet,
     InputError,
     MajorityStructure,
+    SolutionSet,
     is_externally_stable,
     mes_union,
     minimal_stable_set_containing,
@@ -15,6 +16,7 @@ from majorityrank import (
     uncovered_set,
     weak_top_cycle,
 )
+from majorityrank import solutions
 from oracles import brute_mes_union, brute_uncovered, brute_weak_top_cycle, random_structure
 
 ABC = AlternativeSet(("a", "b", "c"))
@@ -156,3 +158,9 @@ def test_sorting_partitions_and_is_deterministic():
             for cls in sorted_classes.classes:
                 assert solve(ms, kind, remaining).members == cls
                 remaining -= cls
+
+
+def test_sort_refuses_an_empty_solution(monkeypatch):
+    monkeypatch.setitem(solutions._SOLVERS, "UC", lambda ms, subset: SolutionSet("UC", frozenset()))
+    with pytest.raises(RuntimeError, match="UC selected nothing from 3 alternatives"):
+        sort_by_solution(CHAIN, "UC")
