@@ -28,6 +28,7 @@ from .errors import DegenerateRankingError, InputError
 TAU_B = "tau_b"
 COINCIDING = "coinciding"
 MEASURES = (TAU_B, COINCIDING)
+_CENSUS_BLOCK = 1 << 14  # pair comparisons per step of the census: 128 KiB per int64 temporary
 
 
 @dataclass(frozen=True)
@@ -57,22 +58,37 @@ def _check_common(r1: Ranking, r2: Ranking) -> None:
 
 
 def pair_stats(r1: Ranking, r2: Ranking) -> PairStats:
-    """Count concordant, inverted and tied pairs of two rankings."""
+    """Count concordant, inverted and tied pairs of two rankings.
+
+    Every ordered pair is compared, a block of rows at a time, and each
+    unordered pair is counted twice (each alternative ties itself once).
+    The blocks keep the temporaries at ``_CENSUS_BLOCK`` cells whatever
+    the number of alternatives, so a large census neither holds m x m
+    arrays nor grows the heap by them.
+    """
     _check_common(r1, r2)
     a = r1.rank_vector()
     b = r2.rank_vector()
-    upper = np.triu_indices(len(a), 1)
-    sa = np.sign(a[:, None] - a[None, :])[upper]
-    sb = np.sign(b[:, None] - b[None, :])[upper]
-    tied1 = sa == 0
-    tied2 = sb == 0
+    m = len(a)
+    same = opposite = tied1 = tied2 = tied_both = 0
+    step = max(1, _CENSUS_BLOCK // m)
+    for start in range(0, m, step):
+        sa = np.sign(a[start:start + step, None] - a)
+        sb = np.sign(b[start:start + step, None] - b)
+        agree = sa * sb
+        same += int((agree > 0).sum())
+        opposite += int((agree < 0).sum())
+        ta, tb = sa == 0, sb == 0
+        tied1 += int(ta.sum())
+        tied2 += int(tb.sum())
+        tied_both += int((ta & tb).sum())
     return PairStats(
-        total=len(sa),
-        concordant=int(((sa == sb) & ~tied1).sum()),
-        discordant=int(((sa == -sb) & ~tied1 & ~tied2).sum()),
-        ties_first=int(tied1.sum()),
-        ties_second=int(tied2.sum()),
-        ties_both=int((tied1 & tied2).sum()),
+        total=m * (m - 1) // 2,
+        concordant=same // 2,
+        discordant=opposite // 2,
+        ties_first=(tied1 - m) // 2,
+        ties_second=(tied2 - m) // 2,
+        ties_both=(tied_both - m) // 2,
     )
 
 

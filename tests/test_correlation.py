@@ -90,6 +90,16 @@ def test_census_matches_naive_loops_and_scipy():
         assert 0.0 <= share <= 100.0
 
 
+def test_census_over_several_row_blocks_matches_naive_loops():
+    # 300 alternatives take six blocks of rows, the last one short
+    rng = random.Random(52)
+    names = AlternativeSet(tuple(f"c{i}" for i in range(300)))
+    for max_positions in (3, 40, 300):
+        r1 = random_ranking(rng, names, max_positions)
+        r2 = random_ranking(rng, names, max_positions)
+        assert as_tuple(pair_stats(r1, r2)) == naive_pair_stats(r1, r2)
+
+
 def test_adjacent_swap_strictly_degrades_tau():
     rng = random.Random(53)
     names = AlternativeSet(tuple(f"c{i}" for i in range(9)))
