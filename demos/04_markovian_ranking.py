@@ -18,7 +18,6 @@ from majorityrank import (
     MajorityStructure,
     leagues,
     markovian_ranking,
-    power_iteration,
     stationary,
     transition_matrix,
 )
@@ -48,8 +47,9 @@ for name in vector.members:
     print(f"  {name}: {share} = {float(share):.4f}")
 assert sum(vector.probabilities.values()) == Fraction(1)
 
-# the float cross-check agrees with the exact solve
-print("\npower iteration cross-check:", np.round(power_iteration(tm), 6))
+# the exact vector is a fixed point of the chain: W p = p
+p = vector.as_floats()
+print("\nresidual max|W p - p|:", np.abs(tm.matrix @ p - p).max())
 
 ranking = markovian_ranking(structure)
 print("\nfinal ranking:", dict(sorted(ranking.ranks.items())))

@@ -57,7 +57,6 @@ from .markovian import (
     TransitionMatrix,
     leagues,
     markovian_ranking,
-    power_iteration,
     stationary,
     transition_matrix,
 )

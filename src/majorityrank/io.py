@@ -13,11 +13,12 @@ impute.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import time
 import warnings
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -174,34 +175,30 @@ def build_profile(
     return Profile(alternatives, criteria)
 
 
+@contextlib.contextmanager
+def _csv_writer(destination: str | Path | TextIO) -> Iterator:
+    """A CSV writer on an open handle, or on a path opened here and closed on exit."""
+    if isinstance(destination, (str, Path)):
+        with Path(destination).open("w", encoding="utf-8", newline="") as handle:
+            yield csv.writer(handle, lineterminator="\n")
+    else:
+        yield csv.writer(destination, lineterminator="\n")
+
+
 def save_ranking(destination: str | Path | TextIO, ranking: Ranking, label: str = "country") -> None:
     """Write a ranking as a two-column CSV in alternative-set order."""
-    def write(handle: TextIO) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
+    with _csv_writer(destination) as writer:
         writer.writerow([label, "rank"])
         for name in ranking.alternatives:
             writer.writerow([name, ranking.ranks[name]])
 
-    if isinstance(destination, (str, Path)):
-        with Path(destination).open("w", encoding="utf-8", newline="") as handle:
-            write(handle)
-    else:
-        write(destination)
-
 
 def write_labeled_matrix(destination: str | Path | TextIO, labels: tuple[str, ...], values, fmt=str) -> None:
     """Write a labelled square matrix as CSV (first column and row carry labels)."""
-    def write(handle: TextIO) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
+    with _csv_writer(destination) as writer:
         writer.writerow(["", *labels])
         for i, row_label in enumerate(labels):
             writer.writerow([row_label, *(fmt(values[i][j]) for j in range(len(labels)))])
-
-    if isinstance(destination, (str, Path)):
-        with Path(destination).open("w", encoding="utf-8", newline="") as handle:
-            write(handle)
-    else:
-        write(destination)
 
 
 def load_indicators(path: str | Path) -> list[IndicatorRecord]:
@@ -353,6 +350,14 @@ def _load_reference_meta(path: Path) -> dict[str, tuple[int, int, str]]:
     return meta
 
 
+def _check_labels(path: Path, what: str, found: Iterable[str], expected: Iterable[str]) -> None:
+    """InputError naming ``path`` and the labels missing from or extra to ``found``."""
+    missing = sorted(set(expected) - set(found))
+    extra = sorted(set(found) - set(expected))
+    if missing or extra:
+        raise InputError(f"{path}: {what}: missing {missing}, extra {extra}")
+
+
 def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     """Recompute the full case study and diff it against the bundled references.
 
@@ -365,23 +370,29 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     if not fixtures.is_dir():
         raise InputError(f"fixture directory {fixtures} does not exist")
 
-    alternatives, criteria_rankings = load_ranks(_fixture(fixtures, "table6_criteria.csv"))
+    criteria_path = _fixture(fixtures, "table6_criteria.csv")
+    alternatives, criteria_rankings = load_ranks(criteria_path)
     weights = load_weights(_fixture(fixtures, "weights.cfg"))
     profile = build_profile(alternatives, criteria_rankings, weights)
     # every reference is read and validated before any computation
     reference_cycles = _load_reference_cycles(_fixture(fixtures, "table1_cycles.csv"))
     aggregates_path = _fixture(fixtures, "table6_aggregates.csv")
     agg_alternatives, published_aggregates = load_ranks(aggregates_path)
+    _check_labels(aggregates_path, f"countries differ from {criteria_path}", agg_alternatives, alternatives)
     if agg_alternatives.items != alternatives.items:
-        raise InputError("aggregate fixture covers a different country set")
+        raise InputError(f"{aggregates_path}: countries are listed in a different order from {criteria_path}")
     for name in ("CIP", *AGGREGATE_METHODS):
         if name not in published_aggregates:
             raise InputError(f"{aggregates_path}: no {name} column (row 1)")
-    reference_file = {TAU_B: "table3_taub.csv", COINCIDING: "table3_r.csv"}
-    reference_matrices = {
-        measure: _load_reference_matrix(_fixture(fixtures, filename)) for measure, filename in reference_file.items()
-    }
-    reference_meta = _load_reference_meta(_fixture(fixtures, "table5_meta.csv"))
+    candidate_names = {*criteria_rankings, "CIP", *AGGREGATE_METHODS}
+    reference_matrices = {}
+    for measure, filename in ((TAU_B, "table3_taub.csv"), (COINCIDING, "table3_r.csv")):
+        path = _fixture(fixtures, filename)
+        reference_matrices[measure] = _load_reference_matrix(path)
+        _check_labels(path, "labels do not match the candidate set", reference_matrices[measure][0], candidate_names)
+    meta_path = _fixture(fixtures, "table5_meta.csv")
+    reference_meta = _load_reference_meta(meta_path)
+    _check_labels(meta_path, "rankings do not match the candidate set", reference_meta, candidate_names)
 
     structure = build_majority(profile)
     checks: list[CheckResult] = []
@@ -436,8 +447,6 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     tolerance = {TAU_B: (0.001, 0.005), COINCIDING: (0.01, 0.05)}
     for measure in (TAU_B, COINCIDING):
         labels, reference = reference_matrices[measure]
-        if set(labels) != set(candidates):
-            raise InputError(f"{reference_file[measure]}: labels do not match the candidate set")
         matrix = correlation_matrix([(name, candidates[name]) for name in labels], measure)
         n_criteria = len(criteria_rankings)
         block_dev = full_dev = 0.0
@@ -460,8 +469,6 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
         ))
 
     # meta-rankings against the published weak orders
-    if set(reference_meta) != set(candidates):
-        raise InputError("table5_meta.csv: rankings do not match the candidate set")
     notes = []
     if any(label != data for label, (_, _, data) in reference_meta.items()):
         notes.append(

@@ -8,10 +8,10 @@ challenger that beats or ties it, challengers being drawn uniformly.  The
 transition matrix is column-stochastic and, thanks to the league pre-sort,
 irreducible; members are ordered by decreasing stationary probability.
 
-Stationary vectors are computed exactly over the rationals (the matrix has
-integer counts over a common denominator), so genuinely equal
-probabilities tie and distinct ones never collapse, no matter how small
-their gap.  A float power-iteration cross-check is provided separately.
+Stationary vectors are computed exactly by fraction-free (Bareiss)
+elimination on the integer counts, which share a common denominator, so
+genuinely equal probabilities tie and distinct ones never collapse, no
+matter how small their gap.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ from .core import DENSE, Ranking, from_ranks
 from .errors import InputError, NumericalError, SingletonLeagueError
 from .majority import MajorityStructure
 from .solutions import WTC, sort_by_solution
-
-try:  # gmpy2 rationals are dramatically faster; plain Fractions work too
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -116,65 +111,48 @@ def transition_matrix(ms: MajorityStructure, league: frozenset[str] | set[str]) 
 def stationary(tm: TransitionMatrix) -> StationaryVector:
     """Exact fixed point: probabilities p with (counts/denominator) p = p, sum 1.
 
-    Solved by rational Gaussian elimination on the counts matrix; the
-    league pre-sort makes the chain irreducible, so the solution is unique
-    and strictly positive.
+    Solved by fraction-free (Bareiss) elimination on the integer counts;
+    the league pre-sort makes the chain irreducible, so the solution is
+    unique and strictly positive.
     """
     k = len(tm.members)
-    one = _rational(1)
     # rows 0..k-2 of (counts - d*I) p = 0 (the rows are linearly dependent),
-    # closed with the normalisation row sum(p) = 1
-    rows = [[_rational(int(tm.counts[i, j]) - (tm.denominator if i == j else 0)) for j in range(k)]
+    # closed with the normalisation row sum(p) = 1; the last column is the
+    # right-hand side
+    rows = [[int(tm.counts[i, j]) - (tm.denominator if i == j else 0) for j in range(k)] + [0]
             for i in range(k - 1)]
-    rows.append([one] * k)
-    rhs = [_rational(0)] * (k - 1) + [one]
+    rows.append([1] * (k + 1))
 
+    previous = 1
     for col in range(k):
         pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
         if pivot is None:
             raise NumericalError("transition matrix is singular beyond the stationary degeneracy")
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        lead, tail = head[col], head[col + 1:]
         for r in range(col + 1, k):
-            factor = rows[r][col] / rows[col][col]
-            if factor == 0:
-                continue
-            rhs[r] -= factor * rhs[col]
-            for c in range(col, k):
-                rows[r][c] -= factor * rows[col][c]
-    values = [_rational(0)] * k
-    for r in range(k - 1, -1, -1):
-        acc = rhs[r]
-        for c in range(r + 1, k):
-            acc -= rows[r][c] * values[c]
-        values[r] = acc / rows[r][r]
+            row = rows[r]
+            factor = row[col]
+            if factor:
+                row[col + 1:] = [(lead * a - factor * b) // previous for a, b in zip(row[col + 1:], tail)]
+            else:
+                row[col + 1:] = [lead * a // previous for a in row[col + 1:]]
+        previous = lead
 
-    probabilities = {name: Fraction(int(v.numerator), int(v.denominator)) for name, v in zip(tm.members, values)}
+    # The last pivot is +-det, and det * A^-1 b is integral by Cramer's rule,
+    # so scaled = det * p is an integer vector and every division is exact.
+    det = rows[k - 1][k - 1]
+    scaled = [0] * k
+    for r in range(k - 1, -1, -1):
+        row = rows[r]
+        acc = det * row[k] - sum(row[c] * scaled[c] for c in range(r + 1, k))
+        scaled[r] = acc // row[r]
+
+    probabilities = {name: Fraction(x, det) for name, x in zip(tm.members, scaled)}
     if any(p < 0 for p in probabilities.values()) or sum(probabilities.values()) != 1:
         raise NumericalError("stationary solve produced an invalid distribution")
     return StationaryVector(members=tm.members, probabilities=probabilities)
-
-
-def power_iteration(tm: TransitionMatrix, tol: float = 1e-13, max_iter: int = 10 ** 6) -> np.ndarray:
-    """Float stationary vector by lazy power iteration (cross-check path).
-
-    Iterates p <- (p + Wp)/2, which shares fixed points with W but is
-    aperiodic for every column-stochastic W, so it always converges.
-
-    Raises:
-        NumericalError: if the iteration budget is exhausted.
-    """
-    w = tm.matrix
-    k = w.shape[0]
-    p = np.full(k, 1.0 / k)
-    for _ in range(max_iter):
-        nxt = 0.5 * (p + w @ p)
-        nxt /= nxt.sum()
-        if np.abs(nxt - p).max() <= tol:
-            return nxt
-        p = nxt
-    raise NumericalError(f"power iteration did not converge within {max_iter} iterations")
 
 
 def markovian_ranking(ms: MajorityStructure, scheme: str = DENSE) -> Ranking:

@@ -113,6 +113,26 @@ def is_externally_stable(
     return _is_stable(cand, members, upper)
 
 
+def _certificate(i: int, members: int, upper: list[int], lower: list[int]) -> int | None:
+    """The first stable reduced set that certifies i, or None.
+
+    Witnesses z are i itself, then its lower section in index order; the
+    reduced set is ``members`` minus z and every dominator of z other than i.
+    """
+    me = 1 << i
+    witnesses = [i]
+    rest = lower[i]
+    while rest:
+        bit = rest & -rest
+        witnesses.append(bit.bit_length() - 1)
+        rest ^= bit
+    for z in witnesses:
+        reduced = members & ~(((1 << z) | upper[z]) & ~me)
+        if _is_stable(reduced, members, upper):
+            return reduced
+    return None
+
+
 def mes_union(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = None) -> SolutionSet:
     """Union of all inclusion-minimal externally stable subsets of ``subset``.
 
@@ -125,21 +145,8 @@ def mes_union(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = 
     """
     idx = ms.restrict_indices(subset)
     members, upper, lower = _masks(ms, idx)
-    chosen = []
     items = ms.alternatives.items
-    for i in idx.tolist():
-        witnesses = [i]
-        rest = lower[i]
-        while rest:
-            bit = rest & -rest
-            witnesses.append(bit.bit_length() - 1)
-            rest ^= bit
-        me = 1 << i
-        for z in witnesses:
-            reduced = members & ~(((1 << z) | upper[z]) & ~me)
-            if _is_stable(reduced, members, upper):
-                chosen.append(items[i])
-                break
+    chosen = [items[i] for i in idx.tolist() if _certificate(i, members, upper, lower) is not None]
     return SolutionSet(MES, frozenset(chosen))
 
 
@@ -160,25 +167,17 @@ def minimal_stable_set_containing(
     me = 1 << i
     if not (members & me):
         raise InputError(f"alternative {x!r} lies outside the subset")
-    witnesses = [i]
-    rest = lower[i]
-    while rest:
-        bit = rest & -rest
-        witnesses.append(bit.bit_length() - 1)
-        rest ^= bit
-    for z in witnesses:
-        current = members & ~(((1 << z) | upper[z]) & ~me)
-        if not _is_stable(current, members, upper):
+    current = _certificate(i, members, upper, lower)
+    if current is None:
+        raise InputError(f"no minimal externally stable set contains {x!r}")
+    for j in idx.tolist():
+        bit = 1 << j
+        if bit == me or not (current & bit):
             continue
-        for j in idx.tolist():
-            bit = 1 << j
-            if bit == me or not (current & bit):
-                continue
-            if _is_stable(current & ~bit, members, upper):
-                current &= ~bit
-        items = ms.alternatives.items
-        return frozenset(items[j] for j in idx.tolist() if current & (1 << j))
-    raise InputError(f"no minimal externally stable set contains {x!r}")
+        if _is_stable(current & ~bit, members, upper):
+            current &= ~bit
+    items = ms.alternatives.items
+    return frozenset(items[j] for j in idx.tolist() if current & (1 << j))
 
 
 def weak_top_cycle(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = None) -> SolutionSet:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 
-from majorityrank import AlternativeSet, MajorityStructure, MetaComparison, Ranking
+from majorityrank import AlternativeSet, MajorityStructure, MetaComparison, Ranking, TransitionMatrix
 
 
 def random_structure(rng: random.Random, m: int, tie_prob: float = 0.2) -> MajorityStructure:
@@ -160,3 +161,34 @@ def brute_minimum(comparison: MetaComparison) -> tuple[int, list[tuple[str, ...]
     best = costs.min()
     orders = [tuple(comparison.candidates[i] for i in perm) for perm in perms[costs == best].tolist()]
     return int(best), orders
+
+
+def exact_stationary(tm: TransitionMatrix) -> dict[str, Fraction]:
+    """Stationary distribution by Gaussian elimination over ``Fraction``.
+
+    Rows 0..k-2 of (counts - d*I) p = 0 are closed with the normalisation
+    row sum(p) = 1 and solved with a row swap to the first nonzero pivot.
+    """
+    k = len(tm.members)
+    rows = [[Fraction(int(tm.counts[i, j]) - (tm.denominator if i == j else 0)) for j in range(k)]
+            for i in range(k - 1)]
+    rows.append([Fraction(1)] * k)
+    rhs = [Fraction(0)] * (k - 1) + [Fraction(1)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        for r in range(col + 1, k):
+            factor = rows[r][col] / rows[col][col]
+            if factor == 0:
+                continue
+            rhs[r] -= factor * rhs[col]
+            for c in range(col, k):
+                rows[r][c] -= factor * rows[col][c]
+    values = [Fraction(0)] * k
+    for r in range(k - 1, -1, -1):
+        acc = rhs[r]
+        for c in range(r + 1, k):
+            acc -= rows[r][c] * values[c]
+        values[r] = acc / rows[r][r]
+    return dict(zip(tm.members, values))

@@ -233,6 +233,28 @@ def test_reproduce_rejects_bad_meta_data_column(tmp_path, capsys, row, data_colu
     assert "Traceback" not in error
 
 
+@pytest.mark.parametrize("filename, old, new, problem", [
+    ("table3_r.csv", "CIP", "CIPX", "labels do not match the candidate set: missing ['CIP'], extra ['CIPX']"),
+    ("table3_taub.csv", "Markovian", "Markov", "missing ['Markovian'], extra ['Markov']"),
+    ("table5_meta.csv", "CIP", "CIPX", "rankings do not match the candidate set: missing ['CIP'], extra ['CIPX']"),
+    ("table6_aggregates.csv", "Japan,", "Nippon,", "countries differ from"),
+], ids=["coinciding-labels", "taub-labels", "meta-rankings", "aggregate-countries"])
+def test_reproduce_checks_label_sets_before_computing(tmp_path, capsys, monkeypatch, filename, old, new, problem):
+    def refuse(profile):
+        raise AssertionError("the majority structure was built before the label sets were checked")
+
+    monkeypatch.setattr("majorityrank.io.build_majority", refuse)
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(bundled_fixtures_dir(), fixtures)
+    path = fixtures / filename
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    code, out = run_main("reproduce", str(fixtures))
+    assert code == 2
+    assert out == ""
+    error = capsys.readouterr().err
+    assert error.startswith(f"error: {path}: ") and problem in error
+
+
 @pytest.mark.parametrize("filename, edit, problem, where", [
     ("table1_cycles.csv", lambda text: "", "empty file", "(row 1)"),
     ("table1_cycles.csv", lambda text: text.replace("5,", "6,", 1), "cycle length 6 is not one of", "(row 4, col k)"),

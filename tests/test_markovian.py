@@ -3,19 +3,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majorityrank import (
     AlternativeSet,
     MajorityStructure,
     SingletonLeagueError,
+    build_majority,
+    build_profile,
+    bundled_fixtures_dir,
     leagues,
+    load_ranks,
+    load_weights,
     markovian_ranking,
-    power_iteration,
     sort_by_solution,
     stationary,
     transition_matrix,
 )
-from oracles import random_structure
+from oracles import exact_stationary, random_structure
 
 ABC = AlternativeSet(("a", "b", "c"))
 CHAIN = MajorityStructure(ABC, np.triu(np.ones((3, 3), dtype=bool), 1), np.zeros((3, 3), dtype=bool))
@@ -73,8 +79,6 @@ def test_tied_pair_league():
     tm = transition_matrix(ms, {"a", "b"})
     vector = stationary(tm)
     assert vector.probabilities["a"] == vector.probabilities["b"] == Fraction(1, 2)
-    # the chain alternates deterministically; the lazy iteration still converges
-    assert power_iteration(tm) == pytest.approx([0.5, 0.5])
 
 
 def test_singleton_league_raises(toy_structure):
@@ -109,5 +113,83 @@ def test_random_league_invariants():
             assert (probabilities > 1e-12).all()  # strictly positive within a league
             residual = np.abs(tm.matrix @ probabilities - probabilities).max()
             assert residual <= 1e-10
-            iterated = power_iteration(tm)
-            assert np.abs(iterated - probabilities).max() <= 1e-8
+
+
+def stacked_cycles(n: int) -> MajorityStructure:
+    """n Condorcet 3-cycles, each beating every later one."""
+    names = AlternativeSet(tuple(f"c{i}" for i in range(3 * n)))
+    beats = np.zeros((3 * n, 3 * n), dtype=bool)
+    for block in range(n):
+        a, b, c = 3 * block, 3 * block + 1, 3 * block + 2
+        beats[a, b] = beats[b, c] = beats[c, a] = True
+        beats[a:c + 1, c + 1:] = True
+    return MajorityStructure(names, beats, np.zeros_like(beats))
+
+
+def fully_tied(m: int) -> MajorityStructure:
+    names = AlternativeSet(tuple(f"t{i}" for i in range(m)))
+    return MajorityStructure(names, np.zeros((m, m), dtype=bool), ~np.eye(m, dtype=bool))
+
+
+def league_matrices(ms: MajorityStructure):
+    return [transition_matrix(ms, league) for league in leagues(ms).leagues if len(league) > 1]
+
+
+def test_stationary_equals_fraction_oracle_on_random_leagues():
+    rng = random.Random(47)
+    structures = [CYCLE, stacked_cycles(4), fully_tied(2), fully_tied(9)]
+    for tie_prob in (0.0, 0.2, 0.6, 1.0):
+        structures += [random_structure(rng, rng.randint(2, 30), tie_prob) for _ in range(25)]
+    matrices = [tm for ms in structures for tm in league_matrices(ms)]
+    assert len(matrices) >= 80
+    for tm in matrices:
+        assert dict(stationary(tm).probabilities) == exact_stationary(tm)
+    assert set(stationary(league_matrices(fully_tied(9))[0]).probabilities.values()) == {Fraction(1, 9)}
+
+
+def test_stationary_equals_fraction_oracle_on_study_league():
+    fixtures = bundled_fixtures_dir()
+    alternatives, criteria = load_ranks(fixtures / "table6_criteria.csv")
+    study = build_majority(build_profile(alternatives, criteria, load_weights(fixtures / "weights.cfg")))
+    (tm,) = [tm for tm in league_matrices(study) if len(tm.members) == 135]
+    vector = dict(stationary(tm).probabilities)
+    assert vector == exact_stationary(tm)
+    assert len(set(vector.values())) == 135
+
+
+def oracle_ranking(ms: MajorityStructure) -> dict[str, int]:
+    """Dense ranks from league order, then from the oracle's exact probabilities."""
+    ranks: dict[str, int] = {}
+    offset = 0
+    for league in leagues(ms).leagues:
+        if len(league) == 1:
+            shares = {next(iter(league)): Fraction(1)}
+        else:
+            shares = exact_stationary(transition_matrix(ms, league))
+        levels = sorted(set(shares.values()), reverse=True)
+        ranks.update({name: offset + levels.index(p) + 1 for name, p in shares.items()})
+        offset += len(levels)
+    return ranks
+
+
+@st.composite
+def structures(draw) -> MajorityStructure:
+    m = draw(st.integers(1, 12))
+    outcomes = draw(st.lists(st.sampled_from("<>="), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2))
+    beats = np.zeros((m, m), dtype=bool)
+    ties = np.zeros((m, m), dtype=bool)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for (i, j), outcome in zip(pairs, outcomes):
+        if outcome == "=":
+            ties[i, j] = ties[j, i] = True
+        elif outcome == ">":
+            beats[i, j] = True
+        else:
+            beats[j, i] = True
+    return MajorityStructure(AlternativeSet(tuple(f"a{i}" for i in range(m))), beats, ties)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(structures())
+def test_markovian_ranking_matches_oracle_vectors(ms):
+    assert dict(markovian_ranking(ms).ranks) == oracle_ranking(ms)
