@@ -8,6 +8,7 @@ Criteria that rank the pair equal contribute to neither side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from .errors import InputError, NumericalError
 # so the trace of the k-th matrix power counts each k-cycle exactly k times.
 # For k >= 6 the decomposition 3+3 breaks the argument.
 _CYCLE_LENGTHS = (3, 4, 5)
+
+# Columns of the trace per block: an m x 128 float64 temporary is 1 MB at m = 1000.
+_TRACE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -105,25 +109,51 @@ def sections(ms: MajorityStructure, x: str) -> Sections:
 
 
 def count_cycles(ms: MajorityStructure, k: int) -> int:
-    """Exact number of directed k-cycles in the majority relation, k in {3, 4, 5}."""
+    """Exact number of directed k-cycles in the majority relation, k in {3, 4, 5}.
+
+    trace(A^k) = sum(A^2 * (A^(k-2))^T) is accumulated over column blocks of
+    width ``_TRACE_BLOCK`` from float64 BLAS products, so only A and A^2 are
+    held at full size.  Each block's elementwise products are cast to int64
+    before summing; ``_max_exact_size`` states why both stay exact.
+    """
     if k not in _CYCLE_LENGTHS:
         raise InputError(f"cycle length must be one of {_CYCLE_LENGTHS}, got {k}")
     m = len(ms)
     limit = _max_exact_size(k)
     if m > limit:
         raise InputError(f"counting {k}-cycles supports at most {limit} alternatives, got {m}")
-    power = np.linalg.matrix_power(ms.beats.astype(np.int64), k)
-    trace = int(np.trace(power))
+    a = np.asarray(ms.beats, dtype=np.float64)
+    a2 = a @ a
+    trace = 0
+    for start in range(0, m, _TRACE_BLOCK):
+        cols = slice(start, start + _TRACE_BLOCK)
+        if k == 3:
+            tail = a[:, cols]
+        elif k == 4:
+            tail = a2[:, cols]
+        else:
+            tail = a2 @ a[:, cols]
+        trace += int((a2[cols, :].T * tail).astype(np.int64).sum())
     if trace % k:
         raise NumericalError(f"trace of the {k}-th majority power, {trace}, is not a multiple of {k}")
     return trace // k
 
 
 def _max_exact_size(k: int) -> int:
-    """Largest m with m**k < 2**62, which keeps the int64 k-th power and its trace exact."""
-    m = int(2 ** (62 / k))
-    while m ** k >= 2 ** 62:
-        m -= 1
-    while (m + 1) ** k < 2 ** 62:
+    """Largest m for which the trace kernel counts k-cycles exactly.
+
+    An entry of A^j counts j-walks between two vertices, at most m**(j-1), so
+    every float64 value the kernel forms (entries of A^2 and A^3 and their
+    elementwise products) is a non-negative integer at most m**(k-2); below
+    2**53 each is exact, and so is every partial sum of a BLAS product.  The
+    trace counts each k-cycle once per ordered start, so it is at most the
+    m!/(m-k)! ordered k-tuples of distinct vertices, which int64 holds while
+    below 2**63.
+    """
+    def exact(m: int) -> bool:
+        return math.perm(m, k) < 2 ** 63 and m ** (k - 2) < 2 ** 53
+
+    m = int(2 ** (63 / k))  # perm(m, k) < m**k <= 2**63, so this m is exact
+    while exact(m + 1):
         m += 1
     return m

@@ -56,33 +56,37 @@ def uncovered_set(ms: MajorityStructure, subset: frozenset[str] | set[str] | Non
     """Alternatives of ``subset`` not covered by any other member."""
     idx = ms.restrict_indices(subset)
     sub = ms.beats[np.ix_(idx, idx)]
-    # leak[y, x] = # of z beaten by y but not by x; x covers y iff it beats y and leak is 0
-    leak = sub.astype(np.int64) @ (~sub).astype(np.int64).T
-    covers = sub & (leak.T == 0)
+    f = sub.astype(np.float64)
+    # common[x, y] = # of z beaten by both; x covers y iff x beats y and beats all y beats.
+    # Entries are at most m, so the float64 BLAS product is exact.
+    common = f @ f.T
+    covers = sub & (common == sub.sum(axis=1)[None, :])
     uncovered = ~covers.any(axis=0)
     items = ms.alternatives.items
     return SolutionSet(UC, frozenset(items[i] for i in idx[uncovered]))
 
 
 def _masks(ms: MajorityStructure, idx: np.ndarray) -> tuple[int, list[int], list[int]]:
-    """Bitmask views of the restricted relation: member mask, dominators, dominated."""
-    members = 0
-    for i in idx.tolist():
-        members |= 1 << i
-    beats = ms.beats
-    upper = [0] * len(beats)
-    lower = [0] * len(beats)
-    for i in idx.tolist():
-        up = 0
-        low = 0
-        for j in idx.tolist():
-            if beats[j, i]:
-                up |= 1 << j
-            if beats[i, j]:
-                low |= 1 << j
-        upper[i] = up
-        lower[i] = low
+    """Bitmask views of the restricted relation: member mask, dominators, dominated.
+
+    Bit j of each mask stands for alternative j; rows are packed little-endian
+    so that ``int.from_bytes(..., "little")`` puts element j at bit j.
+    """
+    inside = np.zeros(len(ms.beats), dtype=bool)
+    inside[idx] = True
+    members = _as_int(np.packbits(inside, bitorder="little"))
+    dominated = np.packbits(ms.beats[idx] & inside, axis=1, bitorder="little")
+    dominators = np.packbits(ms.beats[:, idx].T & inside, axis=1, bitorder="little")
+    upper = [0] * len(inside)
+    lower = [0] * len(inside)
+    for i, up, low in zip(idx.tolist(), dominators, dominated):
+        upper[i] = _as_int(up)
+        lower[i] = _as_int(low)
     return members, upper, lower
+
+
+def _as_int(packed: np.ndarray) -> int:
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def _is_stable(candidate: int, members: int, upper: list[int]) -> bool:

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from majorityrank import AlternativeSet, Criterion, Profile, Ranking, build_majority
+from majorityrank import AlternativeSet, Criterion, MajorityStructure, Profile, Ranking, build_majority
 
 FIVE = ("x1", "x2", "x3", "x4", "x5")
 
@@ -39,3 +40,21 @@ def toy_profile() -> Profile:
 @pytest.fixture
 def toy_structure(toy_profile):
     return build_majority(toy_profile)
+
+
+@st.composite
+def structures(draw, max_m: int = 12) -> MajorityStructure:
+    """Majority structures on 1..max_m alternatives, each pair beating either way or tied."""
+    m = draw(st.integers(1, max_m))
+    outcomes = draw(st.lists(st.sampled_from("<>="), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2))
+    beats = np.zeros((m, m), dtype=bool)
+    ties = np.zeros((m, m), dtype=bool)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for (i, j), outcome in zip(pairs, outcomes):
+        if outcome == "=":
+            ties[i, j] = ties[j, i] = True
+        elif outcome == ">":
+            beats[i, j] = True
+        else:
+            beats[j, i] = True
+    return MajorityStructure(AlternativeSet(tuple(f"a{i}" for i in range(m))), beats, ties)

@@ -8,7 +8,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from majorityrank import AlternativeSet, MajorityStructure, MetaComparison, Ranking, TransitionMatrix
+from majorityrank import (
+    AlternativeSet,
+    Criterion,
+    MajorityStructure,
+    MetaComparison,
+    Profile,
+    Ranking,
+    TransitionMatrix,
+    build_majority,
+    from_scores,
+)
 
 
 def random_structure(rng: random.Random, m: int, tie_prob: float = 0.2) -> MajorityStructure:
@@ -26,6 +36,22 @@ def random_structure(rng: random.Random, m: int, tie_prob: float = 0.2) -> Major
             else:
                 beats[j, i] = True
     return MajorityStructure(names, beats, ties)
+
+
+def noisy_profile_structure(rng: random.Random, m: int, criteria: int = 5) -> MajorityStructure:
+    """Majority structure of criteria that are noisy copies of one score.
+
+    Scores are rounded to one decimal so that ties occur; solution sorts on
+    such structures take many rounds (19 UC classes at m = 300, seed 7).
+    """
+    names = AlternativeSet(tuple(f"a{i}" for i in range(m)))
+    base = [rng.gauss(0.0, 1.0) for _ in range(m)]
+    profile = Profile(names, [
+        Criterion(f"c{c}", rng.randint(1, 2),
+                  from_scores(names, {name: round(b + rng.gauss(0.0, 1.0), 1) for name, b in zip(names, base)}))
+        for c in range(criteria)
+    ])
+    return build_majority(profile)
 
 
 def random_ranking(rng: random.Random, alternatives: AlternativeSet, max_positions: int | None = None) -> Ranking:
@@ -110,6 +136,26 @@ def brute_weak_top_cycle(ms: MajorityStructure, subset=None) -> frozenset[str]:
             if all(masks[x] & inside == inside for x in idx if not inside & (1 << x)):
                 return frozenset(ms.alternatives.items[i] for i in comb)
     raise AssertionError("the full subset is always dominant")
+
+
+def leak_uncovered(ms: MajorityStructure, subset=None) -> frozenset[str]:
+    """Uncovered set from the int64 "leak" product.
+
+    leak[y, x] counts the z beaten by y but not by x, so x covers y iff x
+    beats y and leak[y, x] is 0.
+    """
+    idx = np.array(_indices(ms, subset), dtype=np.intp)
+    sub = ms.beats[np.ix_(idx, idx)]
+    leak = sub.astype(np.int64) @ (~sub).astype(np.int64).T
+    covers = sub & (leak.T == 0)
+    uncovered = ~covers.any(axis=0)
+    return frozenset(ms.alternatives.items[i] for i in idx[uncovered])
+
+
+def int64_cycles(ms: MajorityStructure, k: int) -> int:
+    """k-cycles as trace(A**k) / k from an int64 matrix power, for k in {3, 4, 5}."""
+    power = np.linalg.matrix_power(ms.beats.astype(np.int64), k)
+    return int(np.trace(power)) // k
 
 
 def brute_cycles(ms: MajorityStructure, k: int) -> int:

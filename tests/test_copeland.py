@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from majorityrank import (
     AlternativeSet,
@@ -10,6 +11,7 @@ from majorityrank import (
     copeland_ranking,
     copeland_scores,
 )
+from conftest import structures
 from oracles import random_structure
 
 
@@ -83,3 +85,10 @@ def test_undominated_alternative_tops_non_loss_scores():
                 for version in (1, 2):
                     scores = copeland_scores(ms, version).scores
                     assert scores[name] == max(scores.values())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(structures(max_m=8))
+def test_score_identity_holds_for_every_structure(ms):
+    s1, s2, s3 = (copeland_scores(ms, v).scores for v in (1, 2, 3))
+    assert all(s1[name] == s2[name] + s3[name] - len(ms) for name in ms.alternatives)

@@ -1,7 +1,9 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from majorityrank import (
     AlternativeSet,
@@ -14,8 +16,8 @@ from majorityrank import (
     count_cycles,
     sections,
 )
-from conftest import TOY_BEATS, order_ranking
-from oracles import brute_cycles, random_structure
+from conftest import TOY_BEATS, order_ranking, structures
+from oracles import brute_cycles, int64_cycles, noisy_profile_structure, random_structure
 
 
 def test_toy_profile_majority_matrix(toy_structure):
@@ -88,13 +90,17 @@ def test_cycle_length_bounds(toy_structure):
             count_cycles(toy_structure, bad)
 
 
-@pytest.mark.parametrize("k, limit", [(3, 1664510), (4, 46340), (5, 5404)])
+@pytest.mark.parametrize("k, limit", [(3, 2097153), (4, 55110), (5, 6210)])
 def test_cycle_count_size_limit_names_the_per_k_bound(k, limit):
     class Oversized:  # count_cycles checks the size before it reads any matrix
         def __len__(self):
             return limit + 1
 
-    assert limit ** k < 2 ** 62 <= (limit + 1) ** k
+    # The int64 trace is at most the m!/(m-k)! ordered k-tuples of distinct
+    # vertices and must stay below 2**63; that binds first for every k.  The
+    # float64 values, at most m**(k-2), stay far below 2**53 at the limit.
+    assert math.perm(limit, k) < 2 ** 63 <= math.perm(limit + 1, k)
+    assert (limit + 1) ** (k - 2) < 2 ** 53
     with pytest.raises(InputError, match=f"counting {k}-cycles supports at most {limit} alternatives, got {limit + 1}"):
         count_cycles(Oversized(), k)
 
@@ -160,3 +166,18 @@ def test_cycle_trace_matches_enumeration_on_random_structures():
         ms = random_structure(rng, rng.randint(3, 8))
         for k in (3, 4, 5):
             assert count_cycles(ms, k) == brute_cycles(ms, k)
+
+
+@pytest.mark.parametrize("maker", [random_structure, noisy_profile_structure], ids=["random", "noisy-profile"])
+def test_cycle_trace_matches_int64_powers_over_several_column_blocks(maker):
+    # 300 columns make blocks of 128, 128 and a short last one of 44
+    ms = maker(random.Random(7), 300)
+    for k in (3, 4, 5):
+        assert count_cycles(ms, k) == int64_cycles(ms, k)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(structures(max_m=8))
+def test_cycle_counts_match_enumeration(ms):
+    for k in (3, 4, 5):
+        assert count_cycles(ms, k) == brute_cycles(ms, k)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from majorityrank import (
     AlternativeSet,
@@ -21,6 +20,7 @@ from majorityrank import (
     stationary,
     transition_matrix,
 )
+from conftest import structures
 from oracles import exact_stationary, random_structure
 
 ABC = AlternativeSet(("a", "b", "c"))
@@ -170,23 +170,6 @@ def oracle_ranking(ms: MajorityStructure) -> dict[str, int]:
         ranks.update({name: offset + levels.index(p) + 1 for name, p in shares.items()})
         offset += len(levels)
     return ranks
-
-
-@st.composite
-def structures(draw) -> MajorityStructure:
-    m = draw(st.integers(1, 12))
-    outcomes = draw(st.lists(st.sampled_from("<>="), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2))
-    beats = np.zeros((m, m), dtype=bool)
-    ties = np.zeros((m, m), dtype=bool)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    for (i, j), outcome in zip(pairs, outcomes):
-        if outcome == "=":
-            ties[i, j] = ties[j, i] = True
-        elif outcome == ">":
-            beats[i, j] = True
-        else:
-            beats[j, i] = True
-    return MajorityStructure(AlternativeSet(tuple(f"a{i}" for i in range(m))), beats, ties)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)

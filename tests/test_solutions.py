@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from majorityrank import (
     AlternativeSet,
@@ -17,7 +18,15 @@ from majorityrank import (
     weak_top_cycle,
 )
 from majorityrank import solutions
-from oracles import brute_mes_union, brute_uncovered, brute_weak_top_cycle, random_structure
+from conftest import structures
+from oracles import (
+    brute_mes_union,
+    brute_uncovered,
+    brute_weak_top_cycle,
+    leak_uncovered,
+    noisy_profile_structure,
+    random_structure,
+)
 
 ABC = AlternativeSet(("a", "b", "c"))
 CHAIN = MajorityStructure(ABC, np.triu(np.ones((3, 3), dtype=bool), 1), np.zeros((3, 3), dtype=bool))
@@ -164,3 +173,55 @@ def test_sort_refuses_an_empty_solution(monkeypatch):
     monkeypatch.setitem(solutions._SOLVERS, "UC", lambda ms, subset: SolutionSet("UC", frozenset()))
     with pytest.raises(RuntimeError, match="UC selected nothing from 3 alternatives"):
         sort_by_solution(CHAIN, "UC")
+
+
+def iterated(solution, ms) -> tuple[frozenset[str], ...]:
+    """Classes of select-and-exclude sorting with a reference solution function."""
+    remaining = set(ms.alternatives.items)
+    classes = []
+    while remaining:
+        classes.append(solution(ms, remaining))
+        remaining -= classes[-1]
+    return tuple(classes)
+
+
+def test_uc_sort_matches_int64_leak_reference_on_a_large_profile():
+    ms = noisy_profile_structure(random.Random(7), 300)
+    classes = sort_by_solution(ms, "UC").classes
+    assert len(classes) > 10  # many rounds, each on a smaller subset
+    assert classes == iterated(leak_uncovered, ms)
+
+
+def loop_masks(ms: MajorityStructure, idx: np.ndarray) -> tuple[int, list[int], list[int]]:
+    """The member, dominator and dominated bitmasks by a double loop over pairs."""
+    members = 0
+    for i in idx.tolist():
+        members |= 1 << i
+    upper = [0] * len(ms)
+    lower = [0] * len(ms)
+    for i in idx.tolist():
+        for j in idx.tolist():
+            if ms.beats[j, i]:
+                upper[i] |= 1 << j
+            if ms.beats[i, j]:
+                lower[i] |= 1 << j
+    return members, upper, lower
+
+
+def test_packed_masks_match_pair_loops():
+    rng = random.Random(41)
+    ms = random_structure(rng, 150)
+    subsets = [None, set(rng.sample(ms.alternatives.items, 97)), {"a149"}]
+    for subset in subsets:
+        idx = ms.restrict_indices(subset)
+        assert solutions._masks(ms, idx) == loop_masks(ms, idx)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(structures(max_m=8))
+def test_sorts_partition_and_uc_classes_match_enumeration(ms):
+    for kind in ("UC", "MES", "WTC"):
+        classes = sort_by_solution(ms, kind).classes
+        assert all(classes)
+        assert sorted(name for cls in classes for name in cls) == sorted(ms.alternatives.items)
+    assert sort_by_solution(ms, "UC").classes == iterated(brute_uncovered, ms)
