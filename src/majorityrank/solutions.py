@@ -12,6 +12,11 @@ given subset of alternatives (all relations restricted to that subset):
 * ``WTC`` - the weak top cycle: the unique minimal set whose every member
   beats every non-member.
 
+All three work on B, the beats matrix restricted to the subset.  UC and
+MES are decided by float64 BLAS products of B (UC by B Bᵀ, MES by Bᵀ U and
+B·bad per block of witnesses, with U = B | I); every entry counts at most
+n members of the subset, far below 2**53, so each product is exact.
+
 Sorting extracts the solution, removes it, and repeats; the k-th extracted
 class receives rank k.
 """
@@ -24,7 +29,7 @@ import numpy as np
 
 from .core import DENSE, AlternativeSet, Ranking, from_ranks
 from .errors import InputError
-from .majority import MajorityStructure
+from .majority import _TRACE_BLOCK, MajorityStructure
 
 UC = "UC"
 MES = "MES"
@@ -66,38 +71,44 @@ def uncovered_set(ms: MajorityStructure, subset: frozenset[str] | set[str] | Non
     return SolutionSet(UC, frozenset(items[i] for i in idx[uncovered]))
 
 
-def _masks(ms: MajorityStructure, idx: np.ndarray) -> tuple[int, list[int], list[int]]:
-    """Bitmask views of the restricted relation: member mask, dominators, dominated.
+def _certificates(sub: np.ndarray):
+    """Yield ``certified`` for consecutive column blocks of witnesses.
 
-    Bit j of each mask stands for alternative j; rows are packed little-endian
-    so that ``int.from_bytes(..., "little")`` puts element j at bit j.
+    ``sub`` is the restricted beats matrix B, and U = B | I.  Witness z may
+    certify member i when U[i, z] holds: z is i itself or a member i beats.
+    The reduced set drops z and every dominator of z other than i, that is
+    U_z = {z} | upper(z) minus i.  Member y of U_z is "bad" for z when all of
+    its dominators lie in U_z, i.e. when (B^T U)[y, z] equals y's in-degree;
+    the reduced set is stable iff i beats every bad y other than itself, so
+    ``certified[i, k]`` holds iff U[i, z] and
+    badcount[z] - (B bad)[i, z] - bad[i, z] = 0 for the block's k-th
+    witness z.  Every entry of both float64 products is a count of at most
+    n members, so each is exact.  Blocks of ``_TRACE_BLOCK`` witnesses keep
+    only B (boolean and float64) at full size.
     """
-    inside = np.zeros(len(ms.beats), dtype=bool)
+    n = len(sub)
+    f = sub.astype(np.float64)
+    indegree = sub.sum(axis=0)
+    for start in range(0, n, _TRACE_BLOCK):
+        cols = np.arange(start, min(start + _TRACE_BLOCK, n))
+        u = sub[:, cols]
+        u[cols, np.arange(len(cols))] = True
+        bad = u & (f.T @ u.astype(np.float64) == indegree[:, None])
+        badf = bad.astype(np.float64)
+        yield u & (badf.sum(axis=0) - f @ badf - badf == 0)
+
+
+def _subset_mask(ms: MajorityStructure, idx: np.ndarray, names, what: str) -> np.ndarray:
+    """Mask over ``idx`` of ``names``; InputError names the first one outside it."""
+    inside = np.zeros(len(ms), dtype=bool)
     inside[idx] = True
-    members = _as_int(np.packbits(inside, bitorder="little"))
-    dominated = np.packbits(ms.beats[idx] & inside, axis=1, bitorder="little")
-    dominators = np.packbits(ms.beats[:, idx].T & inside, axis=1, bitorder="little")
-    upper = [0] * len(inside)
-    lower = [0] * len(inside)
-    for i, up, low in zip(idx.tolist(), dominators, dominated):
-        upper[i] = _as_int(up)
-        lower[i] = _as_int(low)
-    return members, upper, lower
-
-
-def _as_int(packed: np.ndarray) -> int:
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _is_stable(candidate: int, members: int, upper: list[int]) -> bool:
-    outside = members & ~candidate
-    while outside:
-        bit = outside & -outside
-        x = bit.bit_length() - 1
-        if not (upper[x] & candidate):
-            return False
-        outside ^= bit
-    return True
+    chosen = np.zeros(len(ms), dtype=bool)
+    for name in names:
+        i = ms.alternatives.index(name)
+        if not inside[i]:
+            raise InputError(f"{what} {name!r} lies outside the subset")
+        chosen[i] = True
+    return chosen[idx]
 
 
 def is_externally_stable(
@@ -107,34 +118,8 @@ def is_externally_stable(
 ) -> bool:
     """Whether every alternative of ``subset`` outside ``candidate`` is beaten by a member."""
     idx = ms.restrict_indices(subset)
-    members, upper, _ = _masks(ms, idx)
-    cand = 0
-    for name in candidate:
-        bit = 1 << ms.alternatives.index(name)
-        if not (members & bit):
-            raise InputError(f"candidate member {name!r} lies outside the subset")
-        cand |= bit
-    return _is_stable(cand, members, upper)
-
-
-def _certificate(i: int, members: int, upper: list[int], lower: list[int]) -> int | None:
-    """The first stable reduced set that certifies i, or None.
-
-    Witnesses z are i itself, then its lower section in index order; the
-    reduced set is ``members`` minus z and every dominator of z other than i.
-    """
-    me = 1 << i
-    witnesses = [i]
-    rest = lower[i]
-    while rest:
-        bit = rest & -rest
-        witnesses.append(bit.bit_length() - 1)
-        rest ^= bit
-    for z in witnesses:
-        reduced = members & ~(((1 << z) | upper[z]) & ~me)
-        if _is_stable(reduced, members, upper):
-            return reduced
-    return None
+    inside = _subset_mask(ms, idx, candidate, "candidate member")
+    return bool((inside | ms.beats[np.ix_(idx, idx)][inside].any(axis=0)).all())
 
 
 def mes_union(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = None) -> SolutionSet:
@@ -146,12 +131,15 @@ def mes_union(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = 
     that case x is the sole member able to cover z, so pruning down to a
     minimal stable set can never drop x.  External stability is preserved
     under supersets, which makes the certificate sound in both directions.
+    ``_certificates`` evaluates the test for every (x, z) pair at once from
+    two exact float64 products per block of witnesses.
     """
     idx = ms.restrict_indices(subset)
-    members, upper, lower = _masks(ms, idx)
+    chosen = np.zeros(len(idx), dtype=bool)
+    for certified in _certificates(ms.beats[np.ix_(idx, idx)]):
+        chosen |= certified.any(axis=1)
     items = ms.alternatives.items
-    chosen = [items[i] for i in idx.tolist() if _certificate(i, members, upper, lower) is not None]
-    return SolutionSet(MES, frozenset(chosen))
+    return SolutionSet(MES, frozenset(items[i] for i in idx[chosen]))
 
 
 def minimal_stable_set_containing(
@@ -161,27 +149,33 @@ def minimal_stable_set_containing(
 ) -> frozenset[str]:
     """One inclusion-minimal externally stable set containing ``x``.
 
-    Greedy pruning in stable index order, never removing ``x``; the result
-    is deterministic.  Raises InputError when no minimal stable set
-    contains ``x``.
+    Starts from the reduced set of x's first certifying witness (x itself,
+    then its lower section in index order) and prunes greedily in stable
+    index order, never removing ``x``; the result is deterministic.  A
+    cover count per alternative tracks how many members beat it: dropping
+    j keeps the set stable iff j is still covered and no outsider that j
+    beats loses its last cover.  Raises InputError when no minimal stable
+    set contains ``x``.
     """
     idx = ms.restrict_indices(subset)
-    members, upper, lower = _masks(ms, idx)
-    i = ms.alternatives.index(x)
-    me = 1 << i
-    if not (members & me):
-        raise InputError(f"alternative {x!r} lies outside the subset")
-    current = _certificate(i, members, upper, lower)
-    if current is None:
+    i = int(np.flatnonzero(_subset_mask(ms, idx, [x], "alternative"))[0])
+    sub = ms.beats[np.ix_(idx, idx)]
+    row = np.concatenate([certified[i] for certified in _certificates(sub)])
+    if not row.any():
         raise InputError(f"no minimal externally stable set contains {x!r}")
-    for j in idx.tolist():
-        bit = 1 << j
-        if bit == me or not (current & bit):
+    z = i if row[i] else int(np.argmax(row))  # every other certified witness lies in x's lower section
+    inside = ~sub[:, z]
+    inside[z] = False
+    inside[i] = True
+    cover = sub[inside].sum(axis=0)
+    for j in range(len(idx)):
+        if j == i or not inside[j]:
             continue
-        if _is_stable(current & ~bit, members, upper):
-            current &= ~bit
+        if cover[j] and not (~inside & sub[j] & (cover == 1)).any():
+            inside[j] = False
+            cover -= sub[j]
     items = ms.alternatives.items
-    return frozenset(items[j] for j in idx.tolist() if current & (1 << j))
+    return frozenset(items[j] for j in idx[inside])
 
 
 def weak_top_cycle(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = None) -> SolutionSet:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from majorityrank import AlternativeSet, Criterion, MajorityStructure, Profile, Ranking, build_majority
+from majorityrank import AlternativeSet, Criterion, MajorityStructure, Profile, Ranking, build_majority, from_scores
 
 FIVE = ("x1", "x2", "x3", "x4", "x5")
 
@@ -58,3 +58,16 @@ def structures(draw, max_m: int = 12) -> MajorityStructure:
         else:
             beats[j, i] = True
     return MajorityStructure(AlternativeSet(tuple(f"a{i}" for i in range(m))), beats, ties)
+
+
+@st.composite
+def profiles(draw, max_m: int = 8, max_criteria: int = 4) -> Profile:
+    """Weighted profiles whose criteria rank 1..max_m alternatives with ties (few distinct scores)."""
+    m = draw(st.integers(1, max_m))
+    alternatives = AlternativeSet(tuple(f"a{i}" for i in range(m)))
+    criteria = [
+        Criterion(f"c{c}", draw(st.integers(1, 3)),
+                  from_scores(alternatives, dict(zip(alternatives, draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))))))
+        for c in range(draw(st.integers(1, max_criteria)))
+    ]
+    return Profile(alternatives, criteria)

@@ -125,6 +125,73 @@ def brute_mes_union(ms: MajorityStructure, subset=None) -> frozenset[str]:
     return frozenset(ms.alternatives.items[i] for i in idx if union & (1 << i))
 
 
+def _masks(ms: MajorityStructure, idx: np.ndarray) -> tuple[int, list[int], list[int]]:
+    """Bitmask views of the restricted relation: member mask, dominators, dominated.
+
+    Bit j of each mask stands for alternative j; rows are packed little-endian
+    so that ``int.from_bytes(..., "little")`` puts element j at bit j.
+    """
+    inside = np.zeros(len(ms.beats), dtype=bool)
+    inside[idx] = True
+    members = _as_int(np.packbits(inside, bitorder="little"))
+    dominated = np.packbits(ms.beats[idx] & inside, axis=1, bitorder="little")
+    dominators = np.packbits(ms.beats[:, idx].T & inside, axis=1, bitorder="little")
+    upper = [0] * len(inside)
+    lower = [0] * len(inside)
+    for i, up, low in zip(idx.tolist(), dominators, dominated):
+        upper[i] = _as_int(up)
+        lower[i] = _as_int(low)
+    return members, upper, lower
+
+
+def _as_int(packed: np.ndarray) -> int:
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _is_stable(candidate: int, members: int, upper: list[int]) -> bool:
+    outside = members & ~candidate
+    while outside:
+        bit = outside & -outside
+        x = bit.bit_length() - 1
+        if not (upper[x] & candidate):
+            return False
+        outside ^= bit
+    return True
+
+
+def _certificate(i: int, members: int, upper: list[int], lower: list[int]) -> int | None:
+    """The first stable reduced set that certifies i, or None.
+
+    Witnesses z are i itself, then its lower section in index order; the
+    reduced set is ``members`` minus z and every dominator of z other than i.
+    """
+    me = 1 << i
+    witnesses = [i]
+    rest = lower[i]
+    while rest:
+        bit = rest & -rest
+        witnesses.append(bit.bit_length() - 1)
+        rest ^= bit
+    for z in witnesses:
+        reduced = members & ~(((1 << z) | upper[z]) & ~me)
+        if _is_stable(reduced, members, upper):
+            return reduced
+    return None
+
+
+def certificate_mes_union(ms: MajorityStructure, subset=None) -> frozenset[str]:
+    """MES union by testing each member's witness certificates on Python-int bitmasks.
+
+    x lies in some minimal externally stable set iff for some witness z in
+    {x} or the lower section of x, the subset minus z and minus every
+    dominator of z other than x is still externally stable.
+    """
+    idx = np.array(_indices(ms, subset), dtype=np.intp)
+    members, upper, lower = _masks(ms, idx)
+    items = ms.alternatives.items
+    return frozenset(items[i] for i in idx.tolist() if _certificate(i, members, upper, lower) is not None)
+
+
 def brute_weak_top_cycle(ms: MajorityStructure, subset=None) -> frozenset[str]:
     """Smallest dominant set by enumerating subsets in increasing size."""
     idx = _indices(ms, subset)

@@ -217,6 +217,15 @@ def test_criterion_4_aggregate_rankings(study):
     assert ok
 
 
+def test_criterion_4_aggregates_equal_published_columns_exactly(study):
+    mismatched = [name for name in AGGREGATE_NAMES
+                  if study["computed"][name].ranks != study["published"][name].ranks]
+    ok = not mismatched
+    report("4 (exact): every aggregate equals its published column rank for rank", ok,
+           f"mismatched: {mismatched}" if mismatched else "")
+    assert ok, mismatched
+
+
 def test_criterion_5_meta_ranking_substance(study):
     """Meta-rankings of the fifteen candidates, compared through the documented mapping."""
     start = time.perf_counter()

@@ -6,10 +6,12 @@ import sys
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
 
-from majorityrank import COMPETITION, DENSE, AlternativeSet, Ranking, bundled_fixtures_dir
-from majorityrank.cli import METHODS, main
+from majorityrank import COMPETITION, DENSE, AlternativeSet, Ranking, build_majority, bundled_fixtures_dir
+from majorityrank.cli import _AGGREGATE, METHODS, main
 from majorityrank.core import SCHEMES
+from conftest import profiles
 
 CRITERIA_CSV = str(bundled_fixtures_dir() / "table6_criteria.csv")
 
@@ -296,6 +298,18 @@ def test_rank_output_conforms_to_every_scheme(tmp_path, method):
         ranking = Ranking(AlternativeSet([name for name, _ in rows]), {name: int(r) for name, r in rows}, scheme=scheme)
         assert ranking.conforms_to_scheme(), (method, scheme)
         assert [int(r) for _, r in rows] == expected[scheme], (method, scheme)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(profiles())
+def test_every_rank_method_conforms_to_every_scheme_on_tied_profiles(profile):
+    structure = build_majority(profile)
+    for method, aggregate in _AGGREGATE.items():
+        rankings = {scheme: aggregate(structure, scheme) for scheme in SCHEMES}
+        for scheme, ranking in rankings.items():
+            assert ranking.scheme == scheme and ranking.conforms_to_scheme(), (method, scheme)
+        # both numberings describe one weak order
+        assert rankings[COMPETITION].to_dense().ranks == rankings[DENSE].ranks, method
 
 
 def test_console_entry_point_runs_in_subprocess():

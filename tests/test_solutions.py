@@ -23,6 +23,7 @@ from oracles import (
     brute_mes_union,
     brute_uncovered,
     brute_weak_top_cycle,
+    certificate_mes_union,
     leak_uncovered,
     noisy_profile_structure,
     random_structure,
@@ -185,6 +186,12 @@ def iterated(solution, ms) -> tuple[frozenset[str], ...]:
     return tuple(classes)
 
 
+def stable(ms: MajorityStructure, candidate) -> bool:
+    """Every alternative outside ``candidate`` is beaten by one of its members."""
+    inside = np.isin(ms.alternatives.items, list(candidate))
+    return bool((inside | ms.beats[inside].any(axis=0)).all())
+
+
 def test_uc_sort_matches_int64_leak_reference_on_a_large_profile():
     ms = noisy_profile_structure(random.Random(7), 300)
     classes = sort_by_solution(ms, "UC").classes
@@ -192,29 +199,37 @@ def test_uc_sort_matches_int64_leak_reference_on_a_large_profile():
     assert classes == iterated(leak_uncovered, ms)
 
 
-def loop_masks(ms: MajorityStructure, idx: np.ndarray) -> tuple[int, list[int], list[int]]:
-    """The member, dominator and dominated bitmasks by a double loop over pairs."""
-    members = 0
-    for i in idx.tolist():
-        members |= 1 << i
-    upper = [0] * len(ms)
-    lower = [0] * len(ms)
-    for i in idx.tolist():
-        for j in idx.tolist():
-            if ms.beats[j, i]:
-                upper[i] |= 1 << j
-            if ms.beats[i, j]:
-                lower[i] |= 1 << j
-    return members, upper, lower
+def test_mes_sort_matches_certificate_reference_on_a_large_profile():
+    # 300 alternatives span witness blocks of 128, 128 and 44
+    ms = noisy_profile_structure(random.Random(7), 300)
+    classes = sort_by_solution(ms, "MES").classes
+    assert len(classes) > 1
+    assert classes == iterated(certificate_mes_union, ms)
+    union = classes[0]
+    for x in [*sorted(union)[:3], *sorted(union)[-3:]]:
+        minimal = minimal_stable_set_containing(ms, x)
+        assert x in minimal and stable(ms, minimal)
+        assert not any(stable(ms, minimal - {y}) for y in minimal)
+    outside = sorted(set(ms.alternatives.items) - union)
+    for x in outside[:2] + outside[-2:]:
+        with pytest.raises(InputError, match="no minimal externally stable set contains"):
+            minimal_stable_set_containing(ms, x)
 
 
-def test_packed_masks_match_pair_loops():
-    rng = random.Random(41)
-    ms = random_structure(rng, 150)
-    subsets = [None, set(rng.sample(ms.alternatives.items, 97)), {"a149"}]
-    for subset in subsets:
-        idx = ms.restrict_indices(subset)
-        assert solutions._masks(ms, idx) == loop_masks(ms, idx)
+def test_mes_sort_matches_certificate_reference_on_random_structures():
+    rng = random.Random(43)
+    for _ in range(100):
+        ms = random_structure(rng, rng.randint(1, 40), tie_prob=rng.choice([0.0, 0.2, 0.6, 1.0]))
+        assert sort_by_solution(ms, "MES").classes == iterated(certificate_mes_union, ms)
+
+
+def test_mes_error_paths_name_the_offending_alternative():
+    with pytest.raises(InputError, match="candidate member 'c' lies outside the subset"):
+        is_externally_stable(CHAIN, {"a", "c"}, {"a", "b"})
+    with pytest.raises(InputError, match="alternative 'c' lies outside the subset"):
+        minimal_stable_set_containing(CHAIN, "c", {"a", "b"})
+    with pytest.raises(InputError, match="no minimal externally stable set contains 'b'"):
+        minimal_stable_set_containing(CHAIN, "b")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -225,3 +240,13 @@ def test_sorts_partition_and_uc_classes_match_enumeration(ms):
         assert all(classes)
         assert sorted(name for cls in classes for name in cls) == sorted(ms.alternatives.items)
     assert sort_by_solution(ms, "UC").classes == iterated(brute_uncovered, ms)
+    assert sort_by_solution(ms, "MES").classes == iterated(brute_mes_union, ms)
+    union = brute_mes_union(ms)
+    for x in ms.alternatives:
+        if x not in union:
+            with pytest.raises(InputError, match="no minimal externally stable set contains"):
+                minimal_stable_set_containing(ms, x)
+            continue
+        minimal = minimal_stable_set_containing(ms, x)
+        assert x in minimal and stable(ms, minimal)
+        assert not any(stable(ms, minimal - {y}) for y in minimal)
