@@ -102,14 +102,11 @@ def _write_dot(handle: TextIO, comparison) -> None:
     handle.write("digraph meta {\n")
     for name in comparison.candidates:
         handle.write(f'  "{name}";\n')
-    n = len(comparison.candidates)
-    for i in range(n):
-        for j in range(n):
-            if comparison.majority[i, j]:
-                handle.write(
-                    f'  "{comparison.candidates[i]}" -> "{comparison.candidates[j]}"'
-                    f' [label="{int(comparison.wins[i, j])}"];\n'
-                )
+    for i, j in zip(*comparison.majority.nonzero()):  # arcs in row-major order
+        handle.write(
+            f'  "{comparison.candidates[i]}" -> "{comparison.candidates[j]}"'
+            f' [label="{int(comparison.wins[i, j])}"];\n'
+        )
     handle.write("}\n")
 
 
@@ -211,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SingletonLeagueError, SizeLimitError, DegenerateRankingError, FileNotFoundError) as exc:
+    except (InputError, SingletonLeagueError, SizeLimitError, DegenerateRankingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

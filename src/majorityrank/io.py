@@ -21,9 +21,12 @@ import warnings
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
+from io import StringIO
 from pathlib import Path
 from types import MappingProxyType
 from typing import TextIO
+
+import numpy as np
 
 from .cip import INDICATORS, IndicatorRecord
 from .copeland import copeland_ranking
@@ -53,6 +56,16 @@ def bundled_fixtures_dir() -> Path:
     return Path(resources.files("majorityrank") / "data")
 
 
+def _read_text(path: Path) -> str:
+    """The whole file decoded as UTF-8, or an InputError naming the line that is not."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {line} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
     """Load a ranks table: one row per country, one column per ranking.
 
@@ -62,45 +75,22 @@ def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
     labels.
     """
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise InputError(f"{path}: need a country column plus at least one ranking column")
-        columns = [h.strip() for h in header[1:]]
-        if len(set(columns)) != len(columns):
-            raise InputError(f"{path}: duplicate column names")
-        countries: list[str] = []
-        seen: set[str] = set()
-        ranks: dict[str, dict[str, int]] = {name: {} for name in columns}
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise InputError(f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}")
-            country = row[0].strip()
-            if not country:
-                raise InputError(f"{path}: empty country name (row {row_number}, col {header[0].strip()})")
-            if country in seen:
-                raise InputError(f"{path}: duplicate country {country!r} (row {row_number})")
-            seen.add(country)
-            countries.append(country)
-            for column, cell in zip(columns, row[1:]):
-                text = cell.strip()
-                if not text:
-                    raise InputError(f"{path}: missing rank (row {row_number}, col {column})")
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise InputError(f"{path}: rank {text!r} is not an integer (row {row_number}, col {column})") from None
-                if value < 1:
-                    raise InputError(f"{path}: rank {value} is not positive (row {row_number}, col {column})")
-                ranks[column][country] = value
-    if not countries:
-        raise InputError(f"{path}: no data rows")
+    header, rows = _read_simple_csv(path)
+    if len(header) < 2:
+        raise InputError(f"{path}: need a country column plus at least one ranking column")
+    columns = header[1:]
+    if len(set(columns)) != len(columns):
+        raise InputError(f"{path}: duplicate column names")
+    countries = _countries(path, header[0], [(row_number, row[0]) for row_number, row in rows])
+    ranks: dict[str, dict[str, int]] = {name: {} for name in columns}
+    for (row_number, row), country in zip(rows, countries):
+        for column, text in zip(columns, row[1:]):
+            if not text:
+                raise InputError(f"{path}: missing rank (row {row_number}, col {column})")
+            value = _parse_cell(path, row_number, column, text, int)
+            if value < 1:
+                raise InputError(f"{path}: rank {value} is not positive (row {row_number}, col {column})")
+            ranks[column][country] = value
     alternatives = AlternativeSet(countries)
     rankings: dict[str, Ranking] = {}
     for column in columns:
@@ -131,7 +121,7 @@ def load_weights(path: str | Path) -> WeightsConfig:
     path = Path(path)
     names: list[str] = []
     weights: dict[str, int] = {}
-    for line_number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_number, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -202,23 +192,37 @@ def write_labeled_matrix(destination: str | Path | TextIO, labels: tuple[str, ..
 
 
 def load_indicators(path: str | Path) -> list[IndicatorRecord]:
-    """Load raw indicator values (country column plus the eight UNIDO variables)."""
+    """Load raw indicator values (country column plus the eight finite, non-negative UNIDO variables)."""
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = [c for c in ("country", *INDICATORS) if c not in (reader.fieldnames or ())]
-        if missing:
-            raise InputError(f"{path}: missing columns {missing}")
-        records = []
-        for row_number, row in enumerate(reader, start=2):
-            try:
-                values = {name: float(row[name]) for name in INDICATORS}
-            except (TypeError, ValueError):
-                raise InputError(f"{path}: malformed indicator value (row {row_number})") from None
-            records.append(IndicatorRecord(country=(row["country"] or "").strip(), **values))
-    if not records:
-        raise InputError(f"{path}: no data rows")
+    header, rows = _read_simple_csv(path)
+    missing = [c for c in ("country", *INDICATORS) if c not in header]
+    if missing:
+        raise InputError(f"{path}: missing columns {missing}")
+    column = header.index("country")
+    countries = _countries(path, "country", [(row_number, row[column]) for row_number, row in rows])
+    records = []
+    for (row_number, row), country in zip(rows, countries):
+        cells = dict(zip(header, row))
+        values = {name: _parse_cell(path, row_number, name, cells[name], float) for name in INDICATORS}
+        for name, value in values.items():
+            if value < 0:
+                raise InputError(f"{path}: {name} {value} is negative (row {row_number}, col {name})")
+        records.append(IndicatorRecord(country=country, **values))
     return records
+
+
+def _countries(path: Path, column: str, names: list[tuple[int, str]]) -> list[str]:
+    """The country names of numbered rows, each non-empty and unique, or an InputError naming the row."""
+    if not names:
+        raise InputError(f"{path}: no data rows")
+    seen: set[str] = set()
+    for row_number, country in names:
+        if not country:
+            raise InputError(f"{path}: empty country name (row {row_number}, col {column})")
+        if country in seen:
+            raise InputError(f"{path}: duplicate country {country!r} (row {row_number}, col {column})")
+        seen.add(country)
+    return [country for _, country in names]
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +273,17 @@ def _fixture(fixtures_dir: Path, filename: str) -> Path:
 
 def _read_simple_csv(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Stripped header and numbered non-blank rows (the header is row 1), each as wide as the header."""
-    with path.open(encoding="utf-8", newline="") as handle:
-        numbered = [(number, [cell.strip() for cell in row])
-                    for number, row in enumerate(csv.reader(handle), start=1) if row]
+    numbered = [(number, [cell.strip() for cell in row])
+                for number, row in enumerate(csv.reader(StringIO(_read_text(path), newline="")), start=1)
+                if any(cell.strip() for cell in row)]
     if not numbered:
         raise InputError(f"{path}: empty file, no header (row 1)")
     (_, header), rows = numbered[0], numbered[1:]
     for row_number, row in rows:
         if len(row) != len(header):
-            raise InputError(f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}")
+            column = header[len(row)] if len(row) < len(header) else f"#{len(header) + 1}"
+            raise InputError(f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
+                             f" (row {row_number}, col {column})")
     return header, rows
 
 
@@ -449,13 +455,9 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
         labels, reference = reference_matrices[measure]
         matrix = correlation_matrix([(name, candidates[name]) for name in labels], measure)
         n_criteria = len(criteria_rankings)
-        block_dev = full_dev = 0.0
-        for i in range(len(labels)):
-            for j in range(len(labels)):
-                dev = abs(matrix.values[i, j] - reference[i][j])
-                full_dev = max(full_dev, dev)
-                if i < n_criteria and j < n_criteria:
-                    block_dev = max(block_dev, dev)
+        deviation = np.abs(matrix.values - np.array(reference))
+        block_dev = float(deviation[:n_criteria, :n_criteria].max())
+        full_dev = float(deviation.max())
         tight, loose = tolerance[measure]
         checks.append(CheckResult(
             name=f"{measure} criteria block (+/-{tight})",

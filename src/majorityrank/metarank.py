@@ -4,9 +4,12 @@ Every candidate ranking is scored against each criterion ranking by a
 correlation measure, giving it a correlation vector.  Candidate R1 beats
 R2 when the criteria that correlate strictly better with R1 outweigh (by
 vote weight) those favouring R2; equal components vote for neither side.
-Component comparisons are performed in exact integer arithmetic on the
-underlying pair censuses, so a tie means exact equality of the measure
-values, never floating-point coincidence.
+Components are compared by exact keys from one pair census of all
+candidates and criteria, so a tie means exact equality of the measure
+values, never floating-point coincidence: N+ + N0 for the coinciding
+share and, for tau_b = a/sqrt(d) with a = N+ - N- and d = (N - n1)(N - n2),
+the fraction a|a|/d in Python integers, which orders and ties exactly as
+tau-b does because t -> t|t| is strictly increasing.
 
 The resulting majority digraph is generally only a partial order, and is
 condensed into a weak order over the candidates: pairs whose relative
@@ -23,11 +26,12 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .core import COMPETITION, AlternativeSet, Criterion, Ranking, from_ranks
-from .correlation import COINCIDING, TAU_B, PairStats, measure_function, pair_stats
+from .correlation import COINCIDING, MEASURES, TAU_B, _census, _measure_values
 from .errors import DegenerateRankingError, InputError, SizeLimitError
 
 SUBSET_SOLVER_LIMIT = 20
@@ -84,33 +88,10 @@ def correlation_vector(
     name: str = "candidate",
 ) -> CorrelationVector:
     """Correlate one ranking with every criterion ranking."""
-    func = measure_function(measure)
-    components = tuple((c.name, func(ranking, c.ranking)) for c in criteria)
+    counts = _census([ranking, *(c.ranking for c in criteria)])
+    values = _measure_values([row[0, 1:] for row in counts], measure)
+    components = tuple(zip((c.name for c in criteria), values.tolist()))
     return CorrelationVector(ranking_name=name, components=components)
-
-
-def _component_sign(first: PairStats, second: PairStats, measure: str) -> int:
-    """Exact sign of measure(first) - measure(second) against a shared criterion."""
-    if measure == COINCIDING:
-        x = first.concordant + first.ties_both
-        y = second.concordant + second.ties_both
-        return (x > y) - (x < y)
-    a1 = first.concordant - first.discordant
-    a2 = second.concordant - second.discordant
-    d1 = (first.total - first.ties_first) * (first.total - first.ties_second)
-    d2 = (second.total - second.ties_first) * (second.total - second.ties_second)
-    if d1 == 0 or d2 == 0:
-        raise DegenerateRankingError("tau-b comparison involving a fully tied ranking is undefined")
-    if a1 >= 0 and a2 < 0:
-        return 1
-    if a1 < 0 and a2 >= 0:
-        return -1
-    lhs = a1 * a1 * d2  # compare a1/sqrt(d1) with a2/sqrt(d2), same sign side
-    rhs = a2 * a2 * d1
-    if lhs == rhs:
-        return 0
-    bigger_magnitude = 1 if lhs > rhs else -1
-    return bigger_magnitude if a1 >= 0 else -bigger_magnitude
 
 
 def rankings_majority(
@@ -139,18 +120,24 @@ def rankings_majority(
         if any(w < 1 for w in weight_list):
             raise InputError("weights must be positive integers")
 
-    census = [[pair_stats(ranking, c.ranking) for c in criteria] for _, ranking in pairs]
+    if not criteria:
+        raise InputError("a meta-comparison needs at least one criterion")
     n = len(pairs)
-    wins = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            total = 0
-            for k, weight in enumerate(weight_list):
-                if _component_sign(census[i][k], census[j][k], measure) > 0:
-                    total += weight
-            wins[i, j] = total
+    total, concordant, discordant, ties_first, ties_second, ties_both = (
+        counts[:n, n:] for counts in _census([*(r for _, r in pairs), *(c.ranking for c in criteria)])
+    )
+    if measure == COINCIDING:
+        keys = concordant + ties_both
+    elif measure == TAU_B:
+        norm = (total - ties_first) * (total - ties_second)
+        if n > 1 and not norm.all():
+            raise DegenerateRankingError("tau-b comparison involving a fully tied ranking is undefined")
+        # the exact key a|a|/d (module docstring); d = 0 only for a lone candidate, compared with no one
+        score = (concordant - discordant).astype(object)
+        keys = np.frompyfunc(Fraction, 2, 1)(score * abs(score), np.maximum(norm, 1).astype(object))
+    else:
+        raise InputError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    wins = (keys[:, None, :] > keys[None, :, :]).astype(np.int64) @ np.array(weight_list, dtype=np.int64)
     majority = wins > wins.T
     return MetaComparison(candidates=names, majority=majority, wins=wins, measure=measure)
 

@@ -1,11 +1,9 @@
-import sys
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from majorityrank import AlternativeSet, Criterion, MajorityStructure, Profile, Ranking, build_majority, from_scores
 
@@ -19,6 +17,14 @@ TOY_BEATS = np.array([
     [0, 0, 0, 0, 1],
     [1, 1, 1, 0, 0],
 ], dtype=bool)
+
+
+def in_tree_env() -> dict[str, str]:
+    """This process's environment with the in-tree ``src`` first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def order_ranking(alternatives: AlternativeSet, order) -> Ranking:

@@ -11,6 +11,7 @@ import numpy as np
 from majorityrank import (
     AlternativeSet,
     Criterion,
+    DegenerateRankingError,
     MajorityStructure,
     MetaComparison,
     Profile,
@@ -258,6 +259,45 @@ def naive_pair_stats(r1: Ranking, r2: Ranking) -> tuple[int, int, int, int, int,
                 else:
                     discordant += 1
     return total, concordant, discordant, ties1, ties2, ties_both
+
+
+def _component_sign(first: tuple[int, ...], second: tuple[int, ...], measure: str) -> int:
+    """Exact sign of measure(first) - measure(second) for two (N, N+, N-, n1, n2, N0) censuses."""
+    total1, concordant1, discordant1, ties_first1, ties_second1, ties_both1 = first
+    total2, concordant2, discordant2, ties_first2, ties_second2, ties_both2 = second
+    if measure == "coinciding":
+        x = concordant1 + ties_both1
+        y = concordant2 + ties_both2
+        return (x > y) - (x < y)
+    a1 = concordant1 - discordant1
+    a2 = concordant2 - discordant2
+    d1 = (total1 - ties_first1) * (total1 - ties_second1)
+    d2 = (total2 - ties_first2) * (total2 - ties_second2)
+    if d1 == 0 or d2 == 0:
+        raise DegenerateRankingError("tau-b comparison involving a fully tied ranking is undefined")
+    if a1 >= 0 and a2 < 0:
+        return 1
+    if a1 < 0 and a2 >= 0:
+        return -1
+    lhs = a1 * a1 * d2  # compare a1/sqrt(d1) with a2/sqrt(d2), same sign side
+    rhs = a2 * a2 * d1
+    if lhs == rhs:
+        return 0
+    bigger_magnitude = 1 if lhs > rhs else -1
+    return bigger_magnitude if a1 >= 0 else -bigger_magnitude
+
+
+def naive_meta_wins(candidates: dict[str, Ranking], criteria: list[Criterion], measure: str) -> np.ndarray:
+    """wins[i, j]: the weight of the criteria on which candidate i strictly beats j, by pair loops."""
+    census = [[naive_pair_stats(ranking, c.ranking) for c in criteria] for ranking in candidates.values()]
+    n = len(census)
+    wins = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                wins[i, j] = sum(c.weight for k, c in enumerate(criteria)
+                                 if _component_sign(census[i][k], census[j][k], measure) > 0)
+    return wins
 
 
 def brute_minimum(comparison: MetaComparison) -> tuple[int, list[tuple[str, ...]]]:

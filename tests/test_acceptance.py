@@ -47,7 +47,7 @@ from majorityrank import (
     uncovered_set,
     weak_top_cycle,
 )
-from conftest import TOY_BEATS
+from conftest import TOY_BEATS, in_tree_env
 from oracles import (
     brute_cycles,
     brute_mes_union,
@@ -457,7 +457,7 @@ def test_criterion_7_reproduce_end_to_end():
     start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-m", "majorityrank", "reproduce"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, env=in_tree_env(), timeout=60,
     )
     elapsed = time.perf_counter() - start
     ok = result.returncode == 0 and "overall: PASS" in result.stdout and elapsed < 30.0

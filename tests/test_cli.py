@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from majorityrank import COMPETITION, DENSE, AlternativeSet, Ranking, build_majority, bundled_fixtures_dir
 from majorityrank.cli import _AGGREGATE, METHODS, main
 from majorityrank.core import SCHEMES
-from conftest import profiles
+from conftest import in_tree_env, profiles
 
 CRITERIA_CSV = str(bundled_fixtures_dir() / "table6_criteria.csv")
 
@@ -81,6 +81,32 @@ def test_rank_unknown_method_usage_error(capsys):
 def test_rank_missing_file_is_input_error(tmp_path):
     code, _ = run_main("rank", str(tmp_path / "nope.csv"), "--method", "copeland1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, broken", [
+    (lambda table, weights: ["correlate", str(table)], "table"),
+    (lambda table, weights: ["rank", str(table), "--weights", str(weights), "--method", "copeland1"], "weights"),
+], ids=["latin1-table", "latin1-weights"])
+def test_non_utf8_input_is_input_error(tmp_path, capsys, argv, broken):
+    table, weights = write_toy_table(tmp_path)
+    target = {"table": table, "weights": weights}[broken]
+    target.write_bytes(target.read_bytes().replace(b"c1", b"c\xe91", 1))  # Latin-1 'e' with an acute accent
+    code, out = run_main(*argv(table, weights))
+    assert code == 2
+    assert out == ""
+    error = capsys.readouterr().err
+    assert error.startswith(f"error: {target}: line 1 is not UTF-8 text")
+    assert "Traceback" not in error
+
+
+@pytest.mark.parametrize("command", [["correlate"], ["rank", "--method", "copeland1"], ["cip"]])
+def test_directory_as_input_is_input_error(tmp_path, capsys, command):
+    code, out = run_main(command[0], str(tmp_path), *command[1:])
+    assert code == 2
+    assert out == ""
+    error = capsys.readouterr().err
+    assert error.startswith("error: ") and str(tmp_path) in error
+    assert "Traceback" not in error
 
 
 def test_analyze_outputs(tmp_path):
@@ -315,7 +341,7 @@ def test_every_rank_method_conforms_to_every_scheme_on_tied_profiles(profile):
 def test_console_entry_point_runs_in_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "majorityrank", "reproduce"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, env=in_tree_env(), timeout=120,
     )
     assert result.returncode == 0
     assert "overall: PASS" in result.stdout

@@ -1,6 +1,10 @@
+import math
 import random
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from majorityrank import (
@@ -10,10 +14,12 @@ from majorityrank import (
     Ranking,
     coinciding_share,
     correlation_matrix,
+    from_scores,
     kendall_tau_b,
     pair_stats,
 )
 from conftest import order_ranking
+from majorityrank.correlation import _CENSUS_MAX_SIZE, MEASURES, _census
 from oracles import naive_pair_stats, random_ranking
 
 ABC = AlternativeSet(("a", "b", "c"))
@@ -90,14 +96,78 @@ def test_census_matches_naive_loops_and_scipy():
         assert 0.0 <= share <= 100.0
 
 
+def naive_census(rankings):
+    """naive_pair_stats for every ordered pair (r, q), each unordered pair looped over once."""
+    counts = {}
+    for r, q in combinations_with_replacement(range(len(rankings)), 2):
+        total, concordant, discordant, ties_first, ties_second, ties_both = naive_pair_stats(rankings[r], rankings[q])
+        counts[r, q] = (total, concordant, discordant, ties_first, ties_second, ties_both)
+        counts[q, r] = (total, concordant, discordant, ties_second, ties_first, ties_both)
+    return counts
+
+
+def scalar_measure(counts, measure):
+    total, concordant, discordant, ties_first, ties_second, ties_both = counts
+    if measure == "tau_b":
+        return (concordant - discordant) / math.sqrt((total - ties_first) * (total - ties_second))
+    return 100.0 * (concordant + ties_both) / total
+
+
+def assert_census_matches_naive_loops(rankings):
+    """The census equals the pair loops, and every off-diagonal matrix value is the scalar formula on them."""
+    expected = naive_census(rankings)
+    census = _census(rankings)
+    for (r, q), counts in expected.items():
+        assert tuple(int(c[r, q]) for c in census) == counts, (r, q)
+    if len(rankings) < 2:
+        return
+    named = [(f"r{i}", ranking) for i, ranking in enumerate(rankings)]
+    for measure in MEASURES:
+        if measure == "tau_b" and any(ranking.distinct_positions() == 1 for ranking in rankings):
+            with pytest.raises(DegenerateRankingError):
+                correlation_matrix(named, measure)
+            continue
+        values = correlation_matrix(named, measure).values
+        for (r, q), counts in expected.items():
+            if r != q:
+                assert values[r, q] == scalar_measure(counts, measure), (measure, r, q)
+
+
 def test_census_over_several_row_blocks_matches_naive_loops():
-    # 300 alternatives take six blocks of rows, the last one short
+    # the census of two takes twelve blocks of 27 rows, the last one short;
+    # thirteen rankings take 75 blocks of 4 rows
     rng = random.Random(52)
     names = AlternativeSet(tuple(f"c{i}" for i in range(300)))
     for max_positions in (3, 40, 300):
         r1 = random_ranking(rng, names, max_positions)
         r2 = random_ranking(rng, names, max_positions)
         assert as_tuple(pair_stats(r1, r2)) == naive_pair_stats(r1, r2)
+    assert_census_matches_naive_loops([random_ranking(rng, names, (2, 3, 40, 300)[i % 4]) for i in range(13)])
+
+
+@st.composite
+def tied_rankings(draw, max_rankings=6, max_m=8):
+    """1..max_rankings rankings over 2..max_m alternatives from few distinct scores (fully tied ones included)."""
+    m = draw(st.integers(2, max_m))
+    names = AlternativeSet(tuple(f"a{i}" for i in range(m)))
+    scores = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    return [from_scores(names, dict(zip(names, draw(scores)))) for _ in range(draw(st.integers(1, max_rankings)))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(tied_rankings())
+def test_census_matches_naive_loops_on_tied_rankings(rankings):
+    assert_census_matches_naive_loops(rankings)
+
+
+def test_census_size_bound():
+    # the largest m whose tau-b normaliser, at most N**2, fits in int64
+    pairs = _CENSUS_MAX_SIZE * (_CENSUS_MAX_SIZE - 1) // 2
+    assert pairs ** 2 < 2 ** 63 <= (pairs + _CENSUS_MAX_SIZE) ** 2
+    names = AlternativeSet(tuple(f"c{i}" for i in range(_CENSUS_MAX_SIZE + 1)))
+    strict = Ranking(names, {name: i + 1 for i, name in enumerate(names)})
+    with pytest.raises(InputError, match=f"at most {_CENSUS_MAX_SIZE} alternatives, got {_CENSUS_MAX_SIZE + 1}"):
+        pair_stats(strict, strict)
 
 
 def test_adjacent_swap_strictly_degrades_tau():

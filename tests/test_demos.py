@@ -1,11 +1,12 @@
 """Every demo script runs to completion against the in-tree package."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import in_tree_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -13,7 +14,5 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300)
+    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=in_tree_env(), timeout=300)
     assert result.returncode == 0, result.stderr

@@ -8,6 +8,7 @@ from majorityrank import (
     Ranking,
     build_profile,
     bundled_fixtures_dir,
+    load_indicators,
     load_ranks,
     load_weights,
     run_reproduce,
@@ -151,3 +152,20 @@ def test_reproduce_flags_perturbed_fixture(tmp_path):
     assert not report.passed
     failing = [check.name for check in report.checks if not check.passed]
     assert any("full matrix" in name for name in failing)
+
+
+INDICATOR_HEADER = "country,MVApc,MXpc,MHVAsh,MVAsh,MHXsh,MXsh,ImWMVA,ImWMT\n"
+
+
+@pytest.mark.parametrize("rows, problem", [
+    ("A,1,1,0.1,0.1,0.1,0.1,-0.5,0.1\n", "ImWMVA -0.5 is negative (row 2, col ImWMVA)"),
+    ("A,1,1,0.1,0.1,0.1,0.1,nan,0.1\n", "'nan' is not a finite number (row 2, col ImWMVA)"),
+    ("A,1,1,0.1,0.1,0.1,0.1,0.1,0.1\n,1,1,0.1,0.1,0.1,0.1,0.1,0.1\n", "empty country name (row 3, col country)"),
+    ("A,1,1,0.1,0.1,0.1,0.1,0.1,0.1\nA,2,1,0.1,0.1,0.1,0.1,0.1,0.1\n", "duplicate country 'A' (row 3, col country)"),
+    ("A,1,1,0.1,0.1,0.1,0.1,0.1\n", "row 2 has 8 cells, expected 9 (row 2, col ImWMT)"),
+], ids=["negative", "nan", "empty-country", "duplicate-country", "short-row"])
+def test_indicator_errors_name_file_row_and_column(tmp_path, rows, problem):
+    path = write(tmp_path, "indicators.csv", INDICATOR_HEADER + rows)
+    with pytest.raises(InputError) as excinfo:
+        load_indicators(path)
+    assert str(excinfo.value) == f"{path}: {problem}"

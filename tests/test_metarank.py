@@ -3,23 +3,31 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majorityrank import (
     AlternativeSet,
     Criterion,
+    DegenerateRankingError,
+    InputError,
     MetaComparison,
+    Ranking,
     SizeLimitError,
     closest_weak_order,
     correlation_vector,
+    from_scores,
     kendall_tau_b,
     minimum_distance,
     optimal_linear_orders,
     optimal_order_count,
+    pair_stats,
     rankings_majority,
 )
 from conftest import order_ranking
+from majorityrank.correlation import MEASURES
 from majorityrank.metarank import _realized_pairs
-from oracles import brute_minimum, random_ranking
+from oracles import brute_minimum, naive_meta_wins, random_ranking
 
 
 def make_comparison(names, edges):
@@ -78,6 +86,12 @@ def test_majority_wins_direction():
     assert comparison.majority[i, j] and not comparison.majority[j, i]
 
 
+def test_meta_comparison_needs_a_criterion():
+    names = AlternativeSet(("a", "b", "c"))
+    with pytest.raises(InputError, match="at least one criterion"):
+        rankings_majority({"one": order_ranking(names, ("a", "b", "c"))}, [])
+
+
 def test_self_comparison_is_zero():
     names = AlternativeSet(("a", "b", "c"))
     rng = random.Random(63)
@@ -96,6 +110,67 @@ def test_exact_component_ties_use_integers_not_floats():
     two = order_ranking(names, ("a", "c", "b"))  # one inversion elsewhere
     comparison = rankings_majority({"one": one, "two": two}, [criterion])
     assert comparison.wins.sum() == 0
+
+
+@pytest.mark.parametrize("criterion_ranks, coarse, spread, counts", [
+    # tau-b = 2/sqrt(40) and 3/sqrt(90), both 1/sqrt(10)
+    ((1, 2, 3, 4, 5), (1, 1, 1, 2, 1), (1, 1, 4, 3, 2), ((2, 40), (3, 90))),
+    # tau-b = 4/sqrt(448) and 5/sqrt(700), both 1/sqrt(28), whose float64 quotients differ in the last bit
+    ((1, 2, 3, 4, 5, 6, 7, 8), (1, 1, 2, 2, 1, 2, 2, 1), (1, 1, 1, 6, 5, 4, 3, 2), ((4, 448), (5, 700))),
+], ids=["equal-floats", "unequal-floats"])
+def test_exact_tau_ties_with_different_counts(criterion_ranks, coarse, spread, counts):
+    names = AlternativeSet(tuple("abcdefgh"[:len(criterion_ranks)]))
+    criterion = Criterion("p", 1, Ranking(names, dict(zip(names, criterion_ranks))))
+    candidates = {"coarse": Ranking(names, dict(zip(names, coarse))), "spread": Ranking(names, dict(zip(names, spread)))}
+    for ranking, (score, norm) in zip(candidates.values(), counts):
+        stats = pair_stats(ranking, criterion.ranking)
+        assert stats.concordant - stats.discordant == score
+        assert (stats.total - stats.ties_first) * (stats.total - stats.ties_second) == norm
+    comparison = rankings_majority(candidates, [criterion])
+    assert comparison.wins.tolist() == naive_meta_wins(candidates, [criterion], "tau_b").tolist() == [[0, 0], [0, 0]]
+
+
+def assert_meta_wins_match_pair_loops(candidates, criteria, measure) -> bool:
+    """rankings_majority equals the pair-loop reference, raising where it raises; True if both raised."""
+    try:
+        expected = naive_meta_wins(candidates, criteria, measure)
+    except DegenerateRankingError:
+        with pytest.raises(DegenerateRankingError):
+            rankings_majority(candidates, criteria, measure)
+        return True
+    assert rankings_majority(candidates, criteria, measure).wins.tolist() == expected.tolist()
+    return False
+
+
+def test_meta_wins_match_pair_loops_on_random_profiles():
+    rng = random.Random(68)
+    raised = lone_degenerate = 0
+    for _ in range(200):
+        names = AlternativeSet(tuple(f"a{i}" for i in range(rng.randint(2, 8))))
+        candidates = {f"r{i}": random_ranking(rng, names) for i in range(rng.randint(1, 6))}
+        criteria = [Criterion(f"p{k}", rng.randint(1, 3), random_ranking(rng, names)) for k in range(rng.randint(1, 4))]
+        lone_degenerate += len(candidates) == 1 and candidates["r0"].distinct_positions() == 1
+        for measure in MEASURES:
+            raised += assert_meta_wins_match_pair_loops(candidates, criteria, measure)
+    assert raised > 10 and lone_degenerate > 0
+
+
+@st.composite
+def meta_profiles(draw, max_m=7):
+    """Candidates and weighted criteria over 2..max_m alternatives, from few distinct scores."""
+    m = draw(st.integers(2, max_m))
+    names = AlternativeSet(tuple(f"a{i}" for i in range(m)))
+    scores = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    candidates = {f"r{i}": from_scores(names, dict(zip(names, draw(scores)))) for i in range(draw(st.integers(1, 6)))}
+    criteria = [Criterion(f"p{k}", draw(st.integers(1, 3)), from_scores(names, dict(zip(names, draw(scores)))))
+                for k in range(draw(st.integers(1, 4)))]
+    return candidates, criteria
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(meta_profiles(), st.sampled_from(MEASURES))
+def test_meta_wins_match_pair_loops_on_tied_profiles(profile, measure):
+    assert_meta_wins_match_pair_loops(*profile, measure)
 
 
 def test_acyclic_chain_condensation():
