@@ -8,80 +8,46 @@ study against its reference tables).
 
 Exit codes: 0 success, 1 failed check or numerical failure, 2 usage or
 input error.  Output formatting is fixed (tau-b three decimals, shares
-two, probabilities six significant digits) so repeated runs are
+two, the CIP index six significant digits) so repeated runs are
 byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 from typing import TextIO
 
 from . import io as mio
 from .cip import cip_index, cip_ranking
-from .copeland import copeland_ranking
 from .core import DENSE, SCHEMES
 from .correlation import COINCIDING, TAU_B, correlation_matrix
 from .errors import DegenerateRankingError, InputError, NumericalError, SingletonLeagueError, SizeLimitError
 from .majority import build_majority, count_cycles
-from .markovian import markovian_ranking
 from .metarank import closest_weak_order, rankings_majority
-from .solutions import MES, UC, WTC, sort_by_solution
 
-_AGGREGATE = {  # method -> (majority structure, scheme) -> ranking
-    "copeland1": lambda structure, scheme: copeland_ranking(structure, 1, scheme=scheme),
-    "copeland2": lambda structure, scheme: copeland_ranking(structure, 2, scheme=scheme),
-    "copeland3": lambda structure, scheme: copeland_ranking(structure, 3, scheme=scheme),
-    "uc-sort": lambda structure, scheme: sort_by_solution(structure, UC).ranking(scheme=scheme),
-    "mes-sort": lambda structure, scheme: sort_by_solution(structure, MES).ranking(scheme=scheme),
-    "wtc-sort": lambda structure, scheme: sort_by_solution(structure, WTC).ranking(scheme=scheme),
-    "markovian": lambda structure, scheme: markovian_ranking(structure, scheme=scheme),
-}
-METHODS = tuple(_AGGREGATE)
+METHODS = tuple(mio.AGGREGATES)
 MEASURE_FLAGS = {"tau-b": TAU_B, "coinciding": COINCIDING}
 _MEASURE_DECIMALS = {TAU_B: 3, COINCIDING: 2}
 
 
-@contextlib.contextmanager
-def _output(path: str | None) -> Iterator[TextIO]:
-    """The ``--output`` file, or stdout when absent or ``-``; a file is closed on exit."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        yield handle
-
-
-def _load_profile(ranks_csv: str, weights_path: str | None):
-    alternatives, rankings = mio.load_ranks(ranks_csv)
-    weights_file = Path(weights_path) if weights_path else mio.bundled_fixtures_dir() / "weights.cfg"
-    weights = mio.load_weights(weights_file)
-    return alternatives, rankings, mio.build_profile(alternatives, rankings, weights)
-
-
 def cmd_rank(args: argparse.Namespace) -> int:
-    _, _, profile = _load_profile(args.ranks_csv, args.weights)
-    ranking = _AGGREGATE[args.method](build_majority(profile), args.scheme)
-    with _output(args.output) as handle:
-        mio.save_ranking(handle, ranking)
+    _, _, profile = mio.load_profile(args.ranks_csv, args.weights)
+    _, aggregate = mio.AGGREGATES[args.method]
+    mio.save_ranking(args.output, aggregate(build_majority(profile), args.scheme))
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _, _, profile = _load_profile(args.ranks_csv, args.weights)
+    _, _, profile = mio.load_profile(args.ranks_csv, args.weights)
     structure = build_majority(profile)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     labels = structure.alternatives.items
     mio.write_labeled_matrix(outdir / "M.csv", labels, structure.beats.astype(int))
     mio.write_labeled_matrix(outdir / "T.csv", labels, structure.ties.astype(int))
-    with (outdir / "cycles.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+    with mio.csv_writer(outdir / "cycles.csv") as writer:
         writer.writerow(["k", "cycles"])
         for k in (3, 4, 5):
             writer.writerow([k, count_cycles(structure, k)])
@@ -93,25 +59,23 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     measure = MEASURE_FLAGS[args.measure]
     matrix = correlation_matrix(rankings, measure)
     decimals = _MEASURE_DECIMALS[measure]
-    with _output(args.output) as handle:
-        mio.write_labeled_matrix(handle, matrix.labels, matrix.values, fmt=lambda v: f"{v:.{decimals}f}")
+    mio.write_labeled_matrix(args.output, matrix.labels, matrix.values, fmt=lambda v: f"{v:.{decimals}f}")
     return 0
 
 
 def _write_dot(handle: TextIO, comparison) -> None:
+    # DOT quoted IDs escape their backslashes and double quotes
+    names = ['"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"' for name in comparison.candidates]
     handle.write("digraph meta {\n")
-    for name in comparison.candidates:
-        handle.write(f'  "{name}";\n')
+    for name in names:
+        handle.write(f"  {name};\n")
     for i, j in zip(*comparison.majority.nonzero()):  # arcs in row-major order
-        handle.write(
-            f'  "{comparison.candidates[i]}" -> "{comparison.candidates[j]}"'
-            f' [label="{int(comparison.wins[i, j])}"];\n'
-        )
+        handle.write(f'  {names[i]} -> {names[j]} [label="{int(comparison.wins[i, j])}"];\n')
     handle.write("}\n")
 
 
 def cmd_metarank(args: argparse.Namespace) -> int:
-    alternatives, rankings, profile = _load_profile(args.ranks_csv, args.weights)
+    alternatives, rankings, profile = mio.load_profile(args.ranks_csv, args.weights)
     candidates = dict(rankings)
     for extra in args.candidates or ():
         extra_alternatives, extra_rankings = mio.load_ranks(extra)
@@ -127,8 +91,7 @@ def cmd_metarank(args: argparse.Namespace) -> int:
     if args.emit_dot:
         with Path(args.emit_dot).open("w", encoding="utf-8") as handle:
             _write_dot(handle, comparison)
-    with _output(args.output) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+    with mio.csv_writer(args.output) as writer:
         writer.writerow(["candidate", "rank", *(f"wins_vs_{name}" for name in comparison.candidates)])
         order = sorted(comparison.candidates, key=lambda name: (weak_order.ranks[name], name))
         for name in order:
@@ -140,8 +103,7 @@ def cmd_metarank(args: argparse.Namespace) -> int:
 def cmd_cip(args: argparse.Namespace) -> int:
     records = mio.load_indicators(args.indicators_csv)
     ranking = cip_ranking(records, scheme=args.scheme)
-    with _output(args.output) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+    with mio.csv_writer(args.output) as writer:
         writer.writerow(["country", "index", "rank"])
         for record in records:
             writer.writerow([record.country, f"{cip_index(record):.6g}", ranking.ranks[record.country]])

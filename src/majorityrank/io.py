@@ -6,6 +6,10 @@ the published aggregate rankings (``table6_aggregates``), the published
 cycle counts, correlation tables and meta-rankings used as regression
 references, and the canonical criterion vote weights.
 
+``AGGREGATES`` is the one table of aggregation methods: the ``rank``
+command offers its keys, and ``run_reproduce`` checks the methods that
+have a published column against ``table6_aggregates``.
+
 All tabular data is CSV with a header row, UTF-8.  Loaders reject
 incomplete or malformed rows with row/column coordinates; they never
 impute.
@@ -16,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import sys
 import time
 import warnings
 from collections.abc import Iterable, Iterator, Mapping
@@ -30,13 +35,13 @@ import numpy as np
 
 from .cip import INDICATORS, IndicatorRecord
 from .copeland import copeland_ranking
-from .core import AlternativeSet, Criterion, Profile, Ranking
+from .core import DENSE, AlternativeSet, Criterion, Profile, Ranking
 from .correlation import COINCIDING, TAU_B, correlation_matrix, kendall_tau_b
 from .errors import InputError
 from .majority import _CYCLE_LENGTHS, build_majority, count_cycles
 from .markovian import markovian_ranking
 from .metarank import closest_weak_order, optimal_order_count, rankings_majority
-from .solutions import MES, UC, sort_by_solution
+from .solutions import MES, UC, WTC, sort_by_solution
 
 FIXTURE_FILES = (
     "table6_criteria.csv",
@@ -48,7 +53,18 @@ FIXTURE_FILES = (
     "weights.cfg",
 )
 
-AGGREGATE_METHODS = ("Copeland1", "Copeland2", "Copeland3", "UC", "MES", "Markovian")
+# rank method -> (published column or None, (majority structure, scheme) -> ranking); the
+# callables name their functions through this module's globals, so a rebinding reaches them
+AGGREGATES = {
+    "copeland1": ("Copeland1", lambda structure, scheme: copeland_ranking(structure, 1, scheme=scheme)),
+    "copeland2": ("Copeland2", lambda structure, scheme: copeland_ranking(structure, 2, scheme=scheme)),
+    "copeland3": ("Copeland3", lambda structure, scheme: copeland_ranking(structure, 3, scheme=scheme)),
+    "uc-sort": ("UC", lambda structure, scheme: sort_by_solution(structure, UC).ranking(scheme=scheme)),
+    "mes-sort": ("MES", lambda structure, scheme: sort_by_solution(structure, MES).ranking(scheme=scheme)),
+    "wtc-sort": (None, lambda structure, scheme: sort_by_solution(structure, WTC).ranking(scheme=scheme)),
+    "markovian": ("Markovian", lambda structure, scheme: markovian_ranking(structure, scheme=scheme)),
+}
+AGGREGATE_METHODS = tuple(column for column, _ in AGGREGATES.values() if column)
 
 
 def bundled_fixtures_dir() -> Path:
@@ -165,9 +181,20 @@ def build_profile(
     return Profile(alternatives, criteria)
 
 
+def load_profile(
+    ranks_csv: str | Path, weights_path: str | Path | None = None
+) -> tuple[AlternativeSet, dict[str, Ranking], Profile]:
+    """A ranks table, its columns and their profile under ``weights_path`` (default: the bundled study weights)."""
+    alternatives, rankings = load_ranks(ranks_csv)
+    weights = load_weights(weights_path or bundled_fixtures_dir() / "weights.cfg")
+    return alternatives, rankings, build_profile(alternatives, rankings, weights)
+
+
 @contextlib.contextmanager
-def _csv_writer(destination: str | Path | TextIO) -> Iterator:
-    """A CSV writer on an open handle, or on a path opened here and closed on exit."""
+def csv_writer(destination: str | Path | TextIO | None) -> Iterator:
+    """A CSV writer on stdout (``None`` or ``-``), an open handle, or a path opened here and closed on exit."""
+    if destination is None or destination == "-":
+        destination = sys.stdout
     if isinstance(destination, (str, Path)):
         with Path(destination).open("w", encoding="utf-8", newline="") as handle:
             yield csv.writer(handle, lineterminator="\n")
@@ -175,17 +202,17 @@ def _csv_writer(destination: str | Path | TextIO) -> Iterator:
         yield csv.writer(destination, lineterminator="\n")
 
 
-def save_ranking(destination: str | Path | TextIO, ranking: Ranking, label: str = "country") -> None:
+def save_ranking(destination: str | Path | TextIO | None, ranking: Ranking, label: str = "country") -> None:
     """Write a ranking as a two-column CSV in alternative-set order."""
-    with _csv_writer(destination) as writer:
+    with csv_writer(destination) as writer:
         writer.writerow([label, "rank"])
         for name in ranking.alternatives:
             writer.writerow([name, ranking.ranks[name]])
 
 
-def write_labeled_matrix(destination: str | Path | TextIO, labels: tuple[str, ...], values, fmt=str) -> None:
+def write_labeled_matrix(destination: str | Path | TextIO | None, labels: tuple[str, ...], values, fmt=str) -> None:
     """Write a labelled square matrix as CSV (first column and row carry labels)."""
-    with _csv_writer(destination) as writer:
+    with csv_writer(destination) as writer:
         writer.writerow(["", *labels])
         for i, row_label in enumerate(labels):
             writer.writerow([row_label, *(fmt(values[i][j]) for j in range(len(labels)))])
@@ -262,6 +289,19 @@ class ReproReport:
         overall = "PASS" if self.passed else "FAIL"
         lines.append(f"overall: {overall} ({good}/{len(self.checks)} checks, {self.elapsed_seconds:.2f}s)")
         return "\n".join(lines)
+
+
+def _count_check(name: str, expected: int, computed: int, slack: int = 0) -> CheckResult:
+    """An integer within ``slack`` of its reference."""
+    deviation = abs(computed - expected)
+    return CheckResult(name, str(expected), str(computed), str(deviation), deviation <= slack)
+
+
+def _bound_check(name: str, computed: float, expected: str) -> CheckResult:
+    """A value inside its printed bound ``>=b`` or ``<=b``; the deviation is how far past ``b`` it lies."""
+    bound = float(expected[2:])
+    excess = bound - computed if expected.startswith(">=") else computed - bound
+    return CheckResult(name, expected, f"{computed:.6f}", f"{max(0.0, excess):.6f}", excess <= 0)
 
 
 def _fixture(fixtures_dir: Path, filename: str) -> Path:
@@ -377,9 +417,7 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
         raise InputError(f"fixture directory {fixtures} does not exist")
 
     criteria_path = _fixture(fixtures, "table6_criteria.csv")
-    alternatives, criteria_rankings = load_ranks(criteria_path)
-    weights = load_weights(_fixture(fixtures, "weights.cfg"))
-    profile = build_profile(alternatives, criteria_rankings, weights)
+    alternatives, criteria_rankings, profile = load_profile(criteria_path, _fixture(fixtures, "weights.cfg"))
     # every reference is read and validated before any computation
     reference_cycles = _load_reference_cycles(_fixture(fixtures, "table1_cycles.csv"))
     aggregates_path = _fixture(fixtures, "table6_aggregates.csv")
@@ -401,42 +439,19 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     _check_labels(meta_path, "rankings do not match the candidate set", reference_meta, candidate_names)
 
     structure = build_majority(profile)
-    checks: list[CheckResult] = []
 
     # cycle counts are exact references
-    for k, expected in reference_cycles:
-        computed = count_cycles(structure, k)
-        checks.append(CheckResult(
-            name=f"cycle count k={k}",
-            expected=str(expected), computed=str(computed),
-            deviation=str(abs(computed - expected)), passed=computed == expected,
-        ))
+    checks = [_count_check(f"cycle count k={k}", expected, count_cycles(structure, k))
+              for k, expected in reference_cycles]
 
     # aggregate rankings against the published columns
-    computed_aggregates = {
-        "Copeland1": copeland_ranking(structure, 1),
-        "Copeland2": copeland_ranking(structure, 2),
-        "Copeland3": copeland_ranking(structure, 3),
-        "UC": sort_by_solution(structure, UC).ranking(),
-        "MES": sort_by_solution(structure, MES).ranking(),
-        "Markovian": markovian_ranking(structure),
-    }
+    computed_aggregates = {column: rank(structure, DENSE) for column, rank in AGGREGATES.values() if column}
     for name, computed in computed_aggregates.items():
         published = published_aggregates[name]
         tau = kendall_tau_b(computed, published)
-        checks.append(CheckResult(
-            name=f"{name} vs published (tau-b >= 0.99)",
-            expected=">=0.990", computed=f"{tau:.6f}",
-            deviation=f"{max(0.0, 0.99 - tau):.6f}", passed=tau >= 0.99,
-        ))
-        expected_positions = published.distinct_positions()
-        computed_positions = computed.distinct_positions()
-        checks.append(CheckResult(
-            name=f"{name} distinct positions (+/-2)",
-            expected=str(expected_positions), computed=str(computed_positions),
-            deviation=str(abs(computed_positions - expected_positions)),
-            passed=abs(computed_positions - expected_positions) <= 2,
-        ))
+        checks.append(_bound_check(f"{name} vs published (tau-b >= 0.99)", tau, ">=0.990"))
+        checks.append(_count_check(f"{name} distinct positions (+/-2)", published.distinct_positions(),
+                                   computed.distinct_positions(), slack=2))
         published_top = {c for c in alternatives if published.ranks[c] == 1}
         computed_top = {c for c in alternatives if computed.ranks[c] == 1}
         checks.append(CheckResult(
@@ -456,19 +471,10 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
         matrix = correlation_matrix([(name, candidates[name]) for name in labels], measure)
         n_criteria = len(criteria_rankings)
         deviation = np.abs(matrix.values - np.array(reference))
-        block_dev = float(deviation[:n_criteria, :n_criteria].max())
-        full_dev = float(deviation.max())
         tight, loose = tolerance[measure]
-        checks.append(CheckResult(
-            name=f"{measure} criteria block (+/-{tight})",
-            expected=f"<={tight}", computed=f"{block_dev:.6f}",
-            deviation=f"{max(0.0, block_dev - tight):.6f}", passed=block_dev <= tight,
-        ))
-        checks.append(CheckResult(
-            name=f"{measure} full matrix (+/-{loose})",
-            expected=f"<={loose}", computed=f"{full_dev:.6f}",
-            deviation=f"{max(0.0, full_dev - loose):.6f}", passed=full_dev <= loose,
-        ))
+        checks.append(_bound_check(f"{measure} criteria block (+/-{tight})",
+                                   float(deviation[:n_criteria, :n_criteria].max()), f"<={tight}"))
+        checks.append(_bound_check(f"{measure} full matrix (+/-{loose})", float(deviation.max()), f"<={loose}"))
 
     # meta-rankings against the published weak orders
     notes = []
@@ -495,10 +501,6 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
             passed=not mismatches,
         ))
         if measure == COINCIDING:
-            count = optimal_order_count(comparison)
-            checks.append(CheckResult(
-                name="optimal linear orders (coinciding)",
-                expected="6", computed=str(count), deviation=str(abs(count - 6)), passed=count == 6,
-            ))
+            checks.append(_count_check("optimal linear orders (coinciding)", 6, optimal_order_count(comparison)))
 
     return ReproReport(checks=tuple(checks), elapsed_seconds=time.perf_counter() - started, notes=tuple(notes))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from types import MappingProxyType
 
 import numpy as np
@@ -161,21 +162,13 @@ def markovian_ranking(ms: MajorityStructure, scheme: str = DENSE) -> Ranking:
     Exactly equal probabilities within a league share a rank; all members
     of league k rank above all members of league k+1.
     """
-    ranks: dict[str, int] = {}
-    next_rank = 1
-    for league in leagues(ms).leagues:
+    keys: dict[str, tuple[int, Fraction | int]] = {}  # (league number, -probability), exact
+    for number, league in enumerate(leagues(ms).leagues):
         if len(league) == 1:
-            ranks[next(iter(league))] = next_rank
-            next_rank += 1
+            keys[next(iter(league))] = (number, -1)
             continue
         vector = stationary(transition_matrix(ms, league))
-        order = sorted(vector.members, key=vector.probabilities.__getitem__, reverse=True)
-        previous = None
-        for name in order:
-            p = vector.probabilities[name]
-            if previous is not None and p != previous:
-                next_rank += 1
-            ranks[name] = next_rank
-            previous = p
-        next_rank += 1
+        keys.update((name, (number, -p)) for name, p in vector.probabilities.items())
+    order = groupby(sorted(keys, key=keys.__getitem__), key=keys.__getitem__)
+    ranks = {name: rank for rank, (_, names) in enumerate(order, start=1) for name in names}
     return from_ranks(ms.alternatives, ranks, scheme=scheme)

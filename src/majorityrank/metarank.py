@@ -98,28 +98,16 @@ def rankings_majority(
     candidates: NamedRankings,
     criteria: Sequence[Criterion],
     measure: str = TAU_B,
-    weights: Sequence[int] | None = None,
 ) -> MetaComparison:
     """Weighted majority comparison of candidate rankings by criterion closeness.
 
-    ``weights`` overrides the criterion vote weights when given (aligned
-    with ``criteria``).  Every pair of candidates is compared component by
-    component; a criterion contributes its weight to the side it strictly
-    favours.
+    Every pair of candidates is compared component by component; a
+    criterion contributes its vote weight to the side it strictly favours.
     """
     pairs = list(candidates.items()) if isinstance(candidates, Mapping) else list(candidates)
     names = tuple(name for name, _ in pairs)
     if len(set(names)) != len(names):
         raise InputError("candidate names must be unique")
-    if weights is None:
-        weight_list = [c.weight for c in criteria]
-    else:
-        weight_list = [int(w) for w in weights]
-        if len(weight_list) != len(criteria):
-            raise InputError("weights must align one-to-one with criteria")
-        if any(w < 1 for w in weight_list):
-            raise InputError("weights must be positive integers")
-
     if not criteria:
         raise InputError("a meta-comparison needs at least one criterion")
     n = len(pairs)
@@ -137,7 +125,8 @@ def rankings_majority(
         keys = np.frompyfunc(Fraction, 2, 1)(score * abs(score), np.maximum(norm, 1).astype(object))
     else:
         raise InputError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    wins = (keys[:, None, :] > keys[None, :, :]).astype(np.int64) @ np.array(weight_list, dtype=np.int64)
+    weights = np.array([c.weight for c in criteria], dtype=np.int64)
+    wins = (keys[:, None, :] > keys[None, :, :]).astype(np.int64) @ weights
     majority = wins > wins.T
     return MetaComparison(candidates=names, majority=majority, wins=wins, measure=measure)
 

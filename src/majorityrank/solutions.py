@@ -215,12 +215,10 @@ def solve(ms: MajorityStructure, kind: str, subset: frozenset[str] | set[str] | 
 
 def sort_by_solution(ms: MajorityStructure, kind: str) -> SortedClasses:
     """Iterated select-and-exclude sorting by the chosen solution concept."""
-    if kind not in _SOLVERS:
-        raise InputError(f"unknown solution kind {kind!r}; expected one of {KINDS}")
     remaining = set(ms.alternatives.items)
     classes: list[frozenset[str]] = []
     while remaining:
-        best = _SOLVERS[kind](ms, remaining).members
+        best = solve(ms, kind, remaining).members
         if not best:  # every concept picks a non-empty subset; guard the loop's progress anyway
             raise RuntimeError(f"{kind} selected nothing from {len(remaining)} alternatives")
         classes.append(best)

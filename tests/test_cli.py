@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from majorityrank import COMPETITION, DENSE, AlternativeSet, Ranking, build_majority, bundled_fixtures_dir
-from majorityrank.cli import _AGGREGATE, METHODS, main
+from majorityrank import io as mio
+from majorityrank.cli import METHODS, main
 from majorityrank.core import SCHEMES
 from conftest import in_tree_env, profiles
 
@@ -173,6 +174,20 @@ def test_metarank_emits_ranking_and_dot(tmp_path):
     assert dot.startswith("digraph") and "->" in dot
 
 
+def test_metarank_dot_escapes_quotes_in_names(tmp_path):
+    # the criterion a"b and its twin c3 both stand closer to a"b than to c2
+    table = tmp_path / "quoted.csv"
+    table.write_text('country,"a""b",c2,c3\nx,1,2,1\ny,2,1,2\nz,3,3,3\n', encoding="utf-8")
+    weights = tmp_path / "w.cfg"
+    weights.write_text('a"b = 1\nc2 = 1\nc3 = 1\n', encoding="utf-8")
+    dot_path = tmp_path / "meta.dot"
+    code, _ = run_main("metarank", str(table), "--weights", str(weights), "--emit-dot", str(dot_path))
+    assert code == 0
+    lines = dot_path.read_text(encoding="utf-8").splitlines()
+    assert '  "a\\"b";' in lines
+    assert '  "a\\"b" -> "c2" [label="2"];' in lines
+
+
 def test_metarank_rejects_duplicate_candidates(tmp_path):
     code, _ = run_main("metarank", CRITERIA_CSV, "--candidates", CRITERIA_CSV)
     assert code == 2
@@ -330,12 +345,17 @@ def test_rank_output_conforms_to_every_scheme(tmp_path, method):
 @given(profiles())
 def test_every_rank_method_conforms_to_every_scheme_on_tied_profiles(profile):
     structure = build_majority(profile)
-    for method, aggregate in _AGGREGATE.items():
+    for method, (_, aggregate) in mio.AGGREGATES.items():
         rankings = {scheme: aggregate(structure, scheme) for scheme in SCHEMES}
         for scheme, ranking in rankings.items():
             assert ranking.scheme == scheme and ranking.conforms_to_scheme(), (method, scheme)
         # both numberings describe one weak order
         assert rankings[COMPETITION].to_dense().ranks == rankings[DENSE].ranks, method
+
+
+def test_rank_methods_and_published_columns_come_from_one_table():
+    assert METHODS == tuple(mio.AGGREGATES)
+    assert mio.AGGREGATE_METHODS == ("Copeland1", "Copeland2", "Copeland3", "UC", "MES", "Markovian")
 
 
 def test_console_entry_point_runs_in_subprocess():
