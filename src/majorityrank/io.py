@@ -133,19 +133,23 @@ class WeightsConfig:
 
 
 def load_weights(path: str | Path) -> WeightsConfig:
-    """Parse a ``name = weight`` config file ('#' starts a comment)."""
+    """Parse a ``name = weight`` config file.
+
+    A line whose first non-blank character is '#' is a comment, and so is a
+    '#' and what follows it in a weight; a criterion name may contain '#'.
+    """
     path = Path(path)
     names: list[str] = []
     weights: dict[str, int] = {}
     for line_number, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise InputError(f"{path}: line {line_number}: expected 'name = weight'")
         name, _, value = line.partition("=")
         name = name.strip()
-        value = value.strip()
+        value = value.split("#", 1)[0].strip()
         if not name:
             raise InputError(f"{path}: line {line_number}: empty criterion name")
         if name in weights:

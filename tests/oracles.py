@@ -316,6 +316,15 @@ def brute_minimum(comparison: MetaComparison) -> tuple[int, list[tuple[str, ...]
     return int(best), orders
 
 
+def _stationary_system(tm: TransitionMatrix) -> list[list[Fraction]]:
+    """Rows 0..k-2 of counts - d*I closed by a row of ones."""
+    k = len(tm.members)
+    rows = [[Fraction(int(tm.counts[i, j]) - (tm.denominator if i == j else 0)) for j in range(k)]
+            for i in range(k - 1)]
+    rows.append([Fraction(1)] * k)
+    return rows
+
+
 def exact_stationary(tm: TransitionMatrix) -> dict[str, Fraction]:
     """Stationary distribution by Gaussian elimination over ``Fraction``.
 
@@ -323,9 +332,7 @@ def exact_stationary(tm: TransitionMatrix) -> dict[str, Fraction]:
     row sum(p) = 1 and solved with a row swap to the first nonzero pivot.
     """
     k = len(tm.members)
-    rows = [[Fraction(int(tm.counts[i, j]) - (tm.denominator if i == j else 0)) for j in range(k)]
-            for i in range(k - 1)]
-    rows.append([Fraction(1)] * k)
+    rows = _stationary_system(tm)
     rhs = [Fraction(0)] * (k - 1) + [Fraction(1)]
     for col in range(k):
         pivot = next(r for r in range(col, k) if rows[r][col] != 0)
@@ -345,3 +352,22 @@ def exact_stationary(tm: TransitionMatrix) -> dict[str, Fraction]:
             acc -= rows[r][c] * values[c]
         values[r] = acc / rows[r][r]
     return dict(zip(tm.members, values))
+
+
+def system_determinant(tm: TransitionMatrix) -> int:
+    """Determinant of the system ``exact_stationary`` solves, by ``Fraction`` elimination."""
+    k = len(tm.members)
+    rows = _stationary_system(tm)
+    det = Fraction(1)
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, k):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return int(det)

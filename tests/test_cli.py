@@ -50,6 +50,16 @@ def test_rank_single_criterion_echoes_order(tmp_path):
         assert rows == [["country", "rank"], ["a", "1"], ["b", "2"], ["c", "3"]], method
 
 
+def test_rank_weights_a_criterion_named_with_hash(tmp_path):
+    table = tmp_path / "h.csv"
+    table.write_text("country,a#b\na,2\nb,1\n", encoding="utf-8")
+    weights = tmp_path / "h.cfg"
+    weights.write_text("# weights\n  # indented comment\na#b = 1  # one vote\n", encoding="utf-8")
+    code, out = run_main("rank", str(table), "--weights", str(weights), "--method", "copeland1")
+    assert code == 0
+    assert list(csv.reader(stdio.StringIO(out))) == [["country", "rank"], ["a", "2"], ["b", "1"]]
+
+
 def test_rank_bundled_copeland2_positions(tmp_path):
     out_path = tmp_path / "ranking.csv"
     code, _ = run_main("rank", CRITERIA_CSV, "--method", "copeland2", "--output", str(out_path))

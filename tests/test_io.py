@@ -79,6 +79,8 @@ def test_weights_roundtrip(tmp_path):
     config = load_weights(bundled_fixtures_dir() / "weights.cfg")
     assert config.names == ("MVApc", "MXpc", "MHVAsh", "MVAsh", "MHXsh", "MXsh", "ImWMVA", "ImWMT")
     assert config.total_weight == 12
+    assert dict(config.weights) == {"MVApc": 2, "MXpc": 2, "MHVAsh": 1, "MVAsh": 1,
+                                    "MHXsh": 1, "MXsh": 1, "ImWMVA": 2, "ImWMT": 2}
 
     small = write(tmp_path, "w.cfg", "# comment\none = 1\ntwo = 1\nthree = 1\n")
     assert load_weights(small).total_weight == 3

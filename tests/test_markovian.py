@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,12 @@ from hypothesis import given, settings
 
 from majorityrank import (
     AlternativeSet,
+    InputError,
     MajorityStructure,
+    NumericalError,
     SingletonLeagueError,
+    SizeLimitError,
+    TransitionMatrix,
     build_majority,
     build_profile,
     bundled_fixtures_dir,
@@ -20,8 +25,9 @@ from majorityrank import (
     stationary,
     transition_matrix,
 )
+from majorityrank import markovian
 from conftest import structures
-from oracles import exact_stationary, random_structure
+from oracles import exact_stationary, random_structure, system_determinant
 
 ABC = AlternativeSet(("a", "b", "c"))
 CHAIN = MajorityStructure(ABC, np.triu(np.ones((3, 3), dtype=bool), 1), np.zeros((3, 3), dtype=bool))
@@ -84,6 +90,66 @@ def test_tied_pair_league():
 def test_singleton_league_raises(toy_structure):
     with pytest.raises(SingletonLeagueError):
         transition_matrix(toy_structure, {"x1"})
+
+
+@pytest.mark.parametrize("counts", [
+    [[1.5, 1.0], [0.0, 0.9]],  # fractional counts, once truncated to [[1, 1], [0, 0]]
+    [[2, 0, 1], [1, 1, 0], [-1, 1, 1]],  # a negative count with correct column sums
+    [[3, 1, 1], [-1, 0, 1], [0, 1, 0]],  # a count above the denominator
+])
+def test_transition_matrix_rejects_counts_outside_zero_to_denominator(counts):
+    members = tuple("abc"[:len(counts)])
+    with pytest.raises(InputError, match="integer in"):
+        TransitionMatrix(members=members, counts=counts, denominator=len(counts) - 1)
+
+
+def test_reducible_chain_is_singular():
+    # {a, b} and {c, d} are two closed classes, so the fixed point is not unique
+    counts = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]]
+    with pytest.raises(NumericalError, match="singular modulo every prime"):
+        stationary(TransitionMatrix(members=("a", "b", "c", "d"), counts=counts, denominator=3))
+
+
+def test_prime_dividing_the_determinant_moves_to_the_next(monkeypatch):
+    (tm,) = [tm for tm in league_matrices(random_structure(random.Random(53), 12)) if len(tm.members) == 12]
+    assert system_determinant(tm) % 197 == 0
+    primes = markovian._PRIMES
+    monkeypatch.setattr(markovian, "_PRIMES", (197,))
+    with pytest.raises(NumericalError):
+        stationary(tm)
+    monkeypatch.setattr(markovian, "_PRIMES", (197,) + primes)
+    assert dict(stationary(tm).probabilities) == exact_stationary(tm)
+
+
+def test_primes_keep_every_float64_product_exact():
+    primes = markovian._PRIMES
+    assert len(set(primes)) == len(primes)
+    assert all(p < 2**21 and all(p % q for q in range(2, math.isqrt(p) + 1)) for p in primes)
+    assert markovian._MAX_LEAGUE * (max(primes) - 1) ** 2 < 2**53
+    assert markovian._MAX_LEAGUE >= 1000  # room for the m = 1000 synthetic league
+
+
+def test_league_above_the_cap_is_refused_before_elimination(monkeypatch):
+    k = markovian._MAX_LEAGUE + 1
+    tm = TransitionMatrix(members=tuple(f"t{i}" for i in range(k)),
+                          counts=1 - np.eye(k, dtype=np.int64), denominator=k - 1)
+
+    def no_elimination(*args):
+        raise AssertionError("elimination started")
+
+    monkeypatch.setattr(markovian, "_inverse_mod", no_elimination)
+    with pytest.raises(SizeLimitError, match=str(markovian._MAX_LEAGUE)):
+        stationary(tm)
+
+
+def test_league_of_300_is_an_exact_fixed_point():
+    (tm,) = [tm for tm in league_matrices(random_structure(random.Random(59), 300)) if len(tm.members) == 300]
+    shares = stationary(tm).probabilities
+    denominator = math.lcm(*(p.denominator for p in shares.values()))
+    n = [int(shares[name] * denominator) for name in tm.members]
+    q = tm.counts.tolist()
+    assert all(sum(c * x for c, x in zip(row, n)) == tm.denominator * x for row, x in zip(q, n))
+    assert sum(n) == denominator and min(n) > 0
 
 
 def test_league_partition_matches_wtc_sorting():
