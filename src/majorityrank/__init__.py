@@ -50,7 +50,7 @@ from .io import (
     run_reproduce,
     save_ranking,
 )
-from .majority import MajorityStructure, Sections, build_majority, count_cycles, sections
+from .majority import MajorityStructure, Sections, build_majority, count_cycles, cycle_counts, sections
 from .markovian import (
     LeaguePartition,
     StationaryVector,

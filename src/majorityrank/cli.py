@@ -24,7 +24,7 @@ from .cip import cip_index, cip_ranking
 from .core import DENSE, SCHEMES
 from .correlation import COINCIDING, TAU_B, correlation_matrix
 from .errors import DegenerateRankingError, InputError, NumericalError, SingletonLeagueError, SizeLimitError
-from .majority import build_majority, count_cycles
+from .majority import build_majority, cycle_counts
 from .metarank import closest_weak_order, rankings_majority
 
 METHODS = tuple(mio.AGGREGATES)
@@ -42,6 +42,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     _, _, profile = mio.load_profile(args.ranks_csv, args.weights)
     structure = build_majority(profile)
+    counts = cycle_counts(structure)  # before any file, so that a size error leaves none half written
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     labels = structure.alternatives.items
@@ -49,8 +50,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     mio.write_labeled_matrix(outdir / "T.csv", labels, structure.ties.astype(int))
     with mio.csv_writer(outdir / "cycles.csv") as writer:
         writer.writerow(["k", "cycles"])
-        for k in (3, 4, 5):
-            writer.writerow([k, count_cycles(structure, k)])
+        writer.writerows(counts.items())
     return 0
 
 

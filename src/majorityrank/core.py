@@ -27,6 +27,7 @@ from .errors import InputError
 DENSE = "dense"
 COMPETITION = "competition"
 SCHEMES = (DENSE, COMPETITION)
+MAX_RANK = 2 ** 63 - 1  # the largest rank an int64 rank vector holds
 
 
 class Comparison(enum.Enum):
@@ -78,7 +79,7 @@ class AlternativeSet:
 
 @dataclass(frozen=True)
 class Ranking:
-    """Assignment of one positive integer rank to every alternative.
+    """Assignment of one positive integer rank, at most ``MAX_RANK``, to every alternative.
 
     ``scheme`` declares the intended numbering convention.  Constructors in
     this package always emit conforming numberings; rankings ingested from
@@ -101,6 +102,8 @@ class Ranking:
         for name, rank in ranks.items():
             if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool) or rank < 1:
                 raise InputError(f"rank of {name!r} must be a positive integer, got {rank!r}")
+            if rank > MAX_RANK:
+                raise InputError(f"rank of {name!r} must be at most {MAX_RANK}, got {rank!r}")
         object.__setattr__(self, "ranks", MappingProxyType({a: int(ranks[a]) for a in self.alternatives}))
 
     def rank_of(self, name: str) -> int:

@@ -14,11 +14,14 @@ mirrored); tau-b normalises the tie mass away.  At share = 50 two rankings
 are uninformative about each other.
 
 All R**2 censuses of R rankings over m alternatives come from two Gram
-matrices.  Over the m**2 ordered pairs (x, y), let the rows of S and T be
-each ranking's s_r = sign(r_x - r_y) and t_r = [r_x = r_y].  Then
-(S S^T)_rq = 2 (N+ - N-), (T T^T)_rq = 2 N0 + m, (T T^T)_rr = 2 n1 + m, and
-U = m**2 - T_rr - T_qq + (T T^T)_rq = 2 (N+ + N-) counts the ordered pairs
-tied in neither ranking.  The census is exact for m <= 77,936 (``_census``).
+matrices.  Over the N unordered pairs x < y, let the rows of S and T be each
+ranking's s_r = sign(r_x - r_y) and t_r = [r_x = r_y].  Then
+(S S^T)_rq = N+ - N-, (T T^T)_rq = N0 and (T T^T)_rr = n1, so
+U = N - n1 - n2 + N0 = N+ + N- counts the pairs tied in neither ranking and
+N+- = (U +- (S S^T)_rq) / 2.  Each ranking is first relabelled by its dense
+levels 0..L-1, and rankings of one weak order are censused once.  Both
+products run in float32, exact because every block's Gram entry is an
+integer below 2**24; the census is exact for m <= 77,936 (``_census``).
 """
 
 from __future__ import annotations
@@ -35,9 +38,12 @@ from .errors import DegenerateRankingError, InputError
 TAU_B = "tau_b"
 COINCIDING = "coinciding"
 MEASURES = (TAU_B, COINCIDING)
-_CENSUS_BLOCK = 1 << 14  # cells of all rankings per step of the census: 128 KiB per temporary
+_CENSUS_BLOCK = 1 << 14  # cells of all rankings per step of the census: 64 KiB per float32 temporary
 # the largest m with (m (m - 1) / 2)**2 < 2**63
 _CENSUS_MAX_SIZE = (1 + math.isqrt(1 + 8 * math.isqrt(2 ** 63 - 1))) // 2
+# _KEEP[i, j] = [j >= i]: in a block's square, where row x = start + i meets column y = start + 1 + j,
+# it keeps the pairs y > x; a block of two rows or more has rows**2 <= rows * width <= _CENSUS_BLOCK
+_KEEP = np.triu(np.ones((math.isqrt(_CENSUS_BLOCK), math.isqrt(_CENSUS_BLOCK) - 1), dtype=np.float32))
 
 
 @dataclass(frozen=True)
@@ -62,41 +68,72 @@ class PairStats:
 def _census(rankings: Sequence[Ranking]) -> tuple[np.ndarray, ...]:
     """Pair census of every two of R rankings: six R x R int64 arrays in ``PairStats`` field order.
 
-    S S^T and T T^T are summed over blocks of rows x whose sign and tie rows
-    of all R rankings hold at most ``_CENSUS_BLOCK`` cells (one row at
-    least), so no m x m array is formed.  A block's float64 Gram entries are
-    integers at most max(``_CENSUS_BLOCK``, m) < 2**53, hence exact, and the
-    int64 totals are at most m**2.  The tau-b normaliser is at most N**2,
+    Each ranking is relabelled by its dense levels 0..L-1: below m, so
+    float32 holds every level and every difference exactly, however large
+    the ranks.  Only the U distinct level rows (one per weak order) are
+    censused, and the counts are expanded back to all R rankings.  S S^T
+    and T T^T are summed over the pairs x < y in blocks of rows x, each
+    taking the columns y > x and holding at most ``_CENSUS_BLOCK`` cells of
+    all U rankings (one row at least), so no m x m array is formed.
+
+    Exactness bound: a block's float32 Gram entries are integers of
+    magnitude at most its cells per ranking, max(``_CENSUS_BLOCK``, m)
+    < 2**24, so every float32 partial sum is exact; the float64 totals are
+    integers at most N < 2**53.  The tau-b normaliser is at most N**2,
     which int64 holds for m <= ``_CENSUS_MAX_SIZE`` (77,936); a larger m
     raises InputError.
     """
     first = rankings[0].alternatives.items
     if any(ranking.alternatives.items != first for ranking in rankings):
         raise InputError("rankings are over different alternative sets")
-    if len(first) < 2:
+    m = len(first)
+    if m < 2:
         raise InputError("correlation needs at least two alternatives")
-    ranks = np.stack([ranking.rank_vector() for ranking in rankings])
-    size, m = ranks.shape
     if m > _CENSUS_MAX_SIZE:
         raise InputError(f"the pair census supports at most {_CENSUS_MAX_SIZE} alternatives, got {m}")
-    sign_gram = np.zeros((size, size), dtype=np.int64)
-    tie_gram = np.zeros((size, size), dtype=np.int64)
-    step = max(1, _CENSUS_BLOCK // (size * m))
-    for start in range(0, m, step):
-        diff = (ranks[:, start:start + step, None] - ranks[:, None, :]).reshape(size, -1)
-        signs = np.sign(diff).astype(np.float64)
-        ties = (diff == 0).astype(np.float64)
-        sign_gram += (signs @ signs.T).astype(np.int64)
-        tie_gram += (ties @ ties.T).astype(np.int64)
-    tied = np.diag(tie_gram)[:, None]  # ordered pairs each ranking ties, x = y included
-    untied = m * m - tied - tied.T + tie_gram
+    ranks = np.stack([ranking.rank_vector() for ranking in rankings])
+    # the dense levels 0..L-1 of each ranking, through flat indices that list each row in rank order
+    order = np.argsort(ranks, axis=1) + np.arange(0, ranks.size, m)[:, None]
+    ascending = ranks.ravel()[order]
+    steps = np.zeros(ranks.shape, dtype=np.float32)
+    steps[:, 1:] = ascending[:, 1:] != ascending[:, :-1]
+    levels = np.empty(ranks.size, dtype=np.float32)
+    levels[order] = steps.cumsum(axis=1)
+    levels = levels.reshape(ranks.shape)
+    # rankings of one weak order share their levels and every count: census each order once
+    index: dict[bytes, int] = {}
+    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in levels])
+    levels = levels[np.unique(inverse, return_index=True)[1]]
+    size = len(levels)
+    sign_gram = np.zeros((size, size))
+    tie_gram = np.zeros((size, size))
+    start = 0
+    while start < m - 1:
+        width = m - start - 1  # columns y = start + 1 .. m - 1
+        rows = min(max(1, _CENSUS_BLOCK // (size * width)), width)
+        diff = levels[:, start:start + rows, None] - levels[:, None, start + 1:]
+        ties = (diff == 0).astype(np.float32)
+        signs = np.clip(diff, -1, 1, out=diff)  # the sign of an integer difference
+        # the block's square below its diagonal holds the pairs y <= x: zero them
+        ties[:, :, :rows - 1] *= _KEEP[:rows, :rows - 1]
+        signs[:, :, :rows - 1] *= _KEEP[:rows, :rows - 1]
+        signs, ties = signs.reshape(size, -1), ties.reshape(size, -1)
+        sign_gram += signs @ signs.T
+        tie_gram += ties @ ties.T
+        start += rows
+    sign_gram, tie_gram = sign_gram.astype(np.int64), tie_gram.astype(np.int64)
+    total = m * (m - 1) // 2
+    tied = np.diag(tie_gram)[:, None]  # pairs each ranking ties
+    untied = total - tied - tied.T + tie_gram
+    expand = np.ix_(inverse, inverse)
+    shape = (len(rankings), len(rankings))
     return (
-        np.full((size, size), m * (m - 1) // 2, dtype=np.int64),
-        (untied + sign_gram) // 4,
-        (untied - sign_gram) // 4,
-        np.broadcast_to((tied - m) // 2, (size, size)),
-        np.broadcast_to((tied.T - m) // 2, (size, size)),
-        (tie_gram - m) // 2,
+        np.full(shape, total, dtype=np.int64),
+        ((untied + sign_gram) // 2)[expand],
+        ((untied - sign_gram) // 2)[expand],
+        np.broadcast_to(tied[inverse], shape),
+        np.broadcast_to(tied[inverse].T, shape),
+        tie_gram[expand],
     )
 
 

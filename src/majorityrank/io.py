@@ -35,10 +35,10 @@ import numpy as np
 
 from .cip import INDICATORS, IndicatorRecord
 from .copeland import copeland_ranking
-from .core import DENSE, AlternativeSet, Criterion, Profile, Ranking
+from .core import DENSE, MAX_RANK, AlternativeSet, Criterion, Profile, Ranking
 from .correlation import COINCIDING, TAU_B, correlation_matrix, kendall_tau_b
 from .errors import InputError
-from .majority import _CYCLE_LENGTHS, build_majority, count_cycles
+from .majority import _CYCLE_LENGTHS, build_majority, cycle_counts
 from .markovian import markovian_ranking
 from .metarank import closest_weak_order, optimal_order_count, rankings_majority
 from .solutions import MES, UC, WTC, sort_by_solution
@@ -85,7 +85,7 @@ def _read_text(path: Path) -> str:
 def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
     """Load a ranks table: one row per country, one column per ranking.
 
-    Every cell must be a positive integer; the first column holds the
+    Every cell must be an integer in 1..2**63 - 1; the first column holds the
     country names.  Dense numbering of each column is checked advisorily
     (a warning, not an error), since published tables keep their own rank
     labels.
@@ -106,6 +106,8 @@ def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
             value = _parse_cell(path, row_number, column, text, int)
             if value < 1:
                 raise InputError(f"{path}: rank {value} is not positive (row {row_number}, col {column})")
+            if value > MAX_RANK:
+                raise InputError(f"{path}: rank {value} is above {MAX_RANK} (row {row_number}, col {column})")
             ranks[column][country] = value
     alternatives = AlternativeSet(countries)
     rankings: dict[str, Ranking] = {}
@@ -445,8 +447,8 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     structure = build_majority(profile)
 
     # cycle counts are exact references
-    checks = [_count_check(f"cycle count k={k}", expected, count_cycles(structure, k))
-              for k, expected in reference_cycles]
+    counts = cycle_counts(structure)
+    checks = [_count_check(f"cycle count k={k}", expected, counts[k]) for k, expected in reference_cycles]
 
     # aggregate rankings against the published columns
     computed_aggregates = {column: rank(structure, DENSE) for column, rank in AGGREGATES.values() if column}

@@ -118,25 +118,32 @@ def count_cycles(ms: MajorityStructure, k: int) -> int:
     """
     if k not in _CYCLE_LENGTHS:
         raise InputError(f"cycle length must be one of {_CYCLE_LENGTHS}, got {k}")
+    return _count_cycles(ms, (k,))[k]
+
+
+def cycle_counts(ms: MajorityStructure) -> dict[int, int]:
+    """``count_cycles`` for k = 3, 4 and 5 from one A^2, every size bound checked before any product."""
+    return _count_cycles(ms, _CYCLE_LENGTHS)
+
+
+def _count_cycles(ms: MajorityStructure, lengths: tuple[int, ...]) -> dict[int, int]:
     m = len(ms)
-    limit = _max_exact_size(k)
-    if m > limit:
-        raise InputError(f"counting {k}-cycles supports at most {limit} alternatives, got {m}")
+    for k in lengths:
+        limit = _max_exact_size(k)
+        if m > limit:
+            raise InputError(f"counting {k}-cycles supports at most {limit} alternatives, got {m}")
     a = np.asarray(ms.beats, dtype=np.float64)
     a2 = a @ a
-    trace = 0
+    traces = dict.fromkeys(lengths, 0)
     for start in range(0, m, _TRACE_BLOCK):
         cols = slice(start, start + _TRACE_BLOCK)
-        if k == 3:
-            tail = a[:, cols]
-        elif k == 4:
-            tail = a2[:, cols]
-        else:
-            tail = a2 @ a[:, cols]
-        trace += int((a2[cols, :].T * tail).astype(np.int64).sum())
-    if trace % k:
-        raise NumericalError(f"trace of the {k}-th majority power, {trace}, is not a multiple of {k}")
-    return trace // k
+        for k in lengths:
+            tail = a[:, cols] if k == 3 else a2[:, cols] if k == 4 else a2 @ a[:, cols]
+            traces[k] += int((a2[cols, :].T * tail).astype(np.int64).sum())
+    for k, trace in traces.items():
+        if trace % k:
+            raise NumericalError(f"trace of the {k}-th majority power, {trace}, is not a multiple of {k}")
+    return {k: trace // k for k, trace in traces.items()}
 
 
 def _max_exact_size(k: int) -> int:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from majorityrank import COMPETITION, DENSE, AlternativeSet, Ranking, build_majority, bundled_fixtures_dir
 from majorityrank import io as mio
+from majorityrank import majority
 from majorityrank.cli import METHODS, main
 from majorityrank.core import SCHEMES
 from conftest import in_tree_env, profiles
@@ -118,6 +119,28 @@ def test_directory_as_input_is_input_error(tmp_path, capsys, command):
     error = capsys.readouterr().err
     assert error.startswith("error: ") and str(tmp_path) in error
     assert "Traceback" not in error
+
+
+def test_correlate_rank_beyond_int64_is_input_error(tmp_path, capsys):
+    table = tmp_path / "big.csv"
+    table.write_text("country,c1,c2\na,1,2\nb,2,99999999999999999999\n", encoding="utf-8")
+    code, out = run_main("correlate", str(table))
+    assert code == 2
+    assert out == ""
+    error = capsys.readouterr().err
+    assert error == f"error: {table}: rank 99999999999999999999 is above {2 ** 63 - 1} (row 3, col c2)\n"
+
+
+def test_analyze_size_error_writes_no_file(tmp_path, monkeypatch, capsys):
+    # every size bound is checked before any output: a k = 5 bound below m = 3 leaves the directory empty
+    table, weights = write_toy_table(tmp_path)
+    bound = majority._max_exact_size
+    monkeypatch.setattr(majority, "_max_exact_size", lambda k: 2 if k == 5 else bound(k))
+    outdir = tmp_path / "analysis"
+    code, _ = run_main("analyze", str(table), "--weights", str(weights), "--output", str(outdir))
+    assert code == 2
+    assert "counting 5-cycles supports at most 2 alternatives, got 3" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_analyze_outputs(tmp_path):

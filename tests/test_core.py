@@ -67,6 +67,9 @@ def test_ranking_validation():
         Ranking(ABC, {"a": 1, "b": 2})  # missing c
     with pytest.raises(InputError):
         Ranking(ABC, {"a": 0, "b": 1, "c": 2})
+    with pytest.raises(InputError, match=f"rank of 'a' must be at most {2 ** 63 - 1}, got {2 ** 63}"):
+        Ranking(ABC, {"a": 2 ** 63, "b": 1, "c": 2})
+    assert Ranking(ABC, {"a": 2 ** 63 - 1, "b": 1, "c": 2}).rank_vector().tolist() == [2 ** 63 - 1, 1, 2]
     with pytest.raises(InputError):
         Ranking(ABC, {"a": 1, "b": 1, "c": 2, "d": 3})
 

@@ -19,7 +19,7 @@ from majorityrank import (
     pair_stats,
 )
 from conftest import order_ranking
-from majorityrank.correlation import _CENSUS_MAX_SIZE, MEASURES, _census
+from majorityrank.correlation import _CENSUS_BLOCK, _CENSUS_MAX_SIZE, MEASURES, _census
 from oracles import naive_pair_stats, random_ranking
 
 ABC = AlternativeSet(("a", "b", "c"))
@@ -134,8 +134,8 @@ def assert_census_matches_naive_loops(rankings):
 
 
 def test_census_over_several_row_blocks_matches_naive_loops():
-    # the census of two takes twelve blocks of 27 rows, the last one short;
-    # thirteen rankings take 75 blocks of 4 rows
+    # the census of two takes seven blocks of 27 to 67 rows, the last one short (55 of 148);
+    # thirteen rankings take 40 blocks of 4 to 35 rows
     rng = random.Random(52)
     names = AlternativeSet(tuple(f"c{i}" for i in range(300)))
     for max_positions in (3, 40, 300):
@@ -143,6 +143,43 @@ def test_census_over_several_row_blocks_matches_naive_loops():
         r2 = random_ranking(rng, names, max_positions)
         assert as_tuple(pair_stats(r1, r2)) == naive_pair_stats(r1, r2)
     assert_census_matches_naive_loops([random_ranking(rng, names, (2, 3, 40, 300)[i % 4]) for i in range(13)])
+
+
+def test_census_blocks_crossing_the_diagonal_match_naive_loops():
+    # four distinct orders at m = 150 take blocks of 27, 33, 46 and a short last 43 rows (of 95);
+    # inside each block the pairs y <= x of its square are masked out
+    rng = random.Random(55)
+    names = AlternativeSet(tuple(f"c{i}" for i in range(150)))
+    rankings = [random_ranking(rng, names, positions) for positions in (2, 5, 150, 150)]
+    assert_census_matches_naive_loops([*rankings, rankings[1]])
+
+
+def test_census_of_repeated_rankings_matches_naive_loops():
+    # one ranking passed twice, an equal one built separately and its competition relabelling share one order
+    rng = random.Random(56)
+    names = AlternativeSet(tuple(f"c{i}" for i in range(9)))
+    ranking, other = random_ranking(rng, names, 4), random_ranking(rng, names, 4)
+    twin = Ranking(names, dict(ranking.ranks))
+    assert_census_matches_naive_loops([ranking, ranking, twin, other, ranking.to_competition(), other])
+    assert_census_matches_naive_loops([ranking, ranking])
+
+
+def test_census_of_ranks_beyond_float32_matches_naive_loops():
+    # float32 merges integers from 2**24 on; the census compares each ranking's dense levels instead
+    large = Ranking(ABC, {"a": 2 ** 24, "b": 2 ** 24 + 1, "c": 1})
+    assert as_tuple(pair_stats(large, order_ranking(ABC, ("a", "b", "c")))) == (3, 1, 2, 0, 0, 0)
+    rng = random.Random(57)
+    names = AlternativeSet(tuple(f"c{i}" for i in range(10)))
+    values = (1, 2, 3, 2 ** 24, 2 ** 24 + 1, 2 ** 62, 2 ** 63 - 1)
+    for _ in range(20):
+        rankings = [Ranking(names, {name: rng.choice(values) for name in names}) for _ in range(4)]
+        assert_census_matches_naive_loops(rankings)
+
+
+def test_census_float32_bound():
+    # a block's Gram entries count at most max(_CENSUS_BLOCK, m) cells of one ranking; float32 holds
+    # every integer below 2**24 exactly
+    assert max(_CENSUS_BLOCK, _CENSUS_MAX_SIZE) < 2 ** 24
 
 
 @st.composite

@@ -50,6 +50,12 @@ def test_loader_error_coordinates(tmp_path):
         load_ranks(path)
 
 
+def test_loader_rejects_a_rank_beyond_int64(tmp_path):
+    path = write(tmp_path, "big.csv", f"country,c1,c2\na,1,{2 ** 63 - 1}\nb,2,99999999999999999999\n")
+    with pytest.raises(InputError, match=rf"{path}: rank 99999999999999999999 is above {2 ** 63 - 1} \(row 3, col c2\)"):
+        load_ranks(path)
+
+
 def test_loader_rejects_incomplete_rows(tmp_path):
     path = write(tmp_path, "short.csv", "country,c1,c2\na,1\n")
     with pytest.raises(InputError, match="row 2"):

@@ -14,6 +14,7 @@ from majorityrank import (
     Profile,
     build_majority,
     count_cycles,
+    cycle_counts,
     sections,
 )
 from conftest import TOY_BEATS, order_ranking, structures
@@ -105,6 +106,15 @@ def test_cycle_count_size_limit_names_the_per_k_bound(k, limit):
         count_cycles(Oversized(), k)
 
 
+def test_cycle_counts_check_every_bound_before_any_product():
+    class Oversized:  # within the 3- and 4-cycle bounds, one past the 5-cycle bound, and no matrix to read
+        def __len__(self):
+            return 6211
+
+    with pytest.raises(InputError, match="counting 5-cycles supports at most 6210 alternatives, got 6211"):
+        cycle_counts(Oversized())
+
+
 def test_cycle_count_rejects_a_trace_that_is_not_a_multiple_of_k():
     class TwoCycle:  # symmetric arcs, which a majority structure never holds: 2 closed 4-walks
         beats = np.array([[0, 1], [1, 0]], dtype=bool)
@@ -168,12 +178,23 @@ def test_cycle_trace_matches_enumeration_on_random_structures():
             assert count_cycles(ms, k) == brute_cycles(ms, k)
 
 
+def test_cycle_counts_match_count_cycles_and_enumeration_on_random_structures():
+    rng = random.Random(14)
+    for tie_prob in (0.0, 0.2, 0.6, 1.0):
+        for _ in range(30):
+            ms = random_structure(rng, rng.randint(2, 8), tie_prob)
+            counts = cycle_counts(ms)
+            assert list(counts) == [3, 4, 5]
+            assert counts == {k: count_cycles(ms, k) for k in (3, 4, 5)} == {k: brute_cycles(ms, k) for k in (3, 4, 5)}
+
+
 @pytest.mark.parametrize("maker", [random_structure, noisy_profile_structure], ids=["random", "noisy-profile"])
 def test_cycle_trace_matches_int64_powers_over_several_column_blocks(maker):
     # 300 columns make blocks of 128, 128 and a short last one of 44
     ms = maker(random.Random(7), 300)
     for k in (3, 4, 5):
         assert count_cycles(ms, k) == int64_cycles(ms, k)
+    assert cycle_counts(ms) == {k: int64_cycles(ms, k) for k in (3, 4, 5)}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
