@@ -9,13 +9,24 @@ better, with ties allowed.  Two numbering schemes are supported:
   alternatives that are strictly better.
 
 Both schemes encode the same weak order; they differ only in labelling.
+
+Every weak order in the package is labelled here, by one exact relabelling
+of a key array: ``_levels`` sorts each row and counts the steps between
+neighbours, so int64, float and object keys (Python ints, Fractions) are
+compared as they are, with no cast to float anywhere (-0.0 and 0.0 tie).
+Dense labels are those levels plus one; competition labels are one plus
+the number of strictly smaller keys.  The constructors,
+``conforms_to_scheme``, the pair census, the Markov ranking and the
+meta-comparison keys all use it.
+
+Vote totals are held in int64, so a profile's total criterion weight is
+bounded by ``MAX_TOTAL_WEIGHT``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -28,6 +39,7 @@ DENSE = "dense"
 COMPETITION = "competition"
 SCHEMES = (DENSE, COMPETITION)
 MAX_RANK = 2 ** 63 - 1  # the largest rank an int64 rank vector holds
+MAX_TOTAL_WEIGHT = 2 ** 63 - 1  # the largest vote total an int64 accumulator holds
 
 
 class Comparison(enum.Enum):
@@ -104,7 +116,10 @@ class Ranking:
                 raise InputError(f"rank of {name!r} must be a positive integer, got {rank!r}")
             if rank > MAX_RANK:
                 raise InputError(f"rank of {name!r} must be at most {MAX_RANK}, got {rank!r}")
-        object.__setattr__(self, "ranks", MappingProxyType({a: int(ranks[a]) for a in self.alternatives}))
+        vector = np.array([ranks[a] for a in self.alternatives], dtype=np.int64)
+        vector.setflags(write=False)
+        object.__setattr__(self, "_vector", vector)
+        object.__setattr__(self, "ranks", MappingProxyType(dict(zip(self.alternatives.items, vector.tolist()))))
 
     def rank_of(self, name: str) -> int:
         self.alternatives.index(name)
@@ -119,20 +134,15 @@ class Ranking:
         return Comparison.TIED
 
     def rank_vector(self) -> np.ndarray:
-        """Ranks as an int64 vector in alternative-set order."""
-        return np.array([self.ranks[a] for a in self.alternatives], dtype=np.int64)
+        """Ranks as a read-only int64 vector in alternative-set order."""
+        return self._vector  # type: ignore[attr-defined]
 
     def distinct_positions(self) -> int:
         return len(set(self.ranks.values()))
 
     def conforms_to_scheme(self) -> bool:
-        """Whether the stored ranks satisfy the declared numbering scheme."""
-        values = self.rank_vector()
-        if self.scheme == DENSE:
-            used = set(values.tolist())
-            return used == set(range(1, len(used) + 1))
-        expected = 1 + (values[:, None] > values[None, :]).sum(axis=1)
-        return bool(np.array_equal(values, expected))
+        """Whether the stored ranks satisfy the declared numbering scheme: relabelling in it changes none."""
+        return bool(np.array_equal(_labels(self.rank_vector(), self.scheme), self.rank_vector()))
 
     def to_dense(self) -> "Ranking":
         """Relabel to the dense scheme, preserving the order and all ties."""
@@ -159,29 +169,38 @@ def from_scores(
     Raises:
         InputError: if a value is missing or non-finite.
     """
-    if scheme not in SCHEMES:
-        raise InputError(f"unknown ranking scheme {scheme!r}")
-    scored: dict[str, float] = {}
+    scored = []
     for name in alternatives:
         if name not in values:
             raise InputError(f"no value for alternative {name!r}")
         v = float(values[name])
         if not math.isfinite(v):
             raise InputError(f"value for alternative {name!r} is not finite: {v!r}")
-        scored[name] = round(v, decimals) if decimals is not None else v
-
-    multiplicity = Counter(scored.values())
-    position: dict[float, int] = {}
-    better = 0  # alternatives with a strictly higher value
-    for i, v in enumerate(sorted(multiplicity, reverse=True)):
-        position[v] = 1 + (i if scheme == DENSE else better)
-        better += multiplicity[v]
-    return Ranking(alternatives, {name: position[v] for name, v in scored.items()}, scheme=scheme)
+        scored.append(-(round(v, decimals) if decimals is not None else v))
+    labels = _labels(np.array(scored), scheme)
+    return Ranking(alternatives, dict(zip(alternatives.items, labels.tolist())), scheme=scheme)
 
 
 def from_ranks(alternatives: AlternativeSet, ranks: Mapping[str, int], scheme: str = DENSE) -> Ranking:
-    """Relabel a weak order given by any rank numbers (smaller is better) in ``scheme``."""
-    return from_scores(alternatives, {a: -r for a, r in ranks.items()}, scheme=scheme)
+    """Relabel a weak order given by any positive integer ranks (smaller is better) in ``scheme``."""
+    labels = _labels(Ranking(alternatives, ranks).rank_vector(), scheme)
+    return Ranking(alternatives, dict(zip(alternatives.items, labels.tolist())), scheme=scheme)
+
+
+def _levels(keys: np.ndarray) -> np.ndarray:
+    """Dense levels 0..L-1 of each row of a 2-D key array: the smallest key at 0, equal keys at one level."""
+    order = np.argsort(keys, axis=1) + np.arange(len(keys))[:, None] * keys.shape[1]
+    ascending = keys.ravel()[order]
+    steps = np.zeros(keys.shape, dtype=np.int64)
+    steps[:, 1:] = ascending[:, 1:] != ascending[:, :-1]
+    levels = np.empty(keys.size, dtype=np.int64)
+    levels[order] = steps.cumsum(axis=1)
+    return levels.reshape(keys.shape)
+
+
+def _labels(keys: np.ndarray, scheme: str) -> np.ndarray:
+    """The ranks in ``scheme`` of a key vector, a smaller key ranking better."""
+    return 1 + (_levels(keys[None])[0] if scheme == DENSE else np.searchsorted(np.sort(keys), keys))
 
 
 def compare(ranking: Ranking, a: str, b: str) -> Comparison:
@@ -226,10 +245,19 @@ class Profile:
             names.add(crit.name)
             if crit.ranking.alternatives.items != alternatives.items:
                 raise InputError(f"criterion {crit.name!r} is ranked over a different alternative set")
+        _total_weight(self.criteria)
 
     @property
     def total_weight(self) -> int:
-        return sum(c.weight for c in self.criteria)
+        return _total_weight(self.criteria)
 
     def __len__(self) -> int:
         return len(self.criteria)
+
+
+def _total_weight(criteria: Iterable[Criterion]) -> int:
+    """The criteria's summed vote weight, or an InputError past ``MAX_TOTAL_WEIGHT``."""
+    total = sum(c.weight for c in criteria)
+    if total > MAX_TOTAL_WEIGHT:
+        raise InputError(f"total criterion weight {total} exceeds {MAX_TOTAL_WEIGHT}")
+    return total

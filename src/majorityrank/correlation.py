@@ -19,7 +19,8 @@ ranking's s_r = sign(r_x - r_y) and t_r = [r_x = r_y].  Then
 (S S^T)_rq = N+ - N-, (T T^T)_rq = N0 and (T T^T)_rr = n1, so
 U = N - n1 - n2 + N0 = N+ + N- counts the pairs tied in neither ranking and
 N+- = (U +- (S S^T)_rq) / 2.  Each ranking is first relabelled by its dense
-levels 0..L-1, and rankings of one weak order are censused once.  Both
+levels 0..L-1, which come from the one relabelling in ``core``, and
+rankings of one weak order are censused once.  Both
 products run in float32, exact because every block's Gram entry is an
 integer below 2**24; the census is exact for m <= 77,936 (``_census``).
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ranking
+from .core import Ranking, _levels
 from .errors import DegenerateRankingError, InputError
 
 TAU_B = "tau_b"
@@ -91,15 +92,7 @@ def _census(rankings: Sequence[Ranking]) -> tuple[np.ndarray, ...]:
         raise InputError("correlation needs at least two alternatives")
     if m > _CENSUS_MAX_SIZE:
         raise InputError(f"the pair census supports at most {_CENSUS_MAX_SIZE} alternatives, got {m}")
-    ranks = np.stack([ranking.rank_vector() for ranking in rankings])
-    # the dense levels 0..L-1 of each ranking, through flat indices that list each row in rank order
-    order = np.argsort(ranks, axis=1) + np.arange(0, ranks.size, m)[:, None]
-    ascending = ranks.ravel()[order]
-    steps = np.zeros(ranks.shape, dtype=np.float32)
-    steps[:, 1:] = ascending[:, 1:] != ascending[:, :-1]
-    levels = np.empty(ranks.size, dtype=np.float32)
-    levels[order] = steps.cumsum(axis=1)
-    levels = levels.reshape(ranks.shape)
+    levels = _levels(np.stack([ranking.rank_vector() for ranking in rankings])).astype(np.float32)
     # rankings of one weak order share their levels and every count: census each order once
     index: dict[bytes, int] = {}
     inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in levels])

@@ -35,7 +35,7 @@ import numpy as np
 
 from .cip import INDICATORS, IndicatorRecord
 from .copeland import copeland_ranking
-from .core import DENSE, MAX_RANK, AlternativeSet, Criterion, Profile, Ranking
+from .core import DENSE, MAX_RANK, MAX_TOTAL_WEIGHT, AlternativeSet, Criterion, Profile, Ranking
 from .correlation import COINCIDING, TAU_B, correlation_matrix, kendall_tau_b
 from .errors import InputError
 from .majority import _CYCLE_LENGTHS, build_majority, cycle_counts
@@ -85,7 +85,7 @@ def _read_text(path: Path) -> str:
 def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
     """Load a ranks table: one row per country, one column per ranking.
 
-    Every cell must be an integer in 1..2**63 - 1; the first column holds the
+    Every cell must be a decimal integer in 1..2**63 - 1; the first column holds the
     country names.  Dense numbering of each column is checked advisorily
     (a warning, not an error), since published tables keep their own rank
     labels.
@@ -139,10 +139,13 @@ def load_weights(path: str | Path) -> WeightsConfig:
 
     A line whose first non-blank character is '#' is a comment, and so is a
     '#' and what follows it in a weight; a criterion name may contain '#'.
+    A weight is ASCII text without '_' (so an optional sign and digits), and
+    the weights may total at most ``MAX_TOTAL_WEIGHT``.
     """
     path = Path(path)
     names: list[str] = []
     weights: dict[str, int] = {}
+    total = 0
     for line_number, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -157,11 +160,16 @@ def load_weights(path: str | Path) -> WeightsConfig:
         if name in weights:
             raise InputError(f"{path}: line {line_number}: duplicate criterion {name!r}")
         try:
+            if not value.isascii() or "_" in value:  # int() also reads '1_0' and non-ASCII digits
+                raise ValueError(value)
             weight = int(value)
         except ValueError:
             raise InputError(f"{path}: line {line_number}: weight {value!r} is not an integer") from None
         if weight < 1:
             raise InputError(f"{path}: line {line_number}: weight must be positive, got {weight}")
+        total += weight
+        if total > MAX_TOTAL_WEIGHT:
+            raise InputError(f"{path}: line {line_number}: total weight {total} exceeds {MAX_TOTAL_WEIGHT}")
         names.append(name)
         weights[name] = weight
     if not names:
@@ -334,10 +342,14 @@ def _read_simple_csv(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]
 
 
 def _parse_cell(path: Path, row_number: int, column: str, text: str, kind: type[int] | type[float]) -> int | float:
-    """One finite integer or float cell, or an InputError naming where it sits."""
+    """One finite integer or float cell, or an InputError naming where it sits.
+
+    Only ASCII text without '_' is read, so neither digit-group underscores
+    nor non-ASCII digits, which int() and float() accept, pass as numbers.
+    """
     try:
         value = kind(text)
-        if math.isfinite(value):
+        if text.isascii() and "_" not in text and math.isfinite(value):
             return value
     except ValueError:
         pass

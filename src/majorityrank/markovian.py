@@ -8,8 +8,11 @@ challenger that beats or ties it, challengers being drawn uniformly.  The
 transition matrix is column-stochastic and, thanks to the league pre-sort,
 irreducible; members are ordered by decreasing stationary probability.
 
-Stationary vectors are exact fractions, so genuinely equal probabilities
-tie and distinct ones never collapse, no matter how small their gap.  The
+Stationary vectors are exact: integer numerators over one common
+denominator, so genuinely equal probabilities tie and distinct ones never
+collapse, no matter how small their gap.  Within a league, ranking by
+decreasing probability is ranking by decreasing numerator, so members are
+ranked on those integers by ``core``'s relabelling, never on fractions.  The
 fixed point solves an integer system, found by Dixon's p-adic lifting
 (Numer. Math. 40, 1982) modulo a prime p just below 2**21 and rebuilt by
 rational reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 16, 1982)
@@ -25,12 +28,11 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from types import MappingProxyType
 
 import numpy as np
 
-from .core import DENSE, Ranking, from_ranks
+from .core import DENSE, Ranking, _levels, from_ranks
 from .errors import InputError, NumericalError, SingletonLeagueError, SizeLimitError
 from .majority import MajorityStructure
 from .solutions import WTC, sort_by_solution
@@ -91,16 +93,18 @@ class TransitionMatrix:
 
 @dataclass(frozen=True)
 class StationaryVector:
-    """Exact stationary distribution of a league chain."""
+    """Exact stationary distribution of a league chain: member i has probability numerators[i] / denominator."""
 
     members: tuple[str, ...]
-    probabilities: Mapping[str, Fraction]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probabilities", MappingProxyType(dict(self.probabilities)))
+    @property
+    def probabilities(self) -> Mapping[str, Fraction]:
+        return MappingProxyType({name: Fraction(n, self.denominator) for name, n in zip(self.members, self.numerators)})
 
     def as_floats(self) -> np.ndarray:
-        return np.array([float(self.probabilities[name]) for name in self.members])
+        return np.array([n / self.denominator for n in self.numerators])
 
 
 def leagues(ms: MajorityStructure) -> LeaguePartition:
@@ -175,8 +179,7 @@ def stationary(tm: TransitionMatrix) -> StationaryVector:
         numerators.append(numerator)
     if min(numerators) < 0 or sum(numerators) != denominator:
         raise NumericalError("stationary solve produced an invalid distribution")
-    probabilities = {name: Fraction(n, denominator) for name, n in zip(tm.members, numerators)}
-    return StationaryVector(members=tm.members, probabilities=probabilities)
+    return StationaryVector(members=tm.members, numerators=tuple(numerators), denominator=denominator)
 
 
 def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray | None:
@@ -274,13 +277,12 @@ def markovian_ranking(ms: MajorityStructure, scheme: str = DENSE) -> Ranking:
     Exactly equal probabilities within a league share a rank; all members
     of league k rank above all members of league k+1.
     """
-    keys: dict[str, tuple[int, Fraction | int]] = {}  # (league number, -probability), exact
+    ranks: dict[str, int] = {}  # 1 + league number * len(ms) + the level of -numerator in the league
     for number, league in enumerate(leagues(ms).leagues):
         if len(league) == 1:
-            keys[next(iter(league))] = (number, -1)
+            ranks[next(iter(league))] = 1 + number * len(ms)
             continue
         vector = stationary(transition_matrix(ms, league))
-        keys.update((name, (number, -p)) for name, p in vector.probabilities.items())
-    order = groupby(sorted(keys, key=keys.__getitem__), key=keys.__getitem__)
-    ranks = {name: rank for rank, (_, names) in enumerate(order, start=1) for name in names}
+        levels = _levels(np.array([[-n for n in vector.numerators]], dtype=object))[0]
+        ranks.update(zip(vector.members, (1 + number * len(ms) + levels).tolist()))
     return from_ranks(ms.alternatives, ranks, scheme=scheme)

@@ -9,7 +9,9 @@ candidates and criteria, so a tie means exact equality of the measure
 values, never floating-point coincidence: N+ + N0 for the coinciding
 share and, for tau_b = a/sqrt(d) with a = N+ - N- and d = (N - n1)(N - n2),
 the fraction a|a|/d in Python integers, which orders and ties exactly as
-tau-b does because t -> t|t| is strictly increasing.
+tau-b does because t -> t|t| is strictly increasing.  Each criterion's keys
+are ranked once to int levels by ``core``'s relabelling (n log n exact
+comparisons per criterion), and the pairwise comparisons use those levels.
 
 The resulting majority digraph is generally only a partial order, and is
 condensed into a weak order over the candidates: pairs whose relative
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import COMPETITION, AlternativeSet, Criterion, Ranking, from_ranks
+from .core import COMPETITION, AlternativeSet, Criterion, Ranking, _levels, _total_weight, from_ranks
 from .correlation import COINCIDING, MEASURES, TAU_B, _census, _measure_values
 from .errors import DegenerateRankingError, InputError, SizeLimitError
 
@@ -110,6 +112,7 @@ def rankings_majority(
         raise InputError("candidate names must be unique")
     if not criteria:
         raise InputError("a meta-comparison needs at least one criterion")
+    _total_weight(criteria)
     n = len(pairs)
     total, concordant, discordant, ties_first, ties_second, ties_both = (
         counts[:n, n:] for counts in _census([*(r for _, r in pairs), *(c.ranking for c in criteria)])
@@ -125,8 +128,9 @@ def rankings_majority(
         keys = np.frompyfunc(Fraction, 2, 1)(score * abs(score), np.maximum(norm, 1).astype(object))
     else:
         raise InputError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    levels = _levels(keys.T).T  # each criterion's keys as int levels: comparisons of ints, in key order
     weights = np.array([c.weight for c in criteria], dtype=np.int64)
-    wins = (keys[:, None, :] > keys[None, :, :]).astype(np.int64) @ weights
+    wins = (levels[:, None, :] > levels[None, :, :]).astype(np.int64) @ weights
     majority = wins > wins.T
     return MetaComparison(candidates=names, majority=majority, wins=wins, measure=measure)
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from majorityrank import (
+    DENSE,
     AlternativeSet,
     Criterion,
     DegenerateRankingError,
@@ -371,3 +372,11 @@ def system_determinant(tm: TransitionMatrix) -> int:
             factor = rows[r][col] / rows[col][col]
             rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return int(det)
+
+
+def brute_labels(keys: list, scheme: str) -> list[int]:
+    """Ranks of keys, a smaller key ranking better: dense is 1 + the number of
+    distinct strictly smaller keys, competition 1 + the number of strictly smaller keys."""
+    if scheme == DENSE:
+        return [1 + len({k for k in keys if k < key}) for key in keys]
+    return [1 + sum(k < key for k in keys) for key in keys]

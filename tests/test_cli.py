@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io as stdio
 import shutil
 import subprocess
@@ -129,6 +130,28 @@ def test_correlate_rank_beyond_int64_is_input_error(tmp_path, capsys):
     assert out == ""
     error = capsys.readouterr().err
     assert error == f"error: {table}: rank 99999999999999999999 is above {2 ** 63 - 1} (row 3, col c2)\n"
+
+
+@pytest.mark.parametrize("weights, line", [
+    (f"c1 = {2 ** 62}\nc2 = {2 ** 62}\nc3 = 1\n", 2),
+    ("c1 = 1\nc2 = 1\nc3 = 100000000000000000000000\n", 3),
+], ids=["sum-past-int64", "one-weight-past-int64"])
+def test_rank_total_weight_past_int64_is_input_error(tmp_path, capsys, weights, line):
+    table, config = write_toy_table(tmp_path)
+    config.write_text(weights, encoding="utf-8")
+    code, out = run_main("rank", str(table), "--weights", str(config), "--method", "copeland1")
+    assert code == 2
+    assert out == ""
+    error = capsys.readouterr().err
+    assert error.startswith(f"error: {config}: line {line}: total weight ") and f"exceeds {2 ** 63 - 1}" in error
+
+
+def test_rank_weights_reject_underscore_digits(tmp_path, capsys):
+    table, config = write_toy_table(tmp_path)
+    config.write_text("c1 = 1\nc2 = 1_0\nc3 = 1\n", encoding="utf-8")
+    code, out = run_main("rank", str(table), "--weights", str(config), "--method", "copeland1")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {config}: line 2: weight '1_0' is not an integer\n"
 
 
 def test_analyze_size_error_writes_no_file(tmp_path, monkeypatch, capsys):
@@ -336,8 +359,13 @@ def test_reproduce_checks_label_sets_before_computing(tmp_path, capsys, monkeypa
     ("table1_cycles.csv", lambda text: text.replace("5,", "6,", 1), "cycle length 6 is not one of", "(row 4, col k)"),
     ("table3_taub.csv", lambda text: text.replace("0.767", "0.7x67", 1), "'0.7x67' is not a finite number",
      "(row 2, col MXpc)"),
+    ("table1_cycles.csv", lambda text: text.replace("5928", "5_928", 1), "'5_928' is not an integer",
+     "(row 3, col cycles)"),
+    ("table5_meta.csv", lambda text: text.replace("MVApc,10,", "MVApc,\u0661\u0660,", 1),
+     "'\u0661\u0660' is not an integer", "(row 2, col tau_b_rank)"),
     ("table6_aggregates.csv", lambda text: text.replace(",UC,", ",UCx,", 1), "no UC column", "(row 1)"),
-], ids=["empty-cycles", "bad-cycle-length", "non-numeric-taub", "missing-aggregate"])
+], ids=["empty-cycles", "bad-cycle-length", "non-numeric-taub", "underscore-count", "non-ascii-meta-rank",
+        "missing-aggregate"])
 def test_reproduce_rejects_malformed_reference(tmp_path, capsys, filename, edit, problem, where):
     fixtures = tmp_path / "fixtures"
     shutil.copytree(bundled_fixtures_dir(), fixtures)
@@ -398,3 +426,53 @@ def test_console_entry_point_runs_in_subprocess():
     )
     assert result.returncode == 0
     assert "overall: PASS" in result.stdout
+
+
+# sha256 of the stdout of every study run; a rank output's labels, not only its weak order, are pinned
+STUDY_DIGESTS = {
+    ("rank", "--method", "copeland1", "--scheme", "dense"):
+        "9e24fdae9bac31a96d60518065738d806c6e6c18b2470744cf9ebb48f5e7bdfb",
+    ("rank", "--method", "copeland1", "--scheme", "competition"):
+        "41fe4c92ac59e7863df97e4fd282e151965ebc6229c34502b6e9037fb3246122",
+    ("rank", "--method", "copeland2", "--scheme", "dense"):
+        "c69aa22850bf8bb15f0cb6f5bb564400e3f7d3d21c7c5a7e0560619b478fe229",
+    ("rank", "--method", "copeland2", "--scheme", "competition"):
+        "e9386a1277a4f4537ac2efd83022ff2b1c1edef51dff17cb170d79d2215b3d35",
+    ("rank", "--method", "copeland3", "--scheme", "dense"):
+        "ca05f772fe28f5e4b288d90d09f6b06d871e7dc468fb317c9222718f6bf72963",
+    ("rank", "--method", "copeland3", "--scheme", "competition"):
+        "bf1db74f98563a5bf5ca672e90eba43bb98198ad09ad717e624a297a95977b15",
+    ("rank", "--method", "uc-sort", "--scheme", "dense"):
+        "0bfcbf72a17dfcbdc350cd11a0e2577884d032722565925c9acb684046109534",
+    ("rank", "--method", "uc-sort", "--scheme", "competition"):
+        "b2824517661331cd5a9fa4c98e084a1d0d0a698074cf2795ae7721f9cc5dff11",
+    ("rank", "--method", "mes-sort", "--scheme", "dense"):
+        "952b853e1e3e778125b337024beb849974e57f68d809097ba63dbe1fa21bbc42",
+    ("rank", "--method", "mes-sort", "--scheme", "competition"):
+        "6f3f205dfbb2547f7ac09809248387546614d55e72ffb0bce86152fcd5db2bbd",
+    ("rank", "--method", "wtc-sort", "--scheme", "dense"):
+        "c16f7017a307e8ea4e83ff9412809b565079681a099ea685b3dd031713754ea4",
+    ("rank", "--method", "wtc-sort", "--scheme", "competition"):
+        "c16f7017a307e8ea4e83ff9412809b565079681a099ea685b3dd031713754ea4",
+    ("rank", "--method", "markovian", "--scheme", "dense"):
+        "fd073157e70928fdd8d31906a2c856118eb659a5dd8c5a100fbfcaa476c4d3e9",
+    ("rank", "--method", "markovian", "--scheme", "competition"):
+        "fd073157e70928fdd8d31906a2c856118eb659a5dd8c5a100fbfcaa476c4d3e9",
+    ("correlate", "--measure", "tau-b"):
+        "cb9ece8c0dc48493678819691f76b8d8c4a3b304d743e351d33e98734bf4fc33",
+    ("correlate", "--measure", "coinciding"):
+        "005fb756774fd9f5061c91eadc1ec6d20fb877d9aa3161515aef2036264c442c",
+    ("metarank", "--measure", "tau-b"):
+        "eedfa7af95af5f5226c6bae0a820fb267d662ef589deac906e023f5365bde068",
+    ("metarank", "--measure", "coinciding"):
+        "f87e8eb5ff5df96b52c7d3d447b32aea467cdaeca20c2f2b188be96169925658",
+}
+
+
+def test_study_outputs_keep_their_digests():
+    assert {argv[0] for argv in STUDY_DIGESTS} == {"rank", "correlate", "metarank"}
+    assert len(STUDY_DIGESTS) == len(METHODS) * len(SCHEMES) + 4
+    for argv, digest in STUDY_DIGESTS.items():
+        code, out = run_main(argv[0], CRITERIA_CSV, *argv[1:])
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv

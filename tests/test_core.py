@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from majorityrank import (
@@ -9,9 +11,13 @@ from majorityrank import (
     InputError,
     Profile,
     Ranking,
+    build_majority,
     compare,
     from_scores,
+    rankings_majority,
 )
+from majorityrank.core import MAX_TOTAL_WEIGHT, SCHEMES, _labels, from_ranks
+from oracles import brute_labels
 
 ABC = AlternativeSet(("a", "b", "c"))
 
@@ -114,3 +120,77 @@ def test_criterion_and_profile_validation():
         Profile(ABC, [Criterion("c1", 1, ranking), Criterion("c2", 1, other)])
     profile = Profile(ABC, [Criterion("c1", 2, ranking), Criterion("c2", 1, ranking)])
     assert profile.total_weight == 3
+
+
+def test_ranks_above_two_to_the_53_stay_distinct():
+    names = AlternativeSet(("a", "b", "c", "d"))
+    big = {"a": 2 ** 60, "b": 2 ** 60 + 1, "c": 2 ** 53 + 1, "d": 2 ** 63 - 1}
+    expected = {"a": 2, "b": 3, "c": 1, "d": 4}  # four distinct ranks: dense and competition agree
+    ranking = Ranking(names, big)
+    assert ranking.to_dense().ranks == expected
+    assert ranking.to_competition().ranks == expected
+    for scheme in SCHEMES:
+        assert from_ranks(names, big, scheme=scheme).ranks == expected
+        assert not Ranking(names, big, scheme=scheme).conforms_to_scheme()
+        assert Ranking(names, expected, scheme=scheme).conforms_to_scheme()
+
+
+def test_rank_vector_is_read_only():
+    vector = Ranking(ABC, {"a": 1, "b": 2, "c": 2}).rank_vector()
+    with pytest.raises(ValueError):
+        vector[0] = 3
+
+
+def test_from_ranks_rejects_a_missing_alternative_and_a_non_integer_rank():
+    with pytest.raises(InputError, match="'c'"):
+        from_ranks(ABC, {"a": 1, "b": 2})
+    with pytest.raises(InputError, match="positive integer"):
+        from_ranks(ABC, {"a": 1, "b": 2.5, "c": 3})
+
+
+def _tied_draws(rng, pool, m):
+    """m draws from a small pool, so that most vectors hold ties."""
+    return [rng.choice(pool) for _ in range(m)]
+
+
+def test_labels_match_the_definitional_oracle():
+    rng = random.Random(5)
+    floats = [-0.0, 0.0, 1.5, -2.25, 1e300, -1e-300, 3.0, 2.0 ** 60, 2.0 ** 60 + 2 ** 8]
+    near_int64 = [2 ** 63 - 1, 2 ** 63 - 2, 2 ** 62, 2 ** 53 + 1, 2 ** 53, 1, 2, 3]
+    big = [2 ** 100, 2 ** 100 + 1, -(2 ** 100), 7, 0, 10 ** 40, Fraction(1, 3), Fraction(2, 6)]
+    for _ in range(200):
+        m = rng.randint(1, 9)
+        names = AlternativeSet(tuple(f"v{i}" for i in range(m)))
+        for scheme in SCHEMES:
+            scores = _tied_draws(rng, floats, m)
+            assert list(from_scores(names, dict(zip(names, scores)), scheme=scheme).ranks.values()) == \
+                brute_labels([-v for v in scores], scheme)
+            ranks = _tied_draws(rng, near_int64, m)
+            assert list(from_ranks(names, dict(zip(names, ranks)), scheme=scheme).ranks.values()) == \
+                brute_labels(ranks, scheme)
+            for labels in (ranks, brute_labels(ranks, scheme)):  # a draw, and its conforming relabelling
+                conforms = Ranking(names, dict(zip(names, labels)), scheme=scheme).conforms_to_scheme()
+                assert conforms == (labels == brute_labels(labels, scheme))
+            keys = _tied_draws(rng, big, m)
+            assert _labels(np.array(keys, dtype=object), scheme).tolist() == brute_labels(keys, scheme)
+
+
+def _bound_profile(second_weight):
+    names = AlternativeSet(("a", "b", "c"))
+    return [Criterion("c1", 2 ** 62, Ranking(names, {"a": 1, "b": 2, "c": 3})),
+            Criterion("c2", second_weight, Ranking(names, {"a": 3, "b": 1, "c": 2}))]
+
+
+def test_total_weight_is_bounded_by_the_int64_vote_accumulator():
+    criteria = _bound_profile(2 ** 62 - 1)  # total weight exactly MAX_TOTAL_WEIGHT
+    profile = Profile(criteria[0].ranking.alternatives, criteria)
+    assert profile.total_weight == MAX_TOTAL_WEIGHT
+    structure = build_majority(profile)
+    assert structure.beats.tolist() == [[False, True, True], [False, False, True], [False, False, False]]
+    assert rankings_majority({"x": criteria[0].ranking, "y": criteria[1].ranking}, criteria).wins.tolist() == \
+        [[0, 2 ** 62], [2 ** 62 - 1, 0]]
+    over = _bound_profile(2 ** 62)
+    with pytest.raises(InputError, match=f"total criterion weight {2 ** 63} exceeds {MAX_TOTAL_WEIGHT}"):
+        Profile(over[0].ranking.alternatives, over)
+    with pytest.raises(InputError, match="exceeds"):
+        rankings_majority({"x": over[0].ranking, "y": over[1].ranking}, over)

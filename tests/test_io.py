@@ -56,6 +56,14 @@ def test_loader_rejects_a_rank_beyond_int64(tmp_path):
         load_ranks(path)
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\u0661", "+\u0661", "1 0"])
+def test_loader_rejects_non_decimal_integer_cells(tmp_path, cell):
+    path = write(tmp_path, "digits.csv", f"country,c1\na,2\nb,{cell}\n")
+    with pytest.raises(InputError) as excinfo:
+        load_ranks(path)
+    assert str(excinfo.value) == f"{path}: {cell!r} is not an integer (row 3, col c1)"
+
+
 def test_loader_rejects_incomplete_rows(tmp_path):
     path = write(tmp_path, "short.csv", "country,c1,c2\na,1\n")
     with pytest.raises(InputError, match="row 2"):
@@ -101,6 +109,23 @@ def test_weights_validation(tmp_path):
         load_weights(write(tmp_path, "w2.cfg", "a = 1\na = 2\n"))
     with pytest.raises(InputError, match="no weights"):
         load_weights(write(tmp_path, "w3.cfg", "# nothing\n"))
+    assert load_weights(write(tmp_path, "w4.cfg", "a = +3\n")).weights == {"a": 3}
+
+
+@pytest.mark.parametrize("weight", ["1_0", "\u0661", "0x10"])
+def test_weights_reject_non_decimal_text(tmp_path, weight):
+    path = write(tmp_path, "w.cfg", f"c1 = 1\nc2 = {weight}\n")
+    with pytest.raises(InputError) as excinfo:
+        load_weights(path)
+    assert str(excinfo.value) == f"{path}: line 2: weight {weight!r} is not an integer"
+
+
+def test_weights_total_is_bounded(tmp_path):
+    path = write(tmp_path, "w.cfg", f"# huge\na = {2 ** 62}\nb = {2 ** 62 - 1}\nc = 1\n")
+    with pytest.raises(InputError) as excinfo:
+        load_weights(path)
+    assert str(excinfo.value) == f"{path}: line 4: total weight {2 ** 63} exceeds {2 ** 63 - 1}"
+    assert load_weights(write(tmp_path, "w1.cfg", f"a = {2 ** 62}\nb = {2 ** 62 - 1}\n")).total_weight == 2 ** 63 - 1
 
 
 def test_build_profile_requires_weights(tmp_path):
@@ -168,10 +193,12 @@ INDICATOR_HEADER = "country,MVApc,MXpc,MHVAsh,MVAsh,MHXsh,MXsh,ImWMVA,ImWMT\n"
 @pytest.mark.parametrize("rows, problem", [
     ("A,1,1,0.1,0.1,0.1,0.1,-0.5,0.1\n", "ImWMVA -0.5 is negative (row 2, col ImWMVA)"),
     ("A,1,1,0.1,0.1,0.1,0.1,nan,0.1\n", "'nan' is not a finite number (row 2, col ImWMVA)"),
+    ("A,1,1,0.1,0.1,0.1,0.1,1_0.5,0.1\n", "'1_0.5' is not a finite number (row 2, col ImWMVA)"),
+    ("A,1,1,0.1,0.1,0.1,0.1,0.1,\u0661\n", "'\u0661' is not a finite number (row 2, col ImWMT)"),
     ("A,1,1,0.1,0.1,0.1,0.1,0.1,0.1\n,1,1,0.1,0.1,0.1,0.1,0.1,0.1\n", "empty country name (row 3, col country)"),
     ("A,1,1,0.1,0.1,0.1,0.1,0.1,0.1\nA,2,1,0.1,0.1,0.1,0.1,0.1,0.1\n", "duplicate country 'A' (row 3, col country)"),
     ("A,1,1,0.1,0.1,0.1,0.1,0.1\n", "row 2 has 8 cells, expected 9 (row 2, col ImWMT)"),
-], ids=["negative", "nan", "empty-country", "duplicate-country", "short-row"])
+], ids=["negative", "nan", "underscore", "non-ascii-digit", "empty-country", "duplicate-country", "short-row"])
 def test_indicator_errors_name_file_row_and_column(tmp_path, rows, problem):
     path = write(tmp_path, "indicators.csv", INDICATOR_HEADER + rows)
     with pytest.raises(InputError) as excinfo:
