@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .core import DENSE, AlternativeSet, Ranking, from_scores
 from .errors import InputError
@@ -38,13 +38,11 @@ class IndicatorRecord:
     def __post_init__(self) -> None:
         if not self.country:
             raise InputError("country name must not be empty")
-        for field_ in fields(self):
-            if field_.name == "country":
-                continue
-            value = float(getattr(self, field_.name))
+        for name in INDICATORS:
+            value = float(getattr(self, name))
             if not math.isfinite(value) or value < 0:
-                raise InputError(f"{field_.name} of {self.country!r} must be a finite non-negative number")
-            object.__setattr__(self, field_.name, value)
+                raise InputError(f"{name} of {self.country!r} must be a finite non-negative number")
+            object.__setattr__(self, name, value)
         for name in _SHARE_INDICATORS:
             value = getattr(self, name)
             if value > 1.0:
@@ -69,11 +67,5 @@ def cip_index(record: IndicatorRecord) -> float:
 def cip_ranking(records: Iterable[IndicatorRecord] | Sequence[IndicatorRecord], scheme: str = DENSE) -> Ranking:
     """Rank countries by decreasing index value; equal products tie."""
     records = list(records)
-    if not records:
-        raise InputError("need at least one indicator record")
-    names = [r.country for r in records]
-    if len(set(names)) != len(names):
-        duplicates = sorted({n for n in names if names.count(n) > 1})
-        raise InputError(f"duplicate countries: {duplicates}")
-    alternatives = AlternativeSet(names)
+    alternatives = AlternativeSet(r.country for r in records)
     return from_scores(alternatives, {r.country: cip_index(r) for r in records}, scheme=scheme)

@@ -48,9 +48,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     labels = structure.alternatives.items
     mio.write_labeled_matrix(outdir / "M.csv", labels, structure.beats.astype(int))
     mio.write_labeled_matrix(outdir / "T.csv", labels, structure.ties.astype(int))
-    with mio.csv_writer(outdir / "cycles.csv") as writer:
-        writer.writerow(["k", "cycles"])
-        writer.writerows(counts.items())
+    mio.write_table(outdir / "cycles.csv", ["k", "cycles"], counts.items())
     return 0
 
 
@@ -78,12 +76,9 @@ def cmd_metarank(args: argparse.Namespace) -> int:
     alternatives, rankings, profile = mio.load_profile(args.ranks_csv, args.weights)
     candidates = dict(rankings)
     for extra in args.candidates or ():
-        extra_alternatives, extra_rankings = mio.load_ranks(extra)
-        if extra_alternatives.items != alternatives.items:
-            raise InputError(f"{extra}: candidate table covers a different alternative set")
-        for name, ranking in extra_rankings.items():
+        for name, ranking in mio.load_aligned_ranks(extra, args.ranks_csv, alternatives).items():
             if name in candidates:
-                raise InputError(f"duplicate candidate column {name!r}")
+                raise InputError(f"{extra}: duplicate candidate column {name!r} (row 1, col {name})")
             candidates[name] = ranking
     measure = MEASURE_FLAGS[args.measure]
     comparison = rankings_majority(candidates, list(profile.criteria), measure)
@@ -91,22 +86,18 @@ def cmd_metarank(args: argparse.Namespace) -> int:
     if args.emit_dot:
         with Path(args.emit_dot).open("w", encoding="utf-8") as handle:
             _write_dot(handle, comparison)
-    with mio.csv_writer(args.output) as writer:
-        writer.writerow(["candidate", "rank", *(f"wins_vs_{name}" for name in comparison.candidates)])
-        order = sorted(comparison.candidates, key=lambda name: (weak_order.ranks[name], name))
-        for name in order:
-            i = comparison.candidates.index(name)
-            writer.writerow([name, weak_order.ranks[name], *(int(w) for w in comparison.wins[i])])
+    wins = dict(zip(comparison.candidates, comparison.wins.tolist()))
+    order = sorted(comparison.candidates, key=lambda name: (weak_order.ranks[name], name))
+    mio.write_table(args.output, ["candidate", "rank", *(f"wins_vs_{name}" for name in comparison.candidates)],
+                    ([name, weak_order.ranks[name], *wins[name]] for name in order))
     return 0
 
 
 def cmd_cip(args: argparse.Namespace) -> int:
     records = mio.load_indicators(args.indicators_csv)
     ranking = cip_ranking(records, scheme=args.scheme)
-    with mio.csv_writer(args.output) as writer:
-        writer.writerow(["country", "index", "rank"])
-        for record in records:
-            writer.writerow([record.country, f"{cip_index(record):.6g}", ranking.ranks[record.country]])
+    mio.write_table(args.output, ["country", "index", "rank"],
+                    ([record.country, f"{cip_index(record):.6g}", ranking.ranks[record.country]] for record in records))
     return 0
 
 

@@ -111,12 +111,17 @@ class Ranking:
             missing = set(self.alternatives.items) - set(ranks)
             extra = set(ranks) - set(self.alternatives.items)
             raise InputError(f"ranking does not match alternative set (missing {sorted(missing)}, extra {sorted(extra)})")
-        for name, rank in ranks.items():
-            if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool) or rank < 1:
-                raise InputError(f"rank of {name!r} must be a positive integer, got {rank!r}")
-            if rank > MAX_RANK:
-                raise InputError(f"rank of {name!r} must be at most {MAX_RANK}, got {rank!r}")
-        vector = np.array([ranks[a] for a in self.alternatives], dtype=np.int64)
+        values = [ranks[a] for a in self.alternatives]
+        # one type check per distinct type, so that a str never reaches min; the loop only words the error
+        integral = all(issubclass(kind, (int, np.integer)) and not issubclass(kind, (bool, np.bool_))
+                       for kind in set(map(type, values)))
+        if not integral or min(values) < 1 or max(values) > MAX_RANK:
+            for name, rank in ranks.items():
+                if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool) or rank < 1:
+                    raise InputError(f"rank of {name!r} must be a positive integer, got {rank!r}")
+                if rank > MAX_RANK:
+                    raise InputError(f"rank of {name!r} must be at most {MAX_RANK}, got {rank!r}")
+        vector = np.array(values, dtype=np.int64)
         vector.setflags(write=False)
         object.__setattr__(self, "_vector", vector)
         object.__setattr__(self, "ranks", MappingProxyType(dict(zip(self.alternatives.items, vector.tolist()))))

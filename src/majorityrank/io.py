@@ -10,20 +10,22 @@ references, and the canonical criterion vote weights.
 command offers its keys, and ``run_reproduce`` checks the methods that
 have a published column against ``table6_aggregates``.
 
-All tabular data is CSV with a header row, UTF-8.  Loaders reject
-incomplete or malformed rows with row/column coordinates; they never
-impute.
+All tabular data is CSV with a header row, UTF-8, and this module owns
+that boundary.  Loaders reject incomplete or malformed rows with
+row/column coordinates; they never impute.  Every labelled table's row
+labels pass ``_row_labels``, every second ranks table must list the
+criteria table's countries in order (``load_aligned_ranks``), and every
+command writes its tables through ``write_table``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import sys
 import time
 import warnings
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from io import StringIO
@@ -97,7 +99,7 @@ def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
     columns = header[1:]
     if len(set(columns)) != len(columns):
         raise InputError(f"{path}: duplicate column names")
-    countries = _countries(path, header[0], [(row_number, row[0]) for row_number, row in rows])
+    countries = _row_labels(path, header, rows)
     ranks: dict[str, dict[str, int]] = {name: {} for name in columns}
     for (row_number, row), country in zip(rows, countries):
         for column, text in zip(columns, row[1:]):
@@ -204,32 +206,36 @@ def load_profile(
     return alternatives, rankings, build_profile(alternatives, rankings, weights)
 
 
-@contextlib.contextmanager
-def csv_writer(destination: str | Path | TextIO | None) -> Iterator:
-    """A CSV writer on stdout (``None`` or ``-``), an open handle, or a path opened here and closed on exit."""
+def load_aligned_ranks(path: str | Path, reference: str | Path, alternatives: AlternativeSet) -> dict[str, Ranking]:
+    """The columns of a second ranks table, which must list ``reference``'s countries in the same order."""
+    path = Path(path)
+    found, rankings = load_ranks(path)
+    _check_labels(path, f"countries differ from {reference}", found, alternatives)
+    if found.items != alternatives.items:
+        raise InputError(f"{path}: countries are listed in a different order from {reference}")
+    return rankings
+
+
+def write_table(destination: str | Path | TextIO | None, header: Iterable, rows: Iterable[Iterable]) -> None:
+    """Write a header and rows as CSV to stdout (``None`` or ``-``), an open handle, or a path opened and closed here."""
     if destination is None or destination == "-":
         destination = sys.stdout
-    if isinstance(destination, (str, Path)):
+    elif isinstance(destination, (str, Path)):
         with Path(destination).open("w", encoding="utf-8", newline="") as handle:
-            yield csv.writer(handle, lineterminator="\n")
-    else:
-        yield csv.writer(destination, lineterminator="\n")
+            return write_table(handle, header, rows)
+    writer = csv.writer(destination, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def save_ranking(destination: str | Path | TextIO | None, ranking: Ranking, label: str = "country") -> None:
     """Write a ranking as a two-column CSV in alternative-set order."""
-    with csv_writer(destination) as writer:
-        writer.writerow([label, "rank"])
-        for name in ranking.alternatives:
-            writer.writerow([name, ranking.ranks[name]])
+    write_table(destination, [label, "rank"], ranking.ranks.items())
 
 
 def write_labeled_matrix(destination: str | Path | TextIO | None, labels: tuple[str, ...], values, fmt=str) -> None:
-    """Write a labelled square matrix as CSV (first column and row carry labels)."""
-    with csv_writer(destination) as writer:
-        writer.writerow(["", *labels])
-        for i, row_label in enumerate(labels):
-            writer.writerow([row_label, *(fmt(values[i][j]) for j in range(len(labels)))])
+    """Write a labelled square numpy matrix as CSV (first column and row carry labels), one row at a time."""
+    write_table(destination, ["", *labels], ([label, *map(fmt, row.tolist())] for label, row in zip(labels, values)))
 
 
 def load_indicators(path: str | Path) -> list[IndicatorRecord]:
@@ -239,8 +245,7 @@ def load_indicators(path: str | Path) -> list[IndicatorRecord]:
     missing = [c for c in ("country", *INDICATORS) if c not in header]
     if missing:
         raise InputError(f"{path}: missing columns {missing}")
-    column = header.index("country")
-    countries = _countries(path, "country", [(row_number, row[column]) for row_number, row in rows])
+    countries = _row_labels(path, header, rows, header.index("country"))
     records = []
     for (row_number, row), country in zip(rows, countries):
         cells = dict(zip(header, row))
@@ -252,18 +257,21 @@ def load_indicators(path: str | Path) -> list[IndicatorRecord]:
     return records
 
 
-def _countries(path: Path, column: str, names: list[tuple[int, str]]) -> list[str]:
-    """The country names of numbered rows, each non-empty and unique, or an InputError naming the row."""
-    if not names:
+def _row_labels(path: Path, header: list[str], rows: list[tuple[int, list[str]]], index: int = 0) -> list[str]:
+    """Column ``index`` of numbered rows, each label non-empty and unique, or an InputError naming it by its header."""
+    if not rows:
         raise InputError(f"{path}: no data rows")
+    column = header[index]
+    noun = column or "label"  # a matrix written by write_labeled_matrix leaves its corner cell empty
     seen: set[str] = set()
-    for row_number, country in names:
-        if not country:
-            raise InputError(f"{path}: empty country name (row {row_number}, col {column})")
-        if country in seen:
-            raise InputError(f"{path}: duplicate country {country!r} (row {row_number}, col {column})")
-        seen.add(country)
-    return [country for _, country in names]
+    for row_number, row in rows:
+        label = row[index]
+        if not label:
+            raise InputError(f"{path}: empty {noun} name (row {row_number}, col {column})")
+        if label in seen:
+            raise InputError(f"{path}: duplicate {noun} {label!r} (row {row_number}, col {column})")
+        seen.add(label)
+    return [row[index] for _, row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -357,27 +365,32 @@ def _parse_cell(path: Path, row_number: int, column: str, text: str, kind: type[
     raise InputError(f"{path}: {text!r} is not {noun} (row {row_number}, col {column})")
 
 
-def _load_reference_cycles(path: Path) -> list[tuple[int, int]]:
-    """Published cycle counts as (k, count) pairs."""
+def _load_reference_cycles(path: Path) -> dict[int, int]:
+    """Published cycle counts by length, one row for each of ``_CYCLE_LENGTHS``."""
     header, rows = _read_simple_csv(path)
     if len(header) != 2:
         raise InputError(f"{path}: header must have 2 columns (k, cycles), got {len(header)}")
-    cycles = []
+    cycles: dict[int, int] = {}
     for number, row in rows:
         k, count = (_parse_cell(path, number, column, text, int) for column, text in zip(header, row))
         if k not in _CYCLE_LENGTHS:
             raise InputError(f"{path}: cycle length {k} is not one of {_CYCLE_LENGTHS} (row {number}, col {header[0]})")
-        cycles.append((k, count))
+        if k in cycles:
+            raise InputError(f"{path}: cycle length {k} is given twice (row {number}, col {header[0]})")
+        cycles[k] = count
+    missing = [k for k in _CYCLE_LENGTHS if k not in cycles]
+    if missing:
+        raise InputError(f"{path}: no count for cycle lengths {missing}")
     return cycles
 
 
 def _load_reference_matrix(path: Path) -> tuple[list[str], list[list[float]]]:
     header, rows = _read_simple_csv(path)
     labels = header[1:]
+    if _row_labels(path, header, rows) != labels:
+        raise InputError(f"{path}: row labels must match column labels")
     values = [[_parse_cell(path, number, column, text, float) for column, text in zip(labels, row[1:])]
               for number, row in rows]
-    if [row[0] for _, row in rows] != labels:
-        raise InputError(f"{path}: row labels must match column labels")
     return labels, values
 
 
@@ -394,12 +407,11 @@ def _load_reference_meta(path: Path) -> dict[str, tuple[int, int, str]]:
     header, rows = _read_simple_csv(path)
     if tuple(header) != META_COLUMNS:
         raise InputError(f"{path}: header must be {','.join(META_COLUMNS)}")
+    _row_labels(path, header, rows)
     meta: dict[str, tuple[int, int, str]] = {}
     data_rows: dict[str, int] = {}
     for row_number, row in rows:
         label, tau_text, r_text, data = row
-        if label in meta:
-            raise InputError(f"{path}: duplicate ranking {label!r} (row {row_number}, col ranking)")
         ranks = [_parse_cell(path, row_number, column, text, int)
                  for column, text in zip(META_COLUMNS[1:3], (tau_text, r_text))]
         if data in data_rows:
@@ -439,10 +451,7 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     # every reference is read and validated before any computation
     reference_cycles = _load_reference_cycles(_fixture(fixtures, "table1_cycles.csv"))
     aggregates_path = _fixture(fixtures, "table6_aggregates.csv")
-    agg_alternatives, published_aggregates = load_ranks(aggregates_path)
-    _check_labels(aggregates_path, f"countries differ from {criteria_path}", agg_alternatives, alternatives)
-    if agg_alternatives.items != alternatives.items:
-        raise InputError(f"{aggregates_path}: countries are listed in a different order from {criteria_path}")
+    published_aggregates = load_aligned_ranks(aggregates_path, criteria_path, alternatives)
     for name in ("CIP", *AGGREGATE_METHODS):
         if name not in published_aggregates:
             raise InputError(f"{aggregates_path}: no {name} column (row 1)")
@@ -460,7 +469,7 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
 
     # cycle counts are exact references
     counts = cycle_counts(structure)
-    checks = [_count_check(f"cycle count k={k}", expected, counts[k]) for k, expected in reference_cycles]
+    checks = [_count_check(f"cycle count k={k}", expected, counts[k]) for k, expected in reference_cycles.items()]
 
     # aggregate rankings against the published columns
     computed_aggregates = {column: rank(structure, DENSE) for column, rank in AGGREGATES.values() if column}

@@ -52,8 +52,10 @@ def test_equal_products_tie():
 
 
 def test_duplicate_country_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="duplicate alternative 'same'"):
         cip_ranking([record("same"), record("same")])
+    with pytest.raises(InputError, match="must not be empty"):
+        cip_ranking([])
 
 
 def test_monotonicity_in_each_factor():

@@ -244,9 +244,25 @@ def test_metarank_dot_escapes_quotes_in_names(tmp_path):
     assert '  "a\\"b" -> "c2" [label="2"];' in lines
 
 
-def test_metarank_rejects_duplicate_candidates(tmp_path):
+def test_metarank_rejects_duplicate_candidates(tmp_path, capsys):
     code, _ = run_main("metarank", CRITERIA_CSV, "--candidates", CRITERIA_CSV)
     assert code == 2
+    assert f"error: {CRITERIA_CSV}: duplicate candidate column 'MVApc' (row 1, col MVApc)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda rows: [rows[0], rows[2], rows[1], *rows[3:]], "countries are listed in a different order from"),
+    (lambda rows: [rows[0], rows[1].replace("Japan,", "Nippon,"), *rows[2:]],
+     "countries differ from {criteria}: missing ['Japan'], extra ['Nippon']"),
+], ids=["reordered", "renamed"])
+def test_metarank_candidates_must_list_the_criteria_countries_in_order(tmp_path, capsys, edit, problem):
+    aggregates = (bundled_fixtures_dir() / "table6_aggregates.csv").read_text(encoding="utf-8")
+    table = tmp_path / "candidates.csv"
+    table.write_text("".join(edit(aggregates.splitlines(keepends=True))), encoding="utf-8")
+    code, out = run_main("metarank", CRITERIA_CSV, "--candidates", str(table))
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith(f"error: {table}: {problem.format(criteria=CRITERIA_CSV)}")
 
 
 def test_metarank_full_study_heads(tmp_path):
@@ -337,7 +353,11 @@ def test_reproduce_rejects_bad_meta_data_column(tmp_path, capsys, row, data_colu
     ("table3_taub.csv", "Markovian", "Markov", "missing ['Markovian'], extra ['Markov']"),
     ("table5_meta.csv", "CIP", "CIPX", "rankings do not match the candidate set: missing ['CIP'], extra ['CIPX']"),
     ("table6_aggregates.csv", "Japan,", "Nippon,", "countries differ from"),
-], ids=["coinciding-labels", "taub-labels", "meta-rankings", "aggregate-countries"])
+    # MXpc's row and column both renamed MVApc: the label sets still match
+    ("table3_r.csv", "MXpc", "MVApc", "duplicate ranking 'MVApc' (row 3, col ranking)"),
+    ("table1_cycles.csv", "4,5928\n5,52754\n", "", "no count for cycle lengths [4, 5]"),
+], ids=["coinciding-labels", "taub-labels", "meta-rankings", "aggregate-countries", "duplicate-coinciding-row",
+        "missing-cycle-lengths"])
 def test_reproduce_checks_label_sets_before_computing(tmp_path, capsys, monkeypatch, filename, old, new, problem):
     def refuse(profile):
         raise AssertionError("the majority structure was built before the label sets were checked")
@@ -364,8 +384,9 @@ def test_reproduce_checks_label_sets_before_computing(tmp_path, capsys, monkeypa
     ("table5_meta.csv", lambda text: text.replace("MVApc,10,", "MVApc,\u0661\u0660,", 1),
      "'\u0661\u0660' is not an integer", "(row 2, col tau_b_rank)"),
     ("table6_aggregates.csv", lambda text: text.replace(",UC,", ",UCx,", 1), "no UC column", "(row 1)"),
+    ("table1_cycles.csv", lambda text: text.replace("4,", "3,", 1), "cycle length 3 is given twice", "(row 3, col k)"),
 ], ids=["empty-cycles", "bad-cycle-length", "non-numeric-taub", "underscore-count", "non-ascii-meta-rank",
-        "missing-aggregate"])
+        "missing-aggregate", "repeated-cycle-length"])
 def test_reproduce_rejects_malformed_reference(tmp_path, capsys, filename, edit, problem, where):
     fixtures = tmp_path / "fixtures"
     shutil.copytree(bundled_fixtures_dir(), fixtures)
@@ -476,3 +497,44 @@ def test_study_outputs_keep_their_digests():
         code, out = run_main(argv[0], CRITERIA_CSV, *argv[1:])
         assert code == 0, argv
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+# cip's inline table ties twin with mid above small, so that the two schemes differ
+INDICATORS_TABLE = (
+    "country,MVApc,MXpc,MHVAsh,MVAsh,MHXsh,MXsh,ImWMVA,ImWMT\n"
+    "big,2,3,0.4,0.2,0.5,0.7,0.01,0.02\n"
+    "small,1,1,0.1,0.1,0.1,0.1,0.001,0.001\n"
+    "twin,1.5,2,0.3,0.1,0.2,0.4,0.005,0.003\n"
+    "mid,1.5,2,0.3,0.1,0.2,0.4,0.005,0.003\n"
+)
+# sha256 of every file the study's analyze and metarank --emit-dot runs write, and of cip's stdout
+FILE_DIGESTS = {
+    "analyze/M.csv": "7b7d2e1f63a5aad7860d20d5557e07a11f1f25120ce2779151d2a42978861ea4",
+    "analyze/T.csv": "df7c35c7c6c7089419a53678c4acdd62141ccad8120755161b21528784dd2c56",
+    "analyze/cycles.csv": "36900494aefb7b266449fe94dba963540867f7af357a29b465369607487e153a",
+    "tau-b.dot": "9a5ebc9d5851857a1a6b512cab0dbbbb440d12784aaec64cecc59bf27c3e3a4d",
+    "coinciding.dot": "1cd0b47276ba4252d29fdb17acdc2885f570ddcc2bebfb83c731a91513a8d5f4",
+    "cip-dense": "b0e39b0dd929fce18b0b5672d638ac491e4ac694d6b0ca7b3b8c921ea8a659c1",
+    "cip-competition": "5d79cb92cf25cc4550ad374a1e91aa28793eb8d152af0874e673a1f585436f7d",
+}
+
+
+def test_study_files_and_cip_output_keep_their_digests(tmp_path):
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()
+
+    found = {}
+    assert run_main("analyze", CRITERIA_CSV, "--output", str(tmp_path / "analyze"))[0] == 0
+    for name in ("M.csv", "T.csv", "cycles.csv"):
+        found[f"analyze/{name}"] = digest((tmp_path / "analyze" / name).read_bytes())
+    for measure in ("tau-b", "coinciding"):
+        dot = tmp_path / f"{measure}.dot"
+        assert run_main("metarank", CRITERIA_CSV, "--measure", measure, "--emit-dot", str(dot))[0] == 0
+        found[dot.name] = digest(dot.read_bytes())
+    indicators = tmp_path / "indicators.csv"
+    indicators.write_text(INDICATORS_TABLE, encoding="utf-8")
+    for scheme in SCHEMES:
+        code, out = run_main("cip", str(indicators), "--scheme", scheme)
+        assert code == 0
+        found[f"cip-{scheme}"] = digest(out.encode("utf-8"))
+    assert found == FILE_DIGESTS

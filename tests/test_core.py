@@ -135,6 +135,25 @@ def test_ranks_above_two_to_the_53_stay_distinct():
         assert Ranking(names, expected, scheme=scheme).conforms_to_scheme()
 
 
+@pytest.mark.parametrize("ranks, problem", [
+    ({"a": 1, "b": True, "c": 2}, "rank of 'b' must be a positive integer, got True"),
+    ({"a": 1, "b": np.bool_(True), "c": 2}, "rank of 'b' must be a positive integer, got np.True_"),
+    ({"a": np.uint64(2 ** 63), "b": 1, "c": 2},
+     f"rank of 'a' must be at most {2 ** 63 - 1}, got np.uint64(9223372036854775808)"),
+    ({"a": 1, "b": "2", "c": 0}, "rank of 'b' must be a positive integer, got '2'"),  # never reaches min()
+], ids=["bool", "numpy-bool", "uint64-past-int64", "str-among-ints"])
+def test_ranking_names_the_first_rank_that_is_not_a_positive_int64(ranks, problem):
+    with pytest.raises(InputError) as excinfo:
+        Ranking(ABC, ranks)
+    assert str(excinfo.value) == problem
+
+
+def test_ranking_accepts_mixed_integer_types():
+    ranking = Ranking(ABC, {"a": np.int64(1), "b": 2, "c": np.uint8(3)})
+    assert ranking.ranks == {"a": 1, "b": 2, "c": 3}
+    assert all(type(rank) is int for rank in ranking.ranks.values())
+
+
 def test_rank_vector_is_read_only():
     vector = Ranking(ABC, {"a": 1, "b": 2, "c": 2}).rank_vector()
     with pytest.raises(ValueError):

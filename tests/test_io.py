@@ -77,6 +77,9 @@ def test_loader_rejects_duplicates(tmp_path):
     path = write(tmp_path, "dupe.csv", "country,c1\na,1\na,2\n")
     with pytest.raises(InputError, match="duplicate country"):
         load_ranks(path)
+    path = write(tmp_path, "unlabelled.csv", ",c1\na,1\na,2\n")
+    with pytest.raises(InputError, match=r"duplicate label 'a' \(row 3, col \)"):
+        load_ranks(path)
     path = write(tmp_path, "dupecol.csv", "country,c1,c1\na,1,2\n")
     with pytest.raises(InputError, match="duplicate column"):
         load_ranks(path)

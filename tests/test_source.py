@@ -18,3 +18,9 @@ def test_package_source_has_no_assert_statements():
     ]
     assert len(SOURCES) > 10
     assert found == []
+
+
+def test_only_io_constructs_a_csv_writer():
+    # io owns the CSV boundary: every command's table goes through io.write_table
+    writers = [path.name for path in SOURCES if "csv.writer(" in path.read_text(encoding="utf-8")]
+    assert writers == ["io.py"]
