@@ -19,8 +19,9 @@ the number of strictly smaller keys.  The constructors,
 ``conforms_to_scheme``, the pair census, the Markov ranking and the
 meta-comparison keys all use it.
 
-Vote totals are held in int64, so a profile's total criterion weight is
-bounded by ``MAX_TOTAL_WEIGHT``.
+A profile's total criterion weight is bounded by ``MAX_TOTAL_WEIGHT``.
+``build_majority`` sums votes in the narrowest unsigned integer dtype that
+holds the total, and the meta-comparison sums weights in int64.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ DENSE = "dense"
 COMPETITION = "competition"
 SCHEMES = (DENSE, COMPETITION)
 MAX_RANK = 2 ** 63 - 1  # the largest rank an int64 rank vector holds
-MAX_TOTAL_WEIGHT = 2 ** 63 - 1  # the largest vote total an int64 accumulator holds
+MAX_TOTAL_WEIGHT = 2 ** 63 - 1  # the largest total weight, which the meta-comparison's int64 sums hold
 
 
 class Comparison(enum.Enum):

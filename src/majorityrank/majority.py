@@ -22,7 +22,8 @@ from .errors import InputError, NumericalError
 # For k >= 6 the decomposition 3+3 breaks the argument.
 _CYCLE_LENGTHS = (3, 4, 5)
 
-# Columns of the trace per block: an m x 128 float64 temporary is 1 MB at m = 1000.
+# Columns of the trace per block: an m x 128 float64 temporary (a block's A^3 columns
+# or its elementwise products) is 1 MB at m = 1000.
 _TRACE_BLOCK = 128
 
 
@@ -41,8 +42,8 @@ class MajorityStructure:
 
     def __post_init__(self) -> None:
         m = len(self.alternatives)
-        beats = np.array(self.beats, dtype=bool)
-        ties = np.array(self.ties, dtype=bool)
+        beats = _bool_matrix(self.beats, "majority")
+        ties = _bool_matrix(self.ties, "tie")
         if beats.shape != (m, m) or ties.shape != (m, m):
             raise InputError(f"matrices must be {m}x{m}")
         if beats.diagonal().any() or ties.diagonal().any():
@@ -72,6 +73,16 @@ class MajorityStructure:
         return np.array(idx, dtype=np.intp)
 
 
+def _bool_matrix(values, what: str) -> np.ndarray:
+    """A boolean copy of ``values``; InputError names the matrix unless every entry is 0 or 1."""
+    array = np.asarray(values)
+    if array.dtype != bool:
+        valid = np.isin(array, (0, 1))  # NaN is neither
+        if not valid.all():
+            raise InputError(f"{what} matrix entries must be 0 or 1, got {array[~valid].tolist()[0]!r}")
+    return np.array(array, dtype=bool)
+
+
 @dataclass(frozen=True)
 class Sections:
     """The three sections of one alternative: dominated, dominating, tied."""
@@ -86,13 +97,16 @@ def build_majority(profile: Profile) -> MajorityStructure:
 
     ``beats[x, y]`` holds iff the total weight of criteria ranking x
     strictly better than y exceeds the total weight ranking y better;
-    equal totals put the pair into ``ties``.
+    equal totals put the pair into ``ties``.  Votes accumulate in the
+    narrowest unsigned integer dtype that holds the profile's total weight:
+    no vote total exceeds it, so no sum wraps.
     """
     m = len(profile.alternatives)
-    votes = np.zeros((m, m), dtype=np.int64)
+    acc = np.min_scalar_type(profile.total_weight)
+    votes = np.zeros((m, m), dtype=acc)
     for criterion in profile.criteria:
         ranks = criterion.ranking.rank_vector()
-        votes += criterion.weight * (ranks[:, None] < ranks[None, :])
+        votes += np.multiply(ranks[:, None] < ranks[None, :], criterion.weight, dtype=acc)
     beats = votes > votes.T
     ties = (votes == votes.T) & ~np.eye(m, dtype=bool)
     return MajorityStructure(profile.alternatives, beats, ties)
@@ -112,9 +126,11 @@ def count_cycles(ms: MajorityStructure, k: int) -> int:
     """Exact number of directed k-cycles in the majority relation, k in {3, 4, 5}.
 
     trace(A^k) = sum(A^2 * (A^(k-2))^T) is accumulated over column blocks of
-    width ``_TRACE_BLOCK`` from float64 BLAS products, so only A and A^2 are
-    held at full size.  Each block's elementwise products are cast to int64
-    before summing; ``_max_exact_size`` states why both stay exact.
+    width ``_TRACE_BLOCK``.  A and A^2 are float32 and held at full size; for
+    k = 5 a float64 copy of A is too, and each block's A^3 columns come from
+    a float64 product of it with the block's A^2 columns.  Each block's
+    elementwise products are formed in float64 and cast to int64 before
+    summing; ``_max_exact_size`` states why all of them stay exact.
     """
     if k not in _CYCLE_LENGTHS:
         raise InputError(f"cycle length must be one of {_CYCLE_LENGTHS}, got {k}")
@@ -132,14 +148,15 @@ def _count_cycles(ms: MajorityStructure, lengths: tuple[int, ...]) -> dict[int, 
         limit = _max_exact_size(k)
         if m > limit:
             raise InputError(f"counting {k}-cycles supports at most {limit} alternatives, got {m}")
-    a = np.asarray(ms.beats, dtype=np.float64)
+    a = np.asarray(ms.beats, dtype=np.float32)
     a2 = a @ a
+    a64 = a.astype(np.float64) if 5 in lengths else None  # the one float64 m x m matrix
     traces = dict.fromkeys(lengths, 0)
     for start in range(0, m, _TRACE_BLOCK):
         cols = slice(start, start + _TRACE_BLOCK)
         for k in lengths:
-            tail = a[:, cols] if k == 3 else a2[:, cols] if k == 4 else a2 @ a[:, cols]
-            traces[k] += int((a2[cols, :].T * tail).astype(np.int64).sum())
+            tail = a[:, cols] if k == 3 else a2[:, cols] if k == 4 else a64 @ a2[:, cols].astype(np.float64)
+            traces[k] += int(np.multiply(a2[cols, :].T, tail, dtype=np.float64).astype(np.int64).sum())
     for k, trace in traces.items():
         if trace % k:
             raise NumericalError(f"trace of the {k}-th majority power, {trace}, is not a multiple of {k}")
@@ -149,16 +166,18 @@ def _count_cycles(ms: MajorityStructure, lengths: tuple[int, ...]) -> dict[int, 
 def _max_exact_size(k: int) -> int:
     """Largest m for which the trace kernel counts k-cycles exactly.
 
-    An entry of A^j counts j-walks between two vertices, at most m**(j-1), so
-    every float64 value the kernel forms (entries of A^2 and A^3 and their
-    elementwise products) is a non-negative integer at most m**(k-2); below
-    2**53 each is exact, and so is every partial sum of a BLAS product.  The
-    trace counts each k-cycle once per ordered start, so it is at most the
-    m!/(m-k)! ordered k-tuples of distinct vertices, which int64 holds while
-    below 2**63.
+    An entry of A^j counts j-walks between two vertices, at most m**(j-1).
+    The float32 product A^2 has entries, and BLAS partial sums, that are
+    integers at most m; below 2**24 each is exact.  Every float64 value the
+    kernel forms (A^3 columns and the elementwise products) is a
+    non-negative integer at most m**(k-2); below 2**53 each is exact, and so
+    is every partial sum of the A^3 product.  The trace counts each k-cycle
+    once per ordered start, so it is at most the m!/(m-k)! ordered k-tuples
+    of distinct vertices, which int64 holds while below 2**63.  That last
+    bound binds first for every k, so the float32 A^2 costs no cap.
     """
     def exact(m: int) -> bool:
-        return math.perm(m, k) < 2 ** 63 and m ** (k - 2) < 2 ** 53
+        return math.perm(m, k) < 2 ** 63 and m < 2 ** 24 and m ** (k - 2) < 2 ** 53
 
     m = int(2 ** (63 / k))  # perm(m, k) < m**k <= 2**63, so this m is exact
     while exact(m + 1):

@@ -13,9 +13,12 @@ given subset of alternatives (all relations restricted to that subset):
   beats every non-member.
 
 All three work on B, the beats matrix restricted to the subset.  UC and
-MES are decided by float64 BLAS products of B (UC by B Bᵀ, MES by Bᵀ U and
-B·bad per block of witnesses, with U = B | I); every entry counts at most
-n members of the subset, far below 2**53, so each product is exact.
+MES are decided by float32 BLAS products of B (UC by B Bᵀ, MES by Bᵀ U and
+B·bad per block of witnesses, with U = B | I).  Exactness bound: every
+entry, and every partial sum, counts at most n members of the subset, and
+float32 holds every integer up to 2**24 exactly, so each product is exact
+for n < 2**24.  The bound always holds: the n x n boolean beats matrix of
+n = 2**24 alternatives would take 2**48 bytes (256 TiB).
 
 Sorting extracts the solution, removes it, and repeats; the k-th extracted
 class receives rank k.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DENSE, AlternativeSet, Ranking, from_ranks
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .majority import _TRACE_BLOCK, MajorityStructure
 
 UC = "UC"
@@ -61,9 +64,9 @@ def uncovered_set(ms: MajorityStructure, subset: frozenset[str] | set[str] | Non
     """Alternatives of ``subset`` not covered by any other member."""
     idx = ms.restrict_indices(subset)
     sub = ms.beats[np.ix_(idx, idx)]
-    f = sub.astype(np.float64)
+    f = sub.astype(np.float32)
     # common[x, y] = # of z beaten by both; x covers y iff x beats y and beats all y beats.
-    # Entries are at most m, so the float64 BLAS product is exact.
+    # Entries are at most n < 2**24, so the float32 BLAS product is exact (module docstring).
     common = f @ f.T
     covers = sub & (common == sub.sum(axis=1)[None, :])
     uncovered = ~covers.any(axis=0)
@@ -82,19 +85,20 @@ def _certificates(sub: np.ndarray):
     the reduced set is stable iff i beats every bad y other than itself, so
     ``certified[i, k]`` holds iff U[i, z] and
     badcount[z] - (B bad)[i, z] - bad[i, z] = 0 for the block's k-th
-    witness z.  Every entry of both float64 products is a count of at most
-    n members, so each is exact.  Blocks of ``_TRACE_BLOCK`` witnesses keep
-    only B (boolean and float64) at full size.
+    witness z.  Every entry of both float32 products is a count of at most
+    n < 2**24 members, so each is exact (module docstring).  Blocks of
+    ``_TRACE_BLOCK`` witnesses keep only B (boolean and float32) at full
+    size.
     """
     n = len(sub)
-    f = sub.astype(np.float64)
+    f = sub.astype(np.float32)
     indegree = sub.sum(axis=0)
     for start in range(0, n, _TRACE_BLOCK):
         cols = np.arange(start, min(start + _TRACE_BLOCK, n))
         u = sub[:, cols]
         u[cols, np.arange(len(cols))] = True
-        bad = u & (f.T @ u.astype(np.float64) == indegree[:, None])
-        badf = bad.astype(np.float64)
+        bad = u & (f.T @ u.astype(np.float32) == indegree[:, None])
+        badf = bad.astype(np.float32)
         yield u & (badf.sum(axis=0) - f @ badf - badf == 0)
 
 
@@ -132,7 +136,7 @@ def mes_union(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = 
     minimal stable set can never drop x.  External stability is preserved
     under supersets, which makes the certificate sound in both directions.
     ``_certificates`` evaluates the test for every (x, z) pair at once from
-    two exact float64 products per block of witnesses.
+    two exact float32 products per block of witnesses.
     """
     idx = ms.restrict_indices(subset)
     chosen = np.zeros(len(idx), dtype=bool)
@@ -220,7 +224,7 @@ def sort_by_solution(ms: MajorityStructure, kind: str) -> SortedClasses:
     while remaining:
         best = solve(ms, kind, remaining).members
         if not best:  # every concept picks a non-empty subset; guard the loop's progress anyway
-            raise RuntimeError(f"{kind} selected nothing from {len(remaining)} alternatives")
+            raise NumericalError(f"{kind} selected nothing from {len(remaining)} alternatives")
         classes.append(best)
         remaining -= best
     return SortedClasses(alternatives=ms.alternatives, kind=kind, classes=tuple(classes))

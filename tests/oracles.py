@@ -56,6 +56,21 @@ def noisy_profile_structure(rng: random.Random, m: int, criteria: int = 5) -> Ma
     return build_majority(profile)
 
 
+def naive_majority(profile: Profile) -> MajorityStructure:
+    """Weighted majority by a loop over ordered pairs, summing Python-int weights on each side."""
+    m = len(profile.alternatives)
+    weighted = [(c.weight, c.ranking.rank_vector().tolist()) for c in profile.criteria]
+    beats = np.zeros((m, m), dtype=bool)
+    ties = np.zeros((m, m), dtype=bool)
+    for x in range(m):
+        for y in range(m):
+            if x != y:
+                pro = sum(w for w, ranks in weighted if ranks[x] < ranks[y])
+                con = sum(w for w, ranks in weighted if ranks[y] < ranks[x])
+                beats[x, y], ties[x, y] = pro > con, pro == con
+    return MajorityStructure(profile.alternatives, beats, ties)
+
+
 def random_ranking(rng: random.Random, alternatives: AlternativeSet, max_positions: int | None = None) -> Ranking:
     """Random dense ranking with ties."""
     m = len(alternatives)

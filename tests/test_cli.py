@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from majorityrank import COMPETITION, DENSE, AlternativeSet, Ranking, build_majority, bundled_fixtures_dir
 from majorityrank import io as mio
-from majorityrank import majority
+from majorityrank import majority, solutions
 from majorityrank.cli import METHODS, main
 from majorityrank.core import SCHEMES
 from conftest import in_tree_env, profiles
@@ -164,6 +164,14 @@ def test_analyze_size_error_writes_no_file(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "counting 5-cycles supports at most 2 alternatives, got 3" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_rank_reports_an_empty_solution_as_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    table, weights = write_toy_table(tmp_path)
+    monkeypatch.setitem(solutions._SOLVERS, "UC", lambda ms, subset: solutions.SolutionSet("UC", frozenset()))
+    code, out = run_main("rank", str(table), "--weights", str(weights), "--method", "uc-sort")
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "numerical failure: UC selected nothing from 3 alternatives\n"
 
 
 def test_analyze_outputs(tmp_path):

@@ -15,10 +15,13 @@ from majorityrank import (
     build_majority,
     count_cycles,
     cycle_counts,
+    from_scores,
     sections,
 )
+from majorityrank.core import MAX_TOTAL_WEIGHT
+from majorityrank.majority import _max_exact_size
 from conftest import TOY_BEATS, order_ranking, structures
-from oracles import brute_cycles, int64_cycles, noisy_profile_structure, random_structure
+from oracles import brute_cycles, int64_cycles, naive_majority, noisy_profile_structure, random_structure
 
 
 def test_toy_profile_majority_matrix(toy_structure):
@@ -50,6 +53,58 @@ def test_structure_validation_rejects_bad_matrices():
         MajorityStructure(names, sym, np.zeros((2, 2), dtype=bool))
     with pytest.raises(InputError):
         MajorityStructure(names, np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("entry", [-1, 0.5, float("nan"), 2], ids=["minus-one", "half", "nan", "two"])
+def test_structure_rejects_entries_other_than_zero_or_one(entry):
+    names = AlternativeSet(("a", "b"))
+    zeros = np.zeros((2, 2))
+    with pytest.raises(InputError, match=f"^majority matrix entries must be 0 or 1, got {entry}$"):
+        MajorityStructure(names, [[0, entry], [0, 0]], zeros)
+    with pytest.raises(InputError, match=f"^tie matrix entries must be 0 or 1, got {entry}$"):
+        MajorityStructure(names, zeros, [[0, entry], [entry, 0]])
+
+
+def test_structure_accepts_zero_one_ints_and_floats():
+    names = AlternativeSet(("a", "b"))
+    for beats in ([[0, 1], [0, 0]], [[0.0, 1.0], [0.0, 0.0]], np.array([[0, 1], [0, 0]], dtype=np.uint8)):
+        ms = MajorityStructure(names, beats, np.zeros((2, 2), dtype=int))
+        assert ms.beats.dtype == bool and ms.beats.tolist() == [[False, True], [False, False]]
+
+
+# both sides of every signed and unsigned integer width, up to the largest total weight allowed
+@pytest.mark.parametrize("total", [
+    127, 128, 255, 256, 32767, 32768, 65535, 65536,
+    2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, MAX_TOTAL_WEIGHT,
+])
+def test_vote_accumulator_holds_the_total_weight_at_every_width_boundary(total):
+    names = AlternativeSet(tuple("abcd"))
+    up, down = order_ranking(names, "abcd"), order_ranking(names, "dcba")
+    flat = from_scores(names, dict.fromkeys(names, 0.0))
+    half = total // 2
+    rng = random.Random(total)
+    profiles = [
+        [Criterion("all", total, up)],  # every strict pair carries the whole weight
+        [Criterion("up", half, up), Criterion("down", total - half, down)],  # decided by one vote when total is odd
+        # exact half-weight ties on every pair; an odd remainder sits on a criterion that ties everything
+        [Criterion("up", half, up), Criterion("down", half, down)] + [Criterion("flat", 1, flat)] * (total % 2),
+    ]
+    for _ in range(10):  # three random tied rankings whose weights sum to the total
+        low, high = sorted(rng.sample(range(1, total), 2))
+        profiles.append([
+            Criterion(f"c{i}", w, from_scores(names, {n: float(rng.randint(0, 2)) for n in names}))
+            for i, w in enumerate((low, high - low, total - high))
+        ])
+    for _ in range(5):  # half the weight against random tied rankings sharing the other half
+        profiles.append([Criterion("half", half, up)] + [
+            Criterion(f"c{i}", w, from_scores(names, {n: float(rng.randint(0, 1)) for n in names}))
+            for i, w in enumerate((half // 2, total - half - half // 2))
+        ])
+    for criteria in profiles:
+        profile = Profile(names, criteria)
+        assert profile.total_weight == total
+        expected, ms = naive_majority(profile), build_majority(profile)
+        assert np.array_equal(ms.beats, expected.beats) and np.array_equal(ms.ties, expected.ties)
 
 
 def test_sections_read_off(toy_structure):
@@ -99,11 +154,19 @@ def test_cycle_count_size_limit_names_the_per_k_bound(k, limit):
 
     # The int64 trace is at most the m!/(m-k)! ordered k-tuples of distinct
     # vertices and must stay below 2**63; that binds first for every k.  The
-    # float64 values, at most m**(k-2), stay far below 2**53 at the limit.
+    # float64 values (A^3 columns and elementwise products), at most
+    # m**(k-2), stay far below 2**53 at the limit.
     assert math.perm(limit, k) < 2 ** 63 <= math.perm(limit + 1, k)
     assert (limit + 1) ** (k - 2) < 2 ** 53
     with pytest.raises(InputError, match=f"counting {k}-cycles supports at most {limit} alternatives, got {limit + 1}"):
         count_cycles(Oversized(), k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_cycle_count_float32_bound(k):
+    # A^2 is a float32 product whose entries and partial sums are integers at most m; float32 holds
+    # every integer below 2**24 exactly, so each cap keeps it exact
+    assert _max_exact_size(k) < 2 ** 24
 
 
 def test_cycle_counts_check_every_bound_before_any_product():
@@ -134,7 +197,6 @@ def test_trichotomy_and_symmetry_on_random_profiles():
         criteria = []
         for c in range(rng.randint(1, 5)):
             scores = {name: float(rng.randint(0, 4)) for name in names}
-            from majorityrank import from_scores
             criteria.append(Criterion(f"c{c}", rng.randint(1, 3), from_scores(names, scores)))
         ms = build_majority(Profile(names, criteria))
         off = ~np.eye(m, dtype=bool)
@@ -146,7 +208,6 @@ def test_trichotomy_and_symmetry_on_random_profiles():
 def test_weight_split_equivalence():
     rng = random.Random(5)
     names = AlternativeSet(tuple(f"a{i}" for i in range(6)))
-    from majorityrank import from_scores
     rankings = [from_scores(names, {n: float(rng.randint(0, 5)) for n in names}) for _ in range(3)]
     weights = [3, 1, 2]
     weighted = Profile(names, [Criterion(f"c{i}", w, r) for i, (w, r) in enumerate(zip(weights, rankings))])
@@ -162,7 +223,6 @@ def test_weight_split_equivalence():
 def test_scheme_of_criterion_rankings_is_irrelevant():
     rng = random.Random(9)
     names = AlternativeSet(tuple(f"a{i}" for i in range(6)))
-    from majorityrank import from_scores
     scores = [{n: float(rng.randint(0, 3)) for n in names} for _ in range(4)]
     dense = Profile(names, [Criterion(f"c{i}", 1, from_scores(names, s, scheme="dense")) for i, s in enumerate(scores)])
     comp = Profile(names, [Criterion(f"c{i}", 1, from_scores(names, s, scheme="competition")) for i, s in enumerate(scores)])

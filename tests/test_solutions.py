@@ -176,6 +176,16 @@ def test_sort_refuses_an_empty_solution(monkeypatch):
         sort_by_solution(CHAIN, "UC")
 
 
+def test_solution_products_float32_bound():
+    # UC's B Bᵀ and MES's Bᵀ U and B·bad count at most n members of the subset.  float32's 24-bit
+    # significand holds every integer up to 2**24 and no further, so each product is exact for
+    # n < 2**24; the n x n boolean beats matrix of n = 2**24 alternatives would take 2**48 bytes
+    assert np.finfo(np.float32).nmant + 1 == 24
+    assert np.float32(2 ** 24 - 1) + np.float32(1) == 2 ** 24
+    assert np.float32(2 ** 24) + np.float32(1) == 2 ** 24
+    assert np.dtype(bool).itemsize * (2 ** 24) ** 2 == 2 ** 48
+
+
 def iterated(solution, ms) -> tuple[frozenset[str], ...]:
     """Classes of select-and-exclude sorting with a reference solution function."""
     remaining = set(ms.alternatives.items)
