@@ -20,7 +20,12 @@ the digraph stay ordered, pairs that vary are tied.  For an acyclic
 digraph the optimal orders are exactly its linear extensions and the
 fixed pairs are those comparable in the transitive closure; otherwise the
 optimal orders are found exactly by a dynamic program over the subsets of
-candidates, which caps cyclic digraphs at 20 candidates.
+candidates, which caps cyclic digraphs at 20 candidates.  The program
+visits only the subsets that respect the digraph's condensation: no
+optimal order inverts an arc between two strongly connected components,
+because ordering the components topologically, each one optimally,
+inverts no such arc and attains every component's own minimum inside it
+(proof in ``_order_dp``).
 """
 
 from __future__ import annotations
@@ -68,6 +73,8 @@ class MetaComparison:
     measure: str
 
     def __post_init__(self) -> None:
+        if not self.candidates:
+            raise InputError("a meta-comparison needs at least one candidate")
         majority = np.array(self.majority, dtype=bool)
         wins = np.array(self.wins, dtype=np.int64)
         n = len(self.candidates)
@@ -172,12 +179,26 @@ def _order_dp(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list
     """Exact minimum-inversion linear orders against a digraph, by subset DP.
 
     A state is the bitmask S of still-unplaced candidates; placing x first
-    costs one inversion per y in S that beats x.  The tables are filled
-    forward in popcount order, a block of states of one popcount at a time,
-    each block at once over states x candidates: ``cost[S]`` is the fewest
-    inversions of any order of S, ``count[S]`` the number of orders of S
-    reaching it, and ``choice[S]`` the mask of candidates that may go
-    first.  Also returns the blocks, in the order they were filled.
+    costs one inversion per y in S that beats x.  Only the states that an
+    optimal order can pass through are visited, by this lemma: no optimal
+    order inverts an arc between two strongly connected components (SCCs).
+    An order's inversions are those inside each SCC plus those of arcs
+    between SCCs.  The first share is at least the sum of each SCC's own
+    minimum, the second at least 0, and a topological order of the
+    condensation with every SCC ordered optimally meets both bounds, so an
+    order that inverts an arc between SCCs is never optimal.  An arc
+    between SCCs stays between SCCs in every induced subgraph, so the
+    lemma holds in each state too: x may go first in S only if no member
+    of S beats x across an SCC boundary.
+
+    The states are enumerated from the full set down, layer by layer, and
+    the tables are filled forward in popcount order, a block of states of
+    one popcount at a time, each block at once over states x candidates:
+    ``cost[S]`` is the fewest inversions of any order of S, ``count[S]``
+    the number of orders of S reaching it, and ``choice[S]`` the mask of
+    candidates that may go first.  The tables are indexed by state; the
+    entries of states never visited stay 0.  Also returns the blocks, in
+    the order they were filled.
     """
     n = len(adj)
     if n > SUBSET_SOLVER_LIMIT:
@@ -186,12 +207,21 @@ def _order_dp(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list
     if math.factorial(n) > np.iinfo(np.int64).max:
         raise SizeLimitError(f"optimal order counts over {n} candidates overflow int64")
     bits = np.int32(1) << np.arange(n, dtype=np.int32)
-    states = np.arange(1 << n, dtype=np.int32)
-    size = sum((states >> x) & 1 for x in range(n))
-    blocks: list[np.ndarray] = []  # the non-empty states by popcount, no block straddling two
-    for k in range(1, n + 1):
-        layer = states[size == k]
-        blocks += np.array_split(layer, -(-len(layer) // _DP_BLOCK))
+    closure = _transitive_closure(adj)
+    cross = adj & ~(closure & closure.T)  # the arcs between SCCs
+    cross_pred = np.bitwise_or.reduce(np.where(cross, bits[:, None], 0), axis=0)  # who beats x across SCCs
+
+    def movable(block: np.ndarray) -> np.ndarray:
+        """movable[s, x]: x may go first in state block[s] (by the lemma)."""
+        return ((block[:, None] & bits) != 0) & ((block[:, None] & cross_pred) == 0)
+
+    layers = [[np.array([(1 << n) - 1], dtype=np.int32)]]  # blocks of the visited states by popcount, fullest first
+    for _ in range(n - 1):
+        children = np.concatenate([(b[:, None] ^ bits)[movable(b)] for b in layers[-1]])
+        children.sort()  # then drop repeats: numpy 2's hashing np.unique is several times slower here
+        layer = children[np.append(True, children[1:] != children[:-1])]
+        layers.append(np.array_split(layer, -(-len(layer) // _DP_BLOCK)))
+    blocks = [block for layer in reversed(layers) for block in layer]
     beaten_by = adj.astype(np.float32)
     cost = np.zeros(1 << n, dtype=np.int32)
     count = np.zeros(1 << n, dtype=np.int64)
@@ -202,7 +232,7 @@ def _order_dp(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list
         rest = block[:, None] ^ bits
         # inside @ beaten_by counts, per candidate x, the members of S that beat x (small exact integers)
         value = (inside @ beaten_by).astype(np.int32) + cost[rest]
-        value[~inside] = np.iinfo(np.int32).max
+        value[~movable(block)] = np.iinfo(np.int32).max
         best = value.min(axis=1)
         optimal = value == best[:, None]
         cost[block] = best

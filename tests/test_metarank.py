@@ -26,7 +26,7 @@ from majorityrank import (
 )
 from conftest import order_ranking
 from majorityrank.correlation import MEASURES
-from majorityrank.metarank import _realized_pairs
+from majorityrank.metarank import _order_dp, _realized_pairs
 from oracles import brute_minimum, naive_meta_wins, random_ranking
 
 
@@ -90,6 +90,17 @@ def test_meta_comparison_needs_a_criterion():
     names = AlternativeSet(("a", "b", "c"))
     with pytest.raises(InputError, match="at least one criterion"):
         rankings_majority({"one": order_ranking(names, ("a", "b", "c"))}, [])
+
+
+def test_meta_comparison_needs_a_candidate():
+    names = AlternativeSet(("a", "b", "c"))
+    criterion = Criterion("p", 1, order_ranking(names, ("a", "b", "c")))
+    for measure in MEASURES:
+        with pytest.raises(InputError, match="at least one candidate"):
+            rankings_majority({}, [criterion], measure)
+    with pytest.raises(InputError, match="at least one candidate"):
+        MetaComparison(candidates=(), majority=np.zeros((0, 0), dtype=bool),
+                       wins=np.zeros((0, 0), dtype=np.int64), measure="tau_b")
 
 
 def test_self_comparison_is_zero():
@@ -276,10 +287,29 @@ def incomparability_ranks(names, fixed):
     }
 
 
+def assert_solver_matches_exhaustive_search(names, edges) -> int:
+    """Every DP answer equals exhaustive search over all orders; returns the minimum distance."""
+    comparison = make_comparison(names, edges)
+    expected_cost, expected_orders = brute_minimum(comparison)
+    assert minimum_distance(comparison) == expected_cost
+    assert optimal_order_count(comparison) == len(expected_orders)
+    assert optimal_linear_orders(comparison) == expected_orders
+    realized = {(a, b) for order in expected_orders for k, a in enumerate(order) for b in order[k + 1:]}
+    dp_realized = _realized_pairs(comparison.majority)
+    assert {(names[i], names[j]) for i, j in zip(*np.nonzero(dp_realized))} == realized
+    # the weak order: blocks are the incomparability components of the
+    # pairs fixed in every optimal order, ranked by competition numbering
+    fixed = {(a, b): (a, b) in realized and (b, a) not in realized for a in names for b in names}
+    ranking = closest_weak_order(comparison)
+    assert dict(ranking.ranks) == incomparability_ranks(names, fixed)
+    assert ranking.conforms_to_scheme()
+    return expected_cost
+
+
 def test_subset_solver_matches_exhaustive_search():
     rng = random.Random(71)
     cyclic = 0
-    for trial in range(60):
+    for _ in range(60):
         n = rng.randint(1, 8)
         names = [f"r{i}" for i in range(n)]
         density = rng.choice((0.3, 0.6, 0.9, 1.0))
@@ -291,22 +321,46 @@ def test_subset_solver_matches_exhaustive_search():
                     edges.append((names[i], names[j]))
                 elif roll < density:
                     edges.append((names[j], names[i]))
-        comparison = make_comparison(names, edges)
-        expected_cost, expected_orders = brute_minimum(comparison)
-        cyclic += expected_cost > 0
-        assert minimum_distance(comparison) == expected_cost
-        assert optimal_order_count(comparison) == len(expected_orders)
-        assert optimal_linear_orders(comparison) == expected_orders
-        realized = {(a, b) for order in expected_orders for k, a in enumerate(order) for b in order[k + 1:]}
-        dp_realized = _realized_pairs(comparison.majority)
-        assert {(names[i], names[j]) for i, j in zip(*np.nonzero(dp_realized))} == realized
-        # the weak order: blocks are the incomparability components of the
-        # pairs fixed in every optimal order, ranked by competition numbering
-        fixed = {(a, b): (a, b) in realized and (b, a) not in realized for a in names for b in names}
-        ranking = closest_weak_order(comparison)
-        assert dict(ranking.ranks) == incomparability_ranks(names, fixed), trial
-        assert ranking.conforms_to_scheme()
+        cyclic += assert_solver_matches_exhaustive_search(names, edges) > 0
     assert 10 < cyclic < 60  # the battery holds both cyclic and acyclic digraphs
+
+
+def test_subset_solver_matches_exhaustive_search_on_planted_components():
+    # ordered blocks of candidates, random arcs inside each block, most arcs
+    # from an earlier block to a later one and the rest missing (ties), plus
+    # isolated candidates: the DP visits only states that respect the SCCs
+    rng = random.Random(72)
+    cyclic = restricted = 0
+    for _ in range(120):
+        n = rng.randint(4, 8)
+        names = [f"r{i}" for i in range(n)]
+        shuffled = rng.sample(names, n)
+        isolated = set(shuffled[:rng.randint(0, 1)])
+        block = {name: rng.randint(0, 2) for name in shuffled}
+        edges = []
+        for k, a in enumerate(shuffled):
+            for b in shuffled[k + 1:]:
+                if a in isolated or b in isolated:
+                    continue
+                if block[a] == block[b]:
+                    roll = rng.random()
+                    if roll < 0.9:
+                        edges.append((a, b) if roll < 0.45 else (b, a))
+                elif rng.random() < 0.8:
+                    edges.append((a, b) if block[a] < block[b] else (b, a))
+        cyclic += assert_solver_matches_exhaustive_search(names, edges) > 0
+        visited = sum(map(len, _order_dp(make_comparison(names, edges).majority)[3]))
+        restricted += visited < 2 ** n - 1
+    assert cyclic > 15 and restricted > 100
+
+
+def test_subset_solver_visits_only_states_of_the_condensation():
+    # a chain fixes every order: one state per popcount, not 2**20 - 1
+    names = [f"r{i}" for i in range(20)]
+    chain = make_comparison(names, list(zip(names, names[1:])))
+    cost, count, _, blocks = _order_dp(chain.majority)
+    assert sum(map(len, blocks)) == 20
+    assert cost[-1] == 0 and count[-1] == 1
 
 
 def test_edgeless_twenty_candidates_count_every_order():
