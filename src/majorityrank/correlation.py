@@ -13,16 +13,19 @@ penalises heavily tied rankings (a tie never counts as coinciding unless
 mirrored); tau-b normalises the tie mass away.  At share = 50 two rankings
 are uninformative about each other.
 
-All R**2 censuses of R rankings over m alternatives come from two Gram
-matrices.  Over the N unordered pairs x < y, let the rows of S and T be each
-ranking's s_r = sign(r_x - r_y) and t_r = [r_x = r_y].  Then
-(S S^T)_rq = N+ - N-, (T T^T)_rq = N0 and (T T^T)_rr = n1, so
-U = N - n1 - n2 + N0 = N+ + N- counts the pairs tied in neither ranking and
+All R**2 censuses of R rankings over m alternatives come from one sign Gram
+matrix and one count of joint ties.  Over the N unordered pairs x < y, let
+the rows of S be each ranking's s_r = sign(r_x - r_y).  Then
+(S S^T)_rq = N+ - N-.  N0, with n1 = N0 on the diagonal, counts the pairs
+on which both rankings tie: the runs of equal joint keys
+level_r * m + level_q, sorted, give sum C(run, 2).  U = N - n1 - n2 + N0 =
+N+ + N- counts the pairs tied in neither ranking, and
 N+- = (U +- (S S^T)_rq) / 2.  Each ranking is first relabelled by its dense
 levels 0..L-1, which come from the one relabelling in ``core``, and
-rankings of one weak order are censused once.  Both
-products run in float32, exact because every block's Gram entry is an
-integer below 2**24; the census is exact for m <= 77,936 (``_census``).
+rankings of one weak order are censused once.  S S^T runs in float32, exact
+because every step's Gram entry is an integer below 2**24 (``_sign_gram``),
+and the joint keys stay below m**2 in int64 (``_joint_ties``); the census
+is exact for m <= 77,936 (``_census``).
 """
 
 from __future__ import annotations
@@ -39,12 +42,9 @@ from .errors import DegenerateRankingError, InputError
 TAU_B = "tau_b"
 COINCIDING = "coinciding"
 MEASURES = (TAU_B, COINCIDING)
-_CENSUS_BLOCK = 1 << 14  # cells of all rankings per step of the census: 64 KiB per float32 temporary
+_CENSUS_STEP = 1 << 16  # float32 cells per step of the census: 256 KiB
 # the largest m with (m (m - 1) / 2)**2 < 2**63
 _CENSUS_MAX_SIZE = (1 + math.isqrt(1 + 8 * math.isqrt(2 ** 63 - 1))) // 2
-# _KEEP[i, j] = [j >= i]: in a block's square, where row x = start + i meets column y = start + 1 + j,
-# it keeps the pairs y > x; a block of two rows or more has rows**2 <= rows * width <= _CENSUS_BLOCK
-_KEEP = np.triu(np.ones((math.isqrt(_CENSUS_BLOCK), math.isqrt(_CENSUS_BLOCK) - 1), dtype=np.float32))
 
 
 @dataclass(frozen=True)
@@ -66,23 +66,83 @@ class PairStats:
             raise InputError("inconsistent pair census")
 
 
+def _sign_gram(levels: np.ndarray) -> np.ndarray:
+    """S S^T of U level rows over m alternatives: the U x U int64 sums of s_r s_q over the pairs x < y.
+
+    The pairs are taken by cyclic offsets d = 1..m // 2: offset d pairs
+    each x with x + d mod m, so the offsets below m / 2 take every
+    unordered pair once, and for even m the offset m / 2 takes the first
+    half of its row.  A step fills the offsets of one reused U x k x m
+    float32 buffer of at most ``_CENSUS_STEP`` cells (one offset at least)
+    with sign(level_x - level_x+d) and adds its Gram matrix, so no m x m
+    array is formed.
+
+    Exactness bound: levels are below m, so float32 holds every level and
+    every difference; a step's Gram entries are integers of magnitude at
+    most its cells per row, max(``_CENSUS_STEP``, m) < 2**24, so every
+    float32 partial sum is exact; the float64 totals are integers at most
+    N < 2**53.
+    """
+    size, m = levels.shape
+    half = m // 2
+    doubled = np.concatenate((levels, levels), axis=1).astype(np.float32)
+    # shifted[:, d, x] = level of x + d mod m: a strided view of doubled, no copy
+    item = doubled.itemsize
+    shifted = np.ndarray((size, half + 1, m), np.float32, buffer=doubled, strides=(doubled.strides[0], item, item))
+    offsets = min(half, max(1, _CENSUS_STEP // (size * m)))
+    signs = np.empty((size, offsets, m), dtype=np.float32)
+    gram = np.zeros((size, size))
+    for d in range(1, half + 1, offsets):
+        step = signs[:, :half + 1 - d]
+        np.subtract(doubled[:, None, :m], shifted[:, d:d + offsets], out=step)
+        np.clip(step, -1, 1, out=step)  # the sign of an integer difference
+        if 2 * (d + step.shape[1] - 1) == m:
+            step[:, -1, half:] = 0  # offset m / 2 meets each pair twice: keep x < m / 2
+        flat = step.reshape(size, -1)
+        gram += flat @ flat.T
+    return gram.astype(np.int64)
+
+
+def _joint_ties(levels: np.ndarray) -> np.ndarray:
+    """N0 of every two of U level rows, n1 on the diagonal: the U x U int64 counts of pairs x < y both tie.
+
+    For two rows r <= q the joint keys level_r * m + level_q are sorted; a
+    run of c equal keys holds C(c, 2) tied pairs, the sum over its keys of
+    (index - index where the run starts).  At most ``_CENSUS_STEP`` // 2
+    keys (one pair of rows at least) are formed at a time: as many bytes as
+    a step of ``_sign_gram``.
+
+    Exactness bound: the keys are at most (m - 1) m + m - 1 < m**2 < 2**63.
+    """
+    size, m = levels.shape
+    r, q = np.nonzero(np.arange(size)[:, None] <= np.arange(size))  # every two rows r <= q
+    ties = np.empty((size, size), dtype=np.int64)
+    pairs = max(1, _CENSUS_STEP // (2 * m))
+    for start in range(0, len(r), pairs):
+        rs, qs = r[start:start + pairs], q[start:start + pairs]
+        joint = levels[rs]
+        joint *= m
+        joint += levels[qs]
+        joint.sort(axis=1)
+        # rewritten in place: the index where each key's run of equal keys starts
+        np.multiply(joint[:, 1:] != joint[:, :-1], np.arange(1, m), out=joint[:, 1:])
+        joint[:, 0] = 0
+        np.maximum.accumulate(joint, axis=1, out=joint)
+        ties[rs, qs] = ties[qs, rs] = m * (m - 1) // 2 - joint.sum(axis=1)
+    return ties
+
+
 def _census(rankings: Sequence[Ranking]) -> tuple[np.ndarray, ...]:
     """Pair census of every two of R rankings: six R x R int64 arrays in ``PairStats`` field order.
 
-    Each ranking is relabelled by its dense levels 0..L-1: below m, so
-    float32 holds every level and every difference exactly, however large
-    the ranks.  Only the U distinct level rows (one per weak order) are
-    censused, and the counts are expanded back to all R rankings.  S S^T
-    and T T^T are summed over the pairs x < y in blocks of rows x, each
-    taking the columns y > x and holding at most ``_CENSUS_BLOCK`` cells of
-    all U rankings (one row at least), so no m x m array is formed.
+    Each ranking is relabelled by its dense levels 0..L-1, below m however
+    large the ranks.  Only the U distinct level rows (one per weak order)
+    are censused, by ``_sign_gram`` and ``_joint_ties``, and the counts are
+    expanded back to all R rankings.
 
-    Exactness bound: a block's float32 Gram entries are integers of
-    magnitude at most its cells per ranking, max(``_CENSUS_BLOCK``, m)
-    < 2**24, so every float32 partial sum is exact; the float64 totals are
-    integers at most N < 2**53.  The tau-b normaliser is at most N**2,
-    which int64 holds for m <= ``_CENSUS_MAX_SIZE`` (77,936); a larger m
-    raises InputError.
+    Exactness bounds: those of ``_sign_gram`` and ``_joint_ties``; the
+    tau-b normaliser is at most N**2, which int64 holds for
+    m <= ``_CENSUS_MAX_SIZE`` (77,936); a larger m raises InputError.
     """
     first = rankings[0].alternatives.items
     if any(ranking.alternatives.items != first for ranking in rankings):
@@ -92,41 +152,24 @@ def _census(rankings: Sequence[Ranking]) -> tuple[np.ndarray, ...]:
         raise InputError("correlation needs at least two alternatives")
     if m > _CENSUS_MAX_SIZE:
         raise InputError(f"the pair census supports at most {_CENSUS_MAX_SIZE} alternatives, got {m}")
-    levels = _levels(np.stack([ranking.rank_vector() for ranking in rankings])).astype(np.float32)
+    levels = _levels(np.array([ranking.rank_vector() for ranking in rankings]))
     # rankings of one weak order share their levels and every count: census each order once
     index: dict[bytes, int] = {}
     inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in levels])
-    levels = levels[np.unique(inverse, return_index=True)[1]]
-    size = len(levels)
-    sign_gram = np.zeros((size, size))
-    tie_gram = np.zeros((size, size))
-    start = 0
-    while start < m - 1:
-        width = m - start - 1  # columns y = start + 1 .. m - 1
-        rows = min(max(1, _CENSUS_BLOCK // (size * width)), width)
-        diff = levels[:, start:start + rows, None] - levels[:, None, start + 1:]
-        ties = (diff == 0).astype(np.float32)
-        signs = np.clip(diff, -1, 1, out=diff)  # the sign of an integer difference
-        # the block's square below its diagonal holds the pairs y <= x: zero them
-        ties[:, :, :rows - 1] *= _KEEP[:rows, :rows - 1]
-        signs[:, :, :rows - 1] *= _KEEP[:rows, :rows - 1]
-        signs, ties = signs.reshape(size, -1), ties.reshape(size, -1)
-        sign_gram += signs @ signs.T
-        tie_gram += ties @ ties.T
-        start += rows
-    sign_gram, tie_gram = sign_gram.astype(np.int64), tie_gram.astype(np.int64)
+    levels = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), m)
+    expand = (inverse[:, None], inverse)
+    sign_gram, tie_gram = _sign_gram(levels)[expand], _joint_ties(levels)[expand]
     total = m * (m - 1) // 2
-    tied = np.diag(tie_gram)[:, None]  # pairs each ranking ties
-    untied = total - tied - tied.T + tie_gram
-    expand = np.ix_(inverse, inverse)
-    shape = (len(rankings), len(rankings))
+    tied = tie_gram.diagonal()  # pairs each ranking ties
+    untied = total - tied[:, None] - tied + tie_gram
+    ties_first = tied.repeat(len(tied)).reshape(tie_gram.shape)
     return (
-        np.full(shape, total, dtype=np.int64),
-        ((untied + sign_gram) // 2)[expand],
-        ((untied - sign_gram) // 2)[expand],
-        np.broadcast_to(tied[inverse], shape),
-        np.broadcast_to(tied[inverse].T, shape),
-        tie_gram[expand],
+        np.full(tie_gram.shape, total, dtype=np.int64),
+        (untied + sign_gram) // 2,
+        (untied - sign_gram) // 2,
+        ties_first,
+        ties_first.T,
+        tie_gram,
     )
 
 

@@ -202,7 +202,11 @@ def load_profile(
 ) -> tuple[AlternativeSet, dict[str, Ranking], Profile]:
     """A ranks table, its columns and their profile under ``weights_path`` (default: the bundled study weights)."""
     alternatives, rankings = load_ranks(ranks_csv)
-    weights = load_weights(weights_path or bundled_fixtures_dir() / "weights.cfg")
+    weights_path = weights_path or bundled_fixtures_dir() / "weights.cfg"
+    weights = load_weights(weights_path)
+    for name in rankings:
+        if name not in weights.weights:
+            raise InputError(f"{weights_path}: no weight configured for criterion {name!r} of {ranks_csv} (row 1, col {name})")
     return alternatives, rankings, build_profile(alternatives, rankings, weights)
 
 

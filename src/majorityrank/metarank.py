@@ -8,10 +8,13 @@ Components are compared by exact keys from one pair census of all
 candidates and criteria, so a tie means exact equality of the measure
 values, never floating-point coincidence: N+ + N0 for the coinciding
 share and, for tau_b = a/sqrt(d) with a = N+ - N- and d = (N - n1)(N - n2),
-the fraction a|a|/d in Python integers, which orders and ties exactly as
-tau-b does because t -> t|t| is strictly increasing.  Each criterion's keys
-are ranked once to int levels by ``core``'s relabelling (n log n exact
-comparisons per criterion), and the pairwise comparisons use those levels.
+the Python integer a|a| * L/(N - n1), with L the least common multiple of
+the candidates' N - n1.  Within one criterion's column N - n2 is constant,
+so that key is a|a|/d times the positive constant L (N - n2), and it orders
+and ties exactly as tau-b does because t -> t|t| is strictly increasing.
+Each criterion's keys are ranked once to int levels by ``core``'s
+relabelling (n log n exact comparisons per criterion), and the pairwise
+comparisons use those levels.
 
 The resulting majority digraph is generally only a partial order, and is
 condensed into a weak order over the candidates: pairs whose relative
@@ -33,7 +36,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -130,9 +132,11 @@ def rankings_majority(
         norm = (total - ties_first) * (total - ties_second)
         if n > 1 and not norm.all():
             raise DegenerateRankingError("tau-b comparison involving a fully tied ranking is undefined")
-        # the exact key a|a|/d (module docstring); d = 0 only for a lone candidate, compared with no one
+        # the exact key a|a| * L/(N - n1) (module docstring); N - n1 = 0 only for a lone candidate
+        untied = np.maximum(total[:, 0] - ties_first[:, 0], 1).tolist()
+        lcm = math.lcm(*untied)
         score = (concordant - discordant).astype(object)
-        keys = np.frompyfunc(Fraction, 2, 1)(score * abs(score), np.maximum(norm, 1).astype(object))
+        keys = score * abs(score) * np.array([lcm // u for u in untied], dtype=object)[:, None]
     else:
         raise InputError(f"unknown measure {measure!r}; expected one of {MEASURES}")
     levels = _levels(keys.T).T  # each criterion's keys as int levels: comparisons of ints, in key order

@@ -154,6 +154,18 @@ def test_rank_weights_reject_underscore_digits(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {config}: line 2: weight '1_0' is not an integer\n"
 
 
+@pytest.mark.parametrize("command", ["rank", "analyze", "metarank"])
+def test_missing_weight_names_the_weights_file_and_the_table_column(tmp_path, capsys, command):
+    table, config = write_toy_table(tmp_path)
+    config.write_text("c1 = 1\nc3 = 1\n", encoding="utf-8")
+    argv = {"rank": ["--method", "copeland1"], "analyze": ["--output", str(tmp_path / "out")], "metarank": []}[command]
+    code, out = run_main(command, str(table), "--weights", str(config), *argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {config}: no weight configured for criterion 'c2' of {table} (row 1, col c2)\n"
+    )
+
+
 def test_analyze_size_error_writes_no_file(tmp_path, monkeypatch, capsys):
     # every size bound is checked before any output: a k = 5 bound below m = 3 leaves the directory empty
     table, weights = write_toy_table(tmp_path)

@@ -2,6 +2,7 @@ import math
 import random
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,8 @@ from majorityrank import (
     pair_stats,
 )
 from conftest import order_ranking
-from majorityrank.correlation import _CENSUS_BLOCK, _CENSUS_MAX_SIZE, MEASURES, _census
+from majorityrank import correlation
+from majorityrank.correlation import _CENSUS_MAX_SIZE, _CENSUS_STEP, MEASURES, _census
 from oracles import naive_pair_stats, random_ranking
 
 ABC = AlternativeSet(("a", "b", "c"))
@@ -134,8 +136,9 @@ def assert_census_matches_naive_loops(rankings):
 
 
 def test_census_over_several_row_blocks_matches_naive_loops():
-    # the census of two takes seven blocks of 27 to 67 rows, the last one short (55 of 148);
-    # thirteen rankings take 40 blocks of 4 to 35 rows
+    # the census takes its pairs by cyclic offsets, a step of offsets at a time: at m = 300 the census of
+    # two takes steps of 109 and a short 41 of the 150 offsets; thirteen orders take ten steps of 16
+    # offsets, the last a short 6 that holds the offset m / 2
     rng = random.Random(52)
     names = AlternativeSet(tuple(f"c{i}" for i in range(300)))
     for max_positions in (3, 40, 300):
@@ -146,12 +149,44 @@ def test_census_over_several_row_blocks_matches_naive_loops():
 
 
 def test_census_blocks_crossing_the_diagonal_match_naive_loops():
-    # four distinct orders at m = 150 take blocks of 27, 33, 46 and a short last 43 rows (of 95);
-    # inside each block the pairs y <= x of its square are masked out
+    # the offset m / 2 of an even m meets every pair twice, and the census keeps the first half of its row:
+    # four distinct orders at m = 150 take all 75 offsets in one step, the last of them m / 2;
+    # eight orders at m = 150 take steps of 54 and a short 21 that ends with m / 2, and at the odd
+    # m = 151 the same steps, with no offset m / 2
     rng = random.Random(55)
     names = AlternativeSet(tuple(f"c{i}" for i in range(150)))
     rankings = [random_ranking(rng, names, positions) for positions in (2, 5, 150, 150)]
     assert_census_matches_naive_loops([*rankings, rankings[1]])
+    for m in (150, 151):
+        names = AlternativeSet(tuple(f"c{i}" for i in range(m)))
+        assert_census_matches_naive_loops([random_ranking(rng, names, (2, 5, 40, m)[i % 4]) for i in range(8)])
+
+
+def test_census_step_that_exactly_fills_its_buffer_matches_naive_loops():
+    # four orders at m = 256 take two steps of 64 offsets, each filling all 4 * 64 * 256 cells of the buffer
+    assert 4 * 64 * 256 == _CENSUS_STEP
+    rng = random.Random(58)
+    names = AlternativeSet(tuple(f"c{i}" for i in range(256)))
+    rankings = [random_ranking(rng, names, positions) for positions in (2, 7, 60, 256)]
+    assert_census_matches_naive_loops([*rankings, rankings[2]])
+
+
+def dense_pair_stats(r1, r2):
+    """(N, N+, N-, n1, n2, N0) from the m x m sign matrices of two rankings, over the pairs x < y."""
+    upper = np.triu(np.ones((len(r1.alternatives),) * 2, dtype=bool), 1)
+    s1, s2 = (np.sign(r.rank_vector()[:, None] - r.rank_vector()[None, :])[upper] for r in (r1, r2))
+    return (int(upper.sum()), int((s1 * s2 == 1).sum()), int((s1 * s2 == -1).sum()),
+            int((s1 == 0).sum()), int((s2 == 0).sum()), int(((s1 == 0) & (s2 == 0)).sum()))
+
+
+def test_census_tie_count_over_several_chunks_of_pairs():
+    # at m = 700 the joint keys of 46 pairs of orders fit in one chunk; fourteen orders have 105 pairs r <= q
+    rng = random.Random(59)
+    names = AlternativeSet(tuple(f"c{i}" for i in range(700)))
+    rankings = [random_ranking(rng, names, (2, 3, 9, 40, 700)[i % 5]) for i in range(14)]
+    census = _census(rankings)
+    for r, q in combinations_with_replacement(range(len(rankings)), 2):
+        assert tuple(int(c[r, q]) for c in census) == dense_pair_stats(rankings[r], rankings[q]), (r, q)
 
 
 def test_census_of_repeated_rankings_matches_naive_loops():
@@ -177,9 +212,15 @@ def test_census_of_ranks_beyond_float32_matches_naive_loops():
 
 
 def test_census_float32_bound():
-    # a block's Gram entries count at most max(_CENSUS_BLOCK, m) cells of one ranking; float32 holds
+    # a step's Gram entries count at most max(_CENSUS_STEP, m) cells of one order; float32 holds
     # every integer below 2**24 exactly
-    assert max(_CENSUS_BLOCK, _CENSUS_MAX_SIZE) < 2 ** 24
+    assert max(_CENSUS_STEP, _CENSUS_MAX_SIZE) < 2 ** 24
+
+
+def test_census_joint_key_bound():
+    # a joint key level_r * m + level_q, levels below m, is at most m**2 - 1; int64 holds it
+    m = _CENSUS_MAX_SIZE
+    assert (m - 1) * m + (m - 1) < m ** 2 < 2 ** 63
 
 
 @st.composite
@@ -195,6 +236,18 @@ def tied_rankings(draw, max_rankings=6, max_m=8):
 @given(tied_rankings())
 def test_census_matches_naive_loops_on_tied_rankings(rankings):
     assert_census_matches_naive_loops(rankings)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_census_matches_naive_loops_at_every_step_size(data):
+    # with steps of a few cells, the same rankings span one-offset steps, full and short steps, and
+    # chunks of one pair or several
+    rankings = data.draw(tied_rankings(max_rankings=5, max_m=11))
+    step = data.draw(st.sampled_from((1, 7, 16, 30, 64, 121)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlation, "_CENSUS_STEP", step)
+        assert_census_matches_naive_loops(rankings)
 
 
 def test_census_size_bound():

@@ -141,6 +141,39 @@ def test_exact_tau_ties_with_different_counts(criterion_ranks, coarse, spread, c
     assert comparison.wins.tolist() == naive_meta_wins(candidates, [criterion], "tau_b").tolist() == [[0, 0], [0, 0]]
 
 
+def test_exact_tau_ties_hold_in_every_criterion_column():
+    # the "equal-floats" candidates also tie on a criterion with one tied pair, N - n2 = 9:
+    # 2/sqrt(4 * 9) = 3/sqrt(9 * 9); the keys a|a| * L/(N - n1), L = lcm(4, 9), are 36 and 36 in both columns
+    names = AlternativeSet(tuple("abcde"))
+    criteria = [Criterion("strict", 1, Ranking(names, dict(zip(names, (1, 2, 3, 4, 5))))),
+                Criterion("tied", 2, Ranking(names, dict(zip(names, (1, 1, 2, 3, 4)))))]
+    candidates = {"coarse": Ranking(names, dict(zip(names, (1, 1, 1, 2, 1)))),
+                  "spread": Ranking(names, dict(zip(names, (1, 1, 4, 3, 2))))}
+    for ranking, (score, untied) in zip(candidates.values(), ((2, 4), (3, 9))):
+        stats = pair_stats(ranking, criteria[1].ranking)
+        assert (stats.concordant - stats.discordant, stats.total - stats.ties_first, stats.ties_second) == (score, untied, 1)
+    comparison = rankings_majority(candidates, criteria)
+    assert comparison.wins.tolist() == naive_meta_wins(candidates, criteria, "tau_b").tolist() == [[0, 0], [0, 0]]
+
+
+def test_tau_keys_with_a_large_common_multiple_match_pair_loops():
+    # twenty candidates with twenty different N - n1 at m = 16: their least common multiple L exceeds 2**63,
+    # so the exact keys a|a| * L/(N - n1) only fit in Python integers
+    rng = random.Random(69)
+    names = AlternativeSet(tuple(f"a{i}" for i in range(16)))
+    by_untied = {}
+    while len(by_untied) < 20:
+        ranking = random_ranking(rng, names)
+        stats = pair_stats(ranking, ranking)
+        if stats.total > stats.ties_first:
+            by_untied.setdefault(stats.total - stats.ties_first, ranking)
+    assert math.lcm(*by_untied) > 2 ** 63
+    candidates = {f"r{untied}": ranking for untied, ranking in by_untied.items()}
+    criteria = [Criterion(f"p{k}", k + 1, nondegenerate_ranking(rng, names)) for k in range(4)]
+    for measure in MEASURES:
+        assert not assert_meta_wins_match_pair_loops(candidates, criteria, measure)
+
+
 def assert_meta_wins_match_pair_loops(candidates, criteria, measure) -> bool:
     """rankings_majority equals the pair-loop reference, raising where it raises; True if both raised."""
     try:

@@ -24,3 +24,12 @@ def test_only_io_constructs_a_csv_writer():
     # io owns the CSV boundary: every command's table goes through io.write_table
     writers = [path.name for path in SOURCES if "csv.writer(" in path.read_text(encoding="utf-8")]
     assert writers == ["io.py"]
+
+
+def test_metarank_keys_are_not_fractions():
+    # the exact tau-b keys are Python ints (metarank's module docstring): Fraction keys made ranking
+    # them about ten times slower
+    tree = ast.parse((Path(majorityrank.__file__).parent / "metarank.py").read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "math" in modules and "fractions" not in modules
