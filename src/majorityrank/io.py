@@ -13,9 +13,10 @@ have a published column against ``table6_aggregates``.
 All tabular data is CSV with a header row, UTF-8, and this module owns
 that boundary.  Loaders reject incomplete or malformed rows with
 row/column coordinates; they never impute.  Every labelled table's row
-labels pass ``_row_labels``, every second ranks table must list the
-criteria table's countries in order (``load_aligned_ranks``), and every
-command writes its tables through ``write_table``.
+labels and header cells pass ``_row_labels``, every second ranks table
+must list the criteria table's countries in order
+(``load_aligned_ranks``), and every command writes its tables through
+``write_table``.
 """
 
 from __future__ import annotations
@@ -97,8 +98,6 @@ def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
     if len(header) < 2:
         raise InputError(f"{path}: need a country column plus at least one ranking column")
     columns = header[1:]
-    if len(set(columns)) != len(columns):
-        raise InputError(f"{path}: duplicate column names")
     countries = _row_labels(path, header, rows)
     ranks: dict[str, dict[str, int]] = {name: {} for name in columns}
     for (row_number, row), country in zip(rows, countries):
@@ -262,7 +261,7 @@ def load_indicators(path: str | Path) -> list[IndicatorRecord]:
 
 
 def _row_labels(path: Path, header: list[str], rows: list[tuple[int, list[str]]], index: int = 0) -> list[str]:
-    """Column ``index`` of numbered rows, each label non-empty and unique, or an InputError naming it by its header."""
+    """Column ``index`` of numbered rows: each label non-empty and unique, each header cell unique, or an InputError."""
     if not rows:
         raise InputError(f"{path}: no data rows")
     column = header[index]
@@ -275,6 +274,9 @@ def _row_labels(path: Path, header: list[str], rows: list[tuple[int, list[str]]]
         if label in seen:
             raise InputError(f"{path}: duplicate {noun} {label!r} (row {row_number}, col {column})")
         seen.add(label)
+    if len(set(header)) < len(header):
+        repeated = next(cell for k, cell in enumerate(header) if cell in header[:k])
+        raise InputError(f"{path}: duplicate column {repeated!r} (row 1, col {repeated})")
     return [row[index] for _, row in rows]
 
 

@@ -19,16 +19,17 @@ comparisons use those levels.
 The resulting majority digraph is generally only a partial order, and is
 condensed into a weak order over the candidates: pairs whose relative
 order agrees across all linear orders at minimal Kendall distance from
-the digraph stay ordered, pairs that vary are tied.  For an acyclic
-digraph the optimal orders are exactly its linear extensions and the
-fixed pairs are those comparable in the transitive closure; otherwise the
-optimal orders are found exactly by a dynamic program over the subsets of
-candidates, which caps cyclic digraphs at 20 candidates.  The program
-visits only the subsets that respect the digraph's condensation: no
-optimal order inverts an arc between two strongly connected components,
-because ordering the components topologically, each one optimally,
-inverts no such arc and attains every component's own minimum inside it
-(proof in ``_order_dp``).
+the digraph stay ordered, pairs that vary are tied.  If the transitive
+closure has an empty diagonal, the digraph is acyclic, the optimal orders
+are exactly its linear extensions and the fixed pairs are the closure;
+otherwise the optimal orders are found exactly by a dynamic program over
+the subsets of candidates, which caps cyclic digraphs at 20 candidates.
+The program visits only the subsets that respect the digraph's
+condensation: no optimal order inverts an arc between two strongly
+connected components, because ordering the components topologically,
+each one optimally, inverts no such arc and attains every component's own
+minimum inside it (proof in ``_order_dp``).  A ``MetaComparison`` caches
+its fixed pairs and the program's tables, which every query reads.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +92,33 @@ class MetaComparison:
         wins.setflags(write=False)
         object.__setattr__(self, "majority", majority)
         object.__setattr__(self, "wins", wins)
+
+    @cached_property
+    def _dp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+        """``_order_dp`` of the read-only majority digraph, run at most once."""
+        return _order_dp(self.majority)
+
+    @cached_property
+    def _fixed(self) -> np.ndarray:
+        """Strict partial order of the pairs ordered identically in every optimal order."""
+        adj = self.majority
+        closure = _transitive_closure(adj)
+        on_cycle = closure.diagonal()
+        if not on_cycle.any():
+            return closure
+        if len(adj) > SUBSET_SOLVER_LIMIT:
+            # from the first vertex on a cycle, step to the lowest successor that can reach it again
+            start = int(np.argmax(on_cycle))
+            walk = [start]
+            while walk.count(walk[-1]) == 1:
+                walk.append(int(np.argmax(adj[walk[-1]] & closure[:, start])))
+            names = [self.candidates[i] for i in walk[walk.index(walk[-1]):]]
+            raise SizeLimitError(
+                f"majority digraph over {len(adj)} candidates is cyclic (e.g. {' > '.join(names)}); "
+                f"exact search handles at most {SUBSET_SOLVER_LIMIT}"
+            )
+        realized = _realized_pairs(self)
+        return realized & ~realized.T
 
 
 def correlation_vector(
@@ -148,28 +177,6 @@ def rankings_majority(
 
 # ---------------------------------------------------------------------------
 # condensation of the majority digraph into a weak order
-
-
-def _find_cycle(adj: np.ndarray) -> list[int]:
-    """One directed cycle, first vertex repeated at the end; [] for an acyclic digraph.
-
-    Kahn peeling removes every vertex that no remaining vertex beats.  Each
-    leftover vertex then has a leftover predecessor, so walking predecessors
-    from any of them must revisit a vertex, closing a cycle.
-    """
-    alive = np.ones(len(adj), dtype=bool)
-    while True:
-        sources = alive & ~adj[alive].any(axis=0)
-        if not sources.any():
-            break
-        alive &= ~sources
-    if not alive.any():
-        return []
-    walk = [int(np.argmax(alive))]
-    while walk.count(walk[-1]) == 1:
-        walk.append(int(np.argmax(alive & adj[:, walk[-1]])))
-    loop = walk[walk.index(walk[-1]):]
-    return loop[::-1]
 
 
 def _transitive_closure(adj: np.ndarray) -> np.ndarray:
@@ -245,15 +252,15 @@ def _order_dp(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list
     return cost, count, choice, blocks
 
 
-def _realized_pairs(adj: np.ndarray) -> np.ndarray:
+def _realized_pairs(mc: MetaComparison) -> np.ndarray:
     """realized[u, v] is True iff some optimal order places u before v.
 
-    One backward pass marks the states that optimal orders pass through;
-    u precedes v in one of them iff u may go first in a marked state that
-    still holds v.
+    One backward pass over the comparison's cached DP tables marks the
+    states that optimal orders pass through; u precedes v in one of them
+    iff u may go first in a marked state that still holds v.
     """
-    n = len(adj)
-    _, _, choice, blocks = _order_dp(adj)
+    n = len(mc.candidates)
+    _, _, choice, blocks = mc._dp
     bits = np.int32(1) << np.arange(n, dtype=np.int32)
     reached = np.zeros(1 << n, dtype=bool)
     reached[-1] = True
@@ -268,31 +275,16 @@ def _realized_pairs(adj: np.ndarray) -> np.ndarray:
     return realized
 
 
-def _fixed_pair_order(mc: MetaComparison) -> np.ndarray:
-    """Strict partial order of pairs ordered identically in every optimal order."""
-    adj = mc.majority
-    cycle = _find_cycle(adj)
-    if not cycle:
-        return _transitive_closure(adj)
-    if len(adj) > SUBSET_SOLVER_LIMIT:
-        names = [mc.candidates[i] for i in cycle]
-        raise SizeLimitError(
-            f"majority digraph over {len(adj)} candidates is cyclic (e.g. {' > '.join(names)}); "
-            f"exact search handles at most {SUBSET_SOLVER_LIMIT}"
-        )
-    realized = _realized_pairs(adj)
-    return realized & ~realized.T
-
-
 def closest_weak_order(mc: MetaComparison) -> Ranking:
     """Condense the majority digraph into a weak order over the candidates.
 
     The tied blocks are the connected components of incomparability under
-    the fixed pairs.  The fixed pairs form a strict partial order (a
-    transitive closure, or the intersection of the optimal orders), whose
-    incomparability components are totally ordered: each lies wholly above
-    or wholly below each other one.  So the blocks are the maximal runs of
-    any linear extension that no incomparable pair straddles.
+    the fixed pairs, which the comparison caches.  They form a strict
+    partial order (an acyclic digraph's transitive closure, or else the
+    intersection of the optimal orders), whose incomparability components
+    are totally ordered: each lies wholly above or wholly below each other
+    one.  So the blocks are the maximal runs of any linear extension that no
+    incomparable pair straddles.
 
     The output uses competition numbering: each tied block keeps the rank
     one past the number of candidates strictly above it.
@@ -300,7 +292,7 @@ def closest_weak_order(mc: MetaComparison) -> Ranking:
     Raises:
         SizeLimitError: cyclic digraph over more than 20 candidates.
     """
-    order = _fixed_pair_order(mc)
+    order = mc._fixed
     n = len(order)
     extension = np.argsort(order.sum(axis=0), kind="stable")  # fewer candidates above come first
     comparable = order[np.ix_(extension, extension)]
@@ -315,13 +307,13 @@ def closest_weak_order(mc: MetaComparison) -> Ranking:
 
 def optimal_order_count(mc: MetaComparison) -> int:
     """Number of linear orders at minimal Kendall distance from the majority digraph."""
-    _, count, _, _ = _order_dp(mc.majority)
+    _, count, _, _ = mc._dp
     return int(count[-1])
 
 
 def optimal_linear_orders(mc: MetaComparison, cap: int = 10 ** 6) -> list[tuple[str, ...]]:
     """All minimum-distance linear orders, best candidate first (capped enumeration)."""
-    _, count, choice, _ = _order_dp(mc.majority)
+    _, count, choice, _ = mc._dp
     if count[-1] > cap:
         raise SizeLimitError(f"more than {cap} optimal orders")
     orders: list[tuple[tuple[int, ...], int]] = [((), len(choice) - 1)]
@@ -337,5 +329,5 @@ def optimal_linear_orders(mc: MetaComparison, cap: int = 10 ** 6) -> list[tuple[
 
 def minimum_distance(mc: MetaComparison) -> int:
     """Minimal number of majority pairs any candidate linear order must invert."""
-    cost, _, _, _ = _order_dp(mc.majority)
+    cost, _, _, _ = mc._dp
     return int(cost[-1])

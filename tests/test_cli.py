@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io as stdio
+import random
 import shutil
 import subprocess
 import sys
@@ -558,3 +559,72 @@ def test_study_files_and_cip_output_keep_their_digests(tmp_path):
         assert code == 0
         found[f"cip-{scheme}"] = digest(out.encode("utf-8"))
     assert found == FILE_DIGESTS
+
+
+def test_cip_rejects_a_repeated_indicator_column(tmp_path, capsys):
+    # ranked by the second MVApc column, country a would come first
+    table = tmp_path / "indicators.csv"
+    table.write_text(
+        "country,MVApc,MXpc,MHVAsh,MVAsh,MHXsh,MXsh,ImWMVA,ImWMT,MVApc\n"
+        "a,1,1,0.1,0.1,0.1,0.1,0.1,0.1,5\n"
+        "b,2,1,0.1,0.1,0.1,0.1,0.1,0.1,0.5\n",
+        encoding="utf-8",
+    )
+    assert run_main("cip", str(table)) == (2, "")
+    assert capsys.readouterr().err == f"error: {table}: duplicate column 'MVApc' (row 1, col MVApc)\n"
+
+
+FUZZ_CASES = 30  # seeded mutations per command
+FUZZ_BYTES = (b"", b",", b"\n", b'"', b"\xff", b"9", b"-")
+FUZZ_CELLS = (b"", b"0", b"-1", b"1.5", b"x", b"nan", b"1e999", b"1_0", b"99999999999999999999", b'"')
+
+
+def mutate(rng: random.Random, data: bytes, row: int | None = None) -> bytes:
+    """One seeded byte, row or cell mutation of a table or weights file; ``row`` makes it a cell of that row."""
+    lines = data.split(b"\n")
+    kind = "cell" if row is not None else rng.choice(("byte", "row", "cell"))
+    if kind == "byte":
+        at = rng.randrange(len(data))
+        return data[:at] + rng.choice(FUZZ_BYTES) + data[at + 1:]
+    if kind == "row":  # drop a row (a blank line is skipped), repeat one, or swap two
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[i], lines[j] = rng.choice(((b"", lines[j]), (lines[j], lines[j]), (lines[j], lines[i])))
+        return b"\n".join(lines)
+    i = rng.randrange(len(lines)) if row is None else row
+    cells = lines[i].split(b",")
+    k = rng.randrange(len(cells))
+    cells[k] = rng.choice(FUZZ_CELLS + tuple(cells))  # a bad value, or a repeat of one in the row
+    lines[i] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("seed, command", enumerate(("reproduce", "rank", "metarank", "correlate", "analyze", "cip")))
+def test_fuzzed_inputs_exit_cleanly_and_name_the_mutated_file(tmp_path, capsys, seed, command):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(bundled_fixtures_dir(), fixtures)
+    names = ("table6_criteria.csv", "table6_aggregates.csv", "weights.cfg", "indicators.csv")
+    criteria, aggregates, weights, indicators = (fixtures / name for name in names)
+    indicators.write_text(INDICATORS_TABLE, encoding="utf-8")
+    targets, argv = {
+        "reproduce": (mio.FIXTURE_FILES, ["reproduce", fixtures]),
+        "rank": ((criteria, weights), ["rank", criteria, "--weights", weights, "--method", "copeland1"]),
+        "metarank": ((criteria, aggregates), ["metarank", criteria, "--candidates", aggregates]),
+        "correlate": ((criteria,), ["correlate", criteria]),
+        "analyze": ((criteria, weights), ["analyze", criteria, "--weights", weights, "--output", tmp_path / "out"]),
+        "cip": ((indicators,), ["cip", indicators]),
+    }[command]
+    rng = random.Random(seed)
+    codes = []
+    for case in range(FUZZ_CASES):
+        path = fixtures / rng.choice(targets)
+        original = path.read_bytes()
+        header = 0 if command == "cip" and rng.random() < 0.5 else None
+        path.write_bytes(mutate(rng, original, header))
+        code, _ = run_main(*map(str, argv))
+        error = capsys.readouterr().err
+        path.write_bytes(original)
+        assert code in (0, 1, 2) and "Traceback" not in error, (case, error)
+        assert code != 2 or str(path) in error, (case, error)
+        codes.append(code)
+    assert 0 in codes and 2 in codes, codes  # the mutations both spare and break the inputs

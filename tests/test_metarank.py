@@ -23,8 +23,10 @@ from majorityrank import (
     optimal_order_count,
     pair_stats,
     rankings_majority,
+    run_reproduce,
 )
 from conftest import order_ranking
+from majorityrank import metarank
 from majorityrank.correlation import MEASURES
 from majorityrank.metarank import _order_dp, _realized_pairs
 from oracles import brute_minimum, naive_meta_wins, random_ranking
@@ -328,7 +330,7 @@ def assert_solver_matches_exhaustive_search(names, edges) -> int:
     assert optimal_order_count(comparison) == len(expected_orders)
     assert optimal_linear_orders(comparison) == expected_orders
     realized = {(a, b) for order in expected_orders for k, a in enumerate(order) for b in order[k + 1:]}
-    dp_realized = _realized_pairs(comparison.majority)
+    dp_realized = _realized_pairs(comparison)
     assert {(names[i], names[j]) for i, j in zip(*np.nonzero(dp_realized))} == realized
     # the weak order: blocks are the incomparability components of the
     # pairs fixed in every optimal order, ranked by competition numbering
@@ -434,3 +436,59 @@ def test_long_cycle_is_reported_without_recursion():
     assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1 == n - 3
     for a, b in zip(cycle, cycle[1:]):
         assert comparison.majority[names.index(a), names.index(b)]
+
+
+def test_cycle_example_closes_where_the_walk_first_repeats():
+    # from r0 the lowest successors that reach r0 again run r3 > r4 > r6 and back to r3,
+    # a cycle that misses r0: the reported example is that cycle
+    names = [f"r{i}" for i in range(25)]
+    edges = [("r0", "r3"), ("r3", "r4"), ("r4", "r6"), ("r6", "r3"), ("r4", "r7"), ("r7", "r0")]
+    with pytest.raises(SizeLimitError, match=r"\(e\.g\. r3 > r4 > r6 > r3\)"):
+        closest_weak_order(make_comparison(names, edges))
+
+
+def test_acyclic_digraph_above_the_cap():
+    # a transitive tournament on 30 candidates without the arc r10 > r11: the
+    # closure leaves only that pair unordered, and the DP's cap still holds
+    names = [f"r{i}" for i in range(30)]
+    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1:] if (a, b) != ("r10", "r11")]
+    comparison = make_comparison(names, edges)
+    ranks = closest_weak_order(comparison).ranks
+    assert [ranks[name] for name in names] == [*range(1, 11), 11, 11, *range(13, 31)]
+    for query in (optimal_order_count, minimum_distance, optimal_linear_orders):
+        with pytest.raises(SizeLimitError, match="capped at 20"):
+            query(comparison)
+
+
+def counted_order_dp(monkeypatch) -> list[int]:
+    """Replace metarank._order_dp by a wrapper that records each call's digraph size."""
+    calls = []
+
+    def counted(adj):
+        calls.append(len(adj))
+        return order_dp(adj)
+
+    order_dp = metarank._order_dp
+    monkeypatch.setattr(metarank, "_order_dp", counted)
+    return calls
+
+
+def test_one_subset_dp_per_comparison(monkeypatch):
+    calls = counted_order_dp(monkeypatch)
+    comparison = make_comparison(
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("b", "d"), ("c", "d")],
+    )
+    for _ in range(2):
+        assert closest_weak_order(comparison).ranks == {"a": 1, "b": 1, "c": 1, "d": 4}
+        assert optimal_order_count(comparison) == 3
+        assert len(optimal_linear_orders(comparison)) == 3
+        assert minimum_distance(comparison) == 1
+    assert calls == [4]
+
+
+def test_reproduce_runs_the_subset_dp_once(monkeypatch):
+    # both study meta digraphs are acyclic: only the coinciding order count needs the DP
+    calls = counted_order_dp(monkeypatch)
+    assert run_reproduce().passed
+    assert calls == [15]
