@@ -12,11 +12,11 @@ have a published column against ``table6_aggregates``.
 
 All tabular data is CSV with a header row, UTF-8, and this module owns
 that boundary.  Loaders reject incomplete or malformed rows with
-row/column coordinates; they never impute.  Every labelled table's row
-labels and header cells pass ``_row_labels``, every second ranks table
-must list the criteria table's countries in order
-(``load_aligned_ranks``), and every command writes its tables through
-``write_table``.
+row/column coordinates; they never impute.  No table may repeat a header
+cell (``_unique_header``), every labelled table's row labels pass
+``_row_labels``, every second ranks table must list the criteria table's
+countries in order (``load_aligned_ranks``), and every command writes its
+tables through ``write_table``.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def load_indicators(path: str | Path) -> list[IndicatorRecord]:
     header, rows = _read_simple_csv(path)
     missing = [c for c in ("country", *INDICATORS) if c not in header]
     if missing:
-        raise InputError(f"{path}: missing columns {missing}")
+        raise InputError(f"{path}: missing columns {missing} (row 1, col {missing[0]})")
     countries = _row_labels(path, header, rows, header.index("country"))
     records = []
     for (row_number, row), country in zip(rows, countries):
@@ -274,10 +274,15 @@ def _row_labels(path: Path, header: list[str], rows: list[tuple[int, list[str]]]
         if label in seen:
             raise InputError(f"{path}: duplicate {noun} {label!r} (row {row_number}, col {column})")
         seen.add(label)
+    _unique_header(path, header)
+    return [row[index] for _, row in rows]
+
+
+def _unique_header(path: Path, header: list[str]) -> None:
+    """An InputError at the first header cell that repeats an earlier one."""
     if len(set(header)) < len(header):
         repeated = next(cell for k, cell in enumerate(header) if cell in header[:k])
         raise InputError(f"{path}: duplicate column {repeated!r} (row 1, col {repeated})")
-    return [row[index] for _, row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +381,7 @@ def _load_reference_cycles(path: Path) -> dict[int, int]:
     header, rows = _read_simple_csv(path)
     if len(header) != 2:
         raise InputError(f"{path}: header must have 2 columns (k, cycles), got {len(header)}")
+    _unique_header(path, header)
     cycles: dict[int, int] = {}
     for number, row in rows:
         k, count = (_parse_cell(path, number, column, text, int) for column, text in zip(header, row))

@@ -12,19 +12,32 @@ Stationary vectors are exact: integer numerators over one common
 denominator, so genuinely equal probabilities tie and distinct ones never
 collapse, no matter how small their gap.  Within a league, ranking by
 decreasing probability is ranking by decreasing numerator, so members are
-ranked on those integers by ``core``'s relabelling, never on fractions.  The
-fixed point solves an integer system, found by Dixon's p-adic lifting
-(Numer. Math. 40, 1982) modulo a prime p just below 2**21 and rebuilt by
-rational reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 16, 1982)
-from L base-p digits, with p**L > 2*H**2 for the Hadamard bound H of the
-system.  Every float64 product of the solve is exact while
-k * (p - 1)**2 < 2**53, that is for leagues of up to 2,048 members; a
-larger league raises ``SizeLimitError``.
+ranked on those integers by ``core``'s relabelling, never on fractions.
+
+The fixed point of a league's counts C (columns summing to d = k - 1)
+solves N y = 1 with N = d*I - C + J, J all ones: 1^T (d*I - C) = 0 gives
+sum(y) = 1 and then C y = d y.  N_ii is 1 plus the number of members that
+beat or tie i, and N_ij = 1 exactly where j beats i, so each row's margin
+N_ii - sum_(j != i) |N_ij| is 1 plus i's ties.  N is therefore strictly
+diagonally dominant: nonsingular, with ||N^-1||_inf <= 1 (Varah, Linear
+Algebra Appl. 11, 1975) and condition number at most 2k.  A float64
+inverse of N preconditions an exact integer residual recurrence (Wan,
+J. Symbolic Comput. 41, 2006), whose last residual r_L certifies the scaled
+approximation S / 2**(tL) to within ||r_L||_inf / 2**(tL) whatever the
+inverse is.  Every denominator of y divides det N, at most the Hadamard
+bound H, so once 2**(tL) > 2 ||r_L||_inf H**2 each component is the last
+continued-fraction convergent of its approximation with a denominator of
+at most H (Legendre).
+
+Leagues are capped at 2,048 members, above which ``SizeLimitError`` is
+raised before any work.  The cap bounds the solve's time and memory, which
+grow as k**3 log k and k**2 log k, and it keeps the first lift step at
+t >= 27 bits: the float inverse's error grows with k, and a step that it
+breaks is retried at half the length.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,10 +50,7 @@ from .errors import InputError, NumericalError, SingletonLeagueError, SizeLimitE
 from .majority import MajorityStructure
 from .solutions import WTC, sort_by_solution
 
-# Primes just below 2**21; _MAX_LEAGUE is the largest k with k * (p - 1)**2 < 2**53.
-_PRIMES = (2097143, 2097133, 2097131, 2097097)
-_MAX_LEAGUE = (2**53 - 1) // (max(_PRIMES) - 1) ** 2
-_BLOCK = 64  # Gauss-Jordan panel width
+_MAX_LEAGUE = 2048
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,11 @@ class TransitionMatrix:
     ``counts[i, j]`` over the common ``denominator`` (league size minus
     one) is the probability that the title moves from member j to member
     i: the within-league win count of j on the diagonal, off-diagonal
-    ones where i beats or ties j.  Every column sums to one.
+    ones where i beats or ties j.  Every column sums to one, every
+    off-diagonal count is 0 or 1, and of every two members at least one
+    beats or ties the other, or an ``InputError`` is raised.  Such a chain
+    has exactly one closed class, since two would each have to beat the
+    other, so its stationary vector is unique.
     """
 
     members: tuple[str, ...]
@@ -82,6 +96,14 @@ class TransitionMatrix:
             raise InputError(f"every count must be an integer in [0, {self.denominator}]")
         if not (counts.sum(axis=0) == self.denominator).all():
             raise InputError("every column must sum to the denominator")
+        bad = (counts > 1) | (counts + counts.T == 0)
+        np.fill_diagonal(bad, False)
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            a, b = self.members[i], self.members[j]
+            if counts[i, j] > 1:
+                raise InputError(f"off-diagonal counts must be 0 or 1, got {counts[i, j]} at ({a!r}, {b!r})")
+            raise InputError(f"members {a!r} and {b!r} neither beat nor tie each other: both counts between them are 0")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -133,48 +155,54 @@ def transition_matrix(ms: MajorityStructure, league: frozenset[str] | set[str]) 
 def stationary(tm: TransitionMatrix) -> StationaryVector:
     """Exact fixed point: probabilities p with (counts/denominator) p = p, sum 1.
 
-    Solves A p = e_(k-1), where A is rows 0..k-2 of counts - d*I closed by a
-    row of ones, by Dixon's p-adic lifting: A is inverted once modulo a
-    prime p < 2**21 from ``_PRIMES`` (the next one when a pivot vanishes
-    mod p), L base-p digits of the solution are lifted with float64
-    products, and rational reconstruction turns them into fractions.  By
-    Cramer's rule the determinant and every numerator are integers bounded
-    by the Hadamard bound H (the product of the row 2-norms of A), so
-    p**L > 2*H**2 makes the reconstruction unique.  The league pre-sort
-    makes the chain irreducible, so the solution is unique and strictly
-    positive.
+    Solves N y = 1 (see the module docstring) from one float64 inverse F
+    of N.  From r_0 = 1, each step sets x_i = rint(2**t F r_i) and
+    r_(i+1) = 2**t r_i - N x_i.  Every x_i and r_i is an integer held
+    exactly in float64: max|x_i| * ||N||_inf < 2**53 and
+    ||r_(i+1)||_inf <= 2 ||N||_inf are checked.  Then S = sum x_i
+    2**(t(L-1-i)) satisfies N S = 2**(tL) 1 - r_L, and with
+    ||N^-1||_inf <= 1 each component of y lies within ||r_L||_inf / 2**(tL)
+    of S / 2**(tL).  t starts at the largest step that the first check
+    allows when F is accurate, and a failed check restarts the lift at
+    t // 2: F sets the speed, never the answer.  The lift stops at the
+    least L with 2**(tL) > 2 ||r_L||_inf H**2, H bounded by a power of two
+    from a float64 sum of log2 row norms.  Components are read with a
+    running common denominator D: D * y_j is usually the integer nearest
+    D * S_j / 2**(tL), and otherwise a continued-fraction convergent.
 
     Raises:
-        SizeLimitError: a league above ``_MAX_LEAGUE`` (2,048) members,
-            past which the float64 products of the solve are no longer exact.
-        NumericalError: A is singular modulo every prime in ``_PRIMES``
-            (as it is when the chain has more than one closed class), or the
-            solution is not a distribution.
+        SizeLimitError: a league above ``_MAX_LEAGUE`` (2,048) members.
+        NumericalError: the lift fails its checks at every step down to
+            t = 1, as it never does with an accurate F, or the solution
+            is not a distribution.
     """
     k = len(tm.members)
     if k > _MAX_LEAGUE:
         raise SizeLimitError(f"the exact stationary solve is capped at {_MAX_LEAGUE} league members, got {k}")
-    a = tm.counts - tm.denominator * np.eye(k, dtype=np.int64)
-    a[-1] = 1
-    for p in _PRIMES:
-        inverse = _inverse_mod(a % p, p)
-        if inverse is not None:
-            break
-    else:
-        raise NumericalError(f"the stationary system is singular modulo every prime in {_PRIMES}: the chain "
-                             "has more than one closed class, or its determinant is a multiple of all of them")
-    bound = math.isqrt(math.prod((a * a).sum(axis=1).tolist()))  # floor of the Hadamard bound
-    modulus, digits = p, 1
-    while modulus <= 2 * bound * bound:
-        modulus, digits = modulus * p, digits + 1
+    n = tm.denominator * np.eye(k, dtype=np.int64) - tm.counts + 1
+    norm = int(np.abs(n).sum(axis=1).max())
+    # log2 of the Hadamard bound as a float64 sum, which errs by far less
+    # than one bit: 2**bits is above it, and so above |det N|.
+    bits = int(np.log2((n * n).sum(axis=1)).sum() / 2) + 2
+    system = n.astype(np.float64)
+    inverse = np.linalg.inv(system)
+    step = _step(norm)
+    while (lifted := _lift(system, inverse, norm, step, 2 * bits + 1)) is None:
+        step //= 2
+        if step < 1:
+            raise NumericalError("the stationary lift failed its exactness checks at every step size")
+    rows, residual = lifted
+    scale = step * len(rows)
 
-    # D * x_j, with D the running common denominator of the components so
-    # far, has numerator at most bound and denominator at most bound // D.
-    numerators, denominator = [], 1
-    for value in _lift(a, inverse, p, digits):
-        numerator, extra = _rational(denominator * value % modulus, modulus, bound, bound // denominator)
-        if extra > 1:
-            numerators = [n * extra for n in numerators]
+    # D * y_j has a denominator of at most 2**bits // D and lies within
+    # D * residual / 2**scale of D * S_j / 2**scale.
+    numerators, denominator, half = [], 1, 1 << (scale - 1)
+    for value in _combine(rows, step):
+        value *= denominator
+        numerator = (value + half) >> scale
+        if abs(value - (numerator << scale)) > denominator * residual:
+            numerator, extra = _convergent(value, scale, (1 << bits) // denominator)
+            numerators = [x * extra for x in numerators]
             denominator *= extra
         numerators.append(numerator)
     if min(numerators) < 0 or sum(numerators) != denominator:
@@ -182,93 +210,61 @@ def stationary(tm: TransitionMatrix) -> StationaryVector:
     return StationaryVector(members=tm.members, numerators=tuple(numerators), denominator=denominator)
 
 
-def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray | None:
-    """A^-1 mod p by blocked Gauss-Jordan, or None if a pivot vanishes mod p.
+def _step(norm: int) -> int:
+    """The first lift step for ||N||_inf = norm.
 
-    Pivot rows stay in place and column c, once eliminated, stores the
-    transform's column for its pivot row; the inverse is read off at the
-    end.  Each block of ``_BLOCK`` columns is eliminated on a reduced panel,
-    then applied to the whole matrix as one float64 GEMM whose factors are
-    reduced mod p.  Entries stay non-negative and only the panel and the
-    pivot rows are reduced: an entry is one reduced value plus at most
-    k - 1 products of reduced values, or at most k such products, so it
-    never exceeds k * (p - 1)**2, below 2**53 under ``_MAX_LEAGUE``.
+    With ||r||_inf <= 2 * norm and ||N^-1||_inf <= 1, an accurate F gives
+    max|x| * norm <= 2**t * 2 * norm**2 < 2**52, half the float64 bound;
+    the other half is room for the rounding of x and the error of F.
     """
-    k = len(a)
-    w = a.astype(np.float64)
-    pivots = np.empty(k, dtype=np.intp)
-    free = np.ones(k, dtype=bool)
-    for start in range(0, k, _BLOCK):
-        nb = min(_BLOCK, k - start)
-        panel = w[:, start:start + nb] % p
-        for t in range(nb):
-            column = panel[:, t] % p
-            candidates = np.flatnonzero(free & (column != 0))
-            if not len(candidates):
-                return None
-            r = candidates[0]
-            free[r] = False
-            pivots[start + t] = r
-            panel[:, t] = 0
-            panel[r, t] = 1  # the transform's column for row r, a unit vector until now
-            row = panel[r] % p * pow(int(column[r]), -1, p) % p
-            negated = (p - column) % p
-            negated[r] = 0
-            panel += np.outer(negated, row)
-            panel[r] = row
-        transform = panel % p
-        rows = pivots[start:start + nb]
-        head = w[rows] % p
-        w[rows] = 0
-        w += transform @ head
-        w[:, start:start + nb] = transform
-    order = np.empty(k, dtype=np.intp)
-    order[pivots] = np.arange(k)
-    return w[pivots][:, order] % p
+    return 51 - 2 * norm.bit_length()
 
 
-def _lift(a: np.ndarray, inverse: np.ndarray, p: int, digits: int) -> list[int]:
-    """A^-1 e_(k-1) mod p**digits, one non-negative int per component.
+def _lift(system: np.ndarray, inverse: np.ndarray, norm: int, step: int, bits: int) -> tuple[np.ndarray, int] | None:
+    """Rows x_0..x_(L-1) and ||r_L||_inf for the least L with step * L >= bits + bitlength(||r_L||_inf),
+    so that 2**(step L) > 2**bits ||r_L||_inf, or None when an exactness check fails.
 
-    Each digit x = A^-1 r mod p and the residual update r = (r - A x)/p
-    stay exact in float64: inverse @ (r mod p) sums k products below
-    (p - 1)**2, A @ x stays below k * max|A| * p, |r| never exceeds
-    k * max|A|, and r - A x is a multiple of p.  The digits are assembled
-    by a product tree, three per int64 first (p**3 < 2**63).
+    max|x_i| * norm < 2**53 is checked over every row once the loop ends:
+    an inexact product N x_i can only be followed by that rejection.
     """
-    k = len(a)
-    a = a.astype(np.float64)
-    residual = np.zeros(k)
-    residual[-1] = 1
-    lifted = np.zeros((-(-digits // 3) * 3, k))
-    for i in range(digits):
-        x = inverse @ (residual % p) % p
-        residual = (residual - a @ x) / p
-        lifted[i] = x
-    lifted = lifted.astype(np.int64).reshape(-1, 3, k)
-    level = (lifted[:, 0] + p * lifted[:, 1] + p * p * lifted[:, 2]).astype(object)
-    base = p ** 3
+    scale = 2.0 ** step
+    scaled = inverse * scale
+    residual = np.ones(len(system))
+    rows, top = [], 1
+    while step * len(rows) < bits + top.bit_length():
+        x = np.rint(scaled @ residual)
+        residual = residual * scale - system @ x
+        bound = np.abs(residual).max()
+        if not bound <= 2 * norm:
+            return None
+        rows.append(x)
+        top = int(bound)
+    rows = np.array(rows)
+    if not np.abs(rows).max() * norm < 2.0 ** 53:
+        return None
+    return rows, top
+
+
+def _combine(rows: np.ndarray, step: int) -> list[int]:
+    """S_j = sum_i rows[i, j] * 2**(step (L-1-i)) by a product tree over rows padded with leading zeros."""
+    level = np.zeros((1 << (len(rows) - 1).bit_length(), rows.shape[1]), dtype=object)
+    level[len(level) - len(rows):] = rows.astype(np.int64)
     while len(level) > 1:
-        if len(level) % 2:
-            level = np.vstack([level, np.zeros((1, k), dtype=np.int64)])
-        level = level[0::2] + level[1::2] * base
-        base *= base
+        level = (level[0::2] << step) + level[1::2]
+        step *= 2
     return level[0].tolist()
 
 
-def _rational(value: int, modulus: int, num_bound: int, den_bound: int) -> tuple[int, int]:
-    """The fraction n/d = value mod modulus with |n| <= num_bound, 0 < d <= den_bound.
-
-    Wang's half extended Euclid; the answer is unique because
-    2 * num_bound * den_bound < modulus.
-    """
-    r0, r1, t0, t1 = modulus, value, 0, 1
-    while r1 > num_bound:
-        q, rem = divmod(r0, r1)
-        r0, r1, t0, t1 = r1, rem, t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > den_bound:
-        raise NumericalError("rational reconstruction of the stationary vector failed")
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
+def _convergent(value: int, scale: int, limit: int) -> tuple[int, int]:
+    """The last continued-fraction convergent p/q of value / 2**scale with 0 < q <= limit."""
+    u, v = value, 1 << scale
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    while v:
+        a, (u, v) = u // v, (v, u % v)
+        if a * q + q_prev > limit:
+            break
+        p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
+    return p, q
 
 
 def markovian_ranking(ms: MajorityStructure, scheme: str = DENSE) -> Ranking:

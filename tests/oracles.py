@@ -370,25 +370,6 @@ def exact_stationary(tm: TransitionMatrix) -> dict[str, Fraction]:
     return dict(zip(tm.members, values))
 
 
-def system_determinant(tm: TransitionMatrix) -> int:
-    """Determinant of the system ``exact_stationary`` solves, by ``Fraction`` elimination."""
-    k = len(tm.members)
-    rows = _stationary_system(tm)
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, k):
-            factor = rows[r][col] / rows[col][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return int(det)
-
-
 def brute_labels(keys: list, scheme: str) -> list[int]:
     """Ranks of keys, a smaller key ranking better: dense is 1 + the number of
     distinct strictly smaller keys, competition 1 + the number of strictly smaller keys."""

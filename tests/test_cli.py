@@ -574,6 +574,25 @@ def test_cip_rejects_a_repeated_indicator_column(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {table}: duplicate column 'MVApc' (row 1, col MVApc)\n"
 
 
+def test_reproduce_rejects_a_repeated_cycles_column(tmp_path, capsys):
+    # read by position, "k,k" once passed 28/28 and named the count column k
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(bundled_fixtures_dir(), fixtures)
+    path = fixtures / "table1_cycles.csv"
+    path.write_text(path.read_text(encoding="utf-8").replace("k,cycles", "k,k", 1), encoding="utf-8")
+    assert run_main("reproduce", str(fixtures)) == (2, "")
+    assert capsys.readouterr().err == f"error: {path}: duplicate column 'k' (row 1, col k)\n"
+
+
+def test_cip_names_row_1_and_the_first_missing_column(tmp_path, capsys):
+    table = tmp_path / "indicators.csv"
+    table.write_text(INDICATORS_TABLE.replace(",MXsh,", ",MXshare,", 1), encoding="utf-8")
+    assert run_main("cip", str(table)) == (2, "")
+    error = capsys.readouterr().err
+    assert error.startswith(f"error: {table}: ") and "(row 1, col MXsh)" in error
+    assert "Traceback" not in error
+
+
 FUZZ_CASES = 30  # seeded mutations per command
 FUZZ_BYTES = (b"", b",", b"\n", b'"', b"\xff", b"9", b"-")
 FUZZ_CELLS = (b"", b"0", b"-1", b"1.5", b"x", b"nan", b"1e999", b"1_0", b"99999999999999999999", b'"')

@@ -1,10 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majorityrank import (
     AlternativeSet,
@@ -27,7 +29,7 @@ from majorityrank import (
 )
 from majorityrank import markovian
 from conftest import structures
-from oracles import exact_stationary, random_structure, system_determinant
+from oracles import exact_stationary, random_structure
 
 ABC = AlternativeSet(("a", "b", "c"))
 CHAIN = MajorityStructure(ABC, np.triu(np.ones((3, 3), dtype=bool), 1), np.zeros((3, 3), dtype=bool))
@@ -103,30 +105,53 @@ def test_transition_matrix_rejects_counts_outside_zero_to_denominator(counts):
         TransitionMatrix(members=members, counts=counts, denominator=len(counts) - 1)
 
 
+@pytest.mark.parametrize("counts, problem", [
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 0]], "every column must sum to the denominator"),
+    ([[0, 2, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 0, 1, 0]], "must be 0 or 1, got 2 at ('a', 'b')"),
+    ([[1, 1, 0], [1, 0, 0], [0, 1, 2]], "'a' and 'c' neither beat nor tie each other"),
+], ids=["column-sum", "off-diagonal-two", "unplayed-pair"])
+def test_transition_matrix_rejects_counts_no_league_has(counts, problem):
+    members = tuple("abcd"[:len(counts)])
+    with pytest.raises(InputError, match=re.escape(problem)):
+        TransitionMatrix(members=members, counts=counts, denominator=len(counts) - 1)
+
+
 def test_reducible_chain_is_singular():
-    # {a, b} and {c, d} are two closed classes, so the fixed point is not unique
+    # {a, b} and {c, d} are two closed classes, so the fixed point is not unique; a and c never meet
     counts = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]]
-    with pytest.raises(NumericalError, match="singular modulo every prime"):
-        stationary(TransitionMatrix(members=("a", "b", "c", "d"), counts=counts, denominator=3))
+    with pytest.raises(InputError, match="'a' and 'c' neither beat nor tie each other"):
+        TransitionMatrix(members=("a", "b", "c", "d"), counts=counts, denominator=3)
 
 
-def test_prime_dividing_the_determinant_moves_to_the_next(monkeypatch):
-    (tm,) = [tm for tm in league_matrices(random_structure(random.Random(53), 12)) if len(tm.members) == 12]
-    assert system_determinant(tm) % 197 == 0
-    primes = markovian._PRIMES
-    monkeypatch.setattr(markovian, "_PRIMES", (197,))
-    with pytest.raises(NumericalError):
-        stationary(tm)
-    monkeypatch.setattr(markovian, "_PRIMES", (197,) + primes)
-    assert dict(stationary(tm).probabilities) == exact_stationary(tm)
+def test_a_perturbed_inverse_never_changes_the_answer(monkeypatch):
+    rng = random.Random(53)
+    matrices = [tm for tie_prob in (0.0, 0.2, 0.6, 1.0) for tm in league_matrices(random_structure(rng, 12, tie_prob))]
+    inverse = np.linalg.inv
+    noise = np.random.default_rng(53)
+
+    def perturbed(a):
+        f = inverse(a)
+        return f * (1 + 1e-3 * noise.standard_normal(f.shape))
+
+    monkeypatch.setattr(np.linalg, "inv", perturbed)
+    for tm in matrices:
+        assert dict(stationary(tm).probabilities) == exact_stationary(tm)
+    monkeypatch.setattr(np.linalg, "inv", lambda a: np.zeros(a.shape))
+    for tm in matrices:
+        with pytest.raises(NumericalError, match="every step size"):
+            stationary(tm)
 
 
-def test_primes_keep_every_float64_product_exact():
-    primes = markovian._PRIMES
-    assert len(set(primes)) == len(primes)
-    assert all(p < 2**21 and all(p % q for q in range(2, math.isqrt(p) + 1)) for p in primes)
-    assert markovian._MAX_LEAGUE * (max(primes) - 1) ** 2 < 2**53
-    assert markovian._MAX_LEAGUE >= 1000  # room for the m = 1000 synthetic league
+def test_step_keeps_every_float64_product_exact():
+    assert markovian._MAX_LEAGUE == 2048
+    k = markovian._MAX_LEAGUE
+    norm = 2 * k - 1  # ||N||_inf of a member that loses to every other
+    step = markovian._step(norm)
+    assert step >= 20
+    residual = 2 * norm  # the bound the lift checks after every product
+    x = 2**step * residual + 1  # ||N^-1||_inf <= 1, plus the rounding of rint
+    assert x * norm < 2**52  # N x, a factor 2 below 2**53 for the error of the float inverse
+    assert 2**step * residual < 2**53  # the scaled residual 2**t r
 
 
 def test_league_above_the_cap_is_refused_before_elimination(monkeypatch):
@@ -137,7 +162,7 @@ def test_league_above_the_cap_is_refused_before_elimination(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("elimination started")
 
-    monkeypatch.setattr(markovian, "_inverse_mod", no_elimination)
+    monkeypatch.setattr(np.linalg, "inv", no_elimination)
     with pytest.raises(SizeLimitError, match=str(markovian._MAX_LEAGUE)):
         stationary(tm)
 
@@ -242,3 +267,27 @@ def oracle_ranking(ms: MajorityStructure) -> dict[str, int]:
 @given(structures())
 def test_markovian_ranking_matches_oracle_vectors(ms):
     assert dict(markovian_ranking(ms).ranks) == oracle_ranking(ms)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(2, 40), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_stationary_matches_oracle_on_title_passing_chains(k, tie_prob, rng):
+    # the whole structure as one chain: reducible ones have exactly one closed class
+    ms = random_structure(rng, k, tie_prob)
+    tm = transition_matrix(ms, set(ms.alternatives.items))
+    assert dict(stationary(tm).probabilities) == exact_stationary(tm)
+
+
+def test_one_float_inverse_per_league_on_the_study(monkeypatch):
+    fixtures = bundled_fixtures_dir()
+    alternatives, criteria = load_ranks(fixtures / "table6_criteria.csv")
+    study = build_majority(build_profile(alternatives, criteria, load_weights(fixtures / "weights.cfg")))
+    inverse, sizes = np.linalg.inv, []
+
+    def counted(a):
+        sizes.append(len(a))
+        return inverse(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    markovian_ranking(study)
+    assert sorted(sizes) == sorted(len(league) for league in leagues(study).leagues if len(league) > 1)
