@@ -21,7 +21,7 @@ from typing import TextIO
 
 from . import io as mio
 from .cip import cip_index, cip_ranking
-from .core import DENSE, SCHEMES
+from .core import DENSE, SCHEMES, Ranking
 from .correlation import COINCIDING, TAU_B, correlation_matrix
 from .errors import DegenerateRankingError, InputError, NumericalError, SingletonLeagueError, SizeLimitError
 from .majority import build_majority, cycle_counts
@@ -52,9 +52,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_census(tables: dict[str, str], rankings: dict[str, Ranking], measure: str) -> None:
+    """Raise first, naming the table ``tables[column]`` and the column, what the pair census of ``rankings`` refuses."""
+    if len(next(iter(rankings.values())).alternatives) < 2:
+        raise InputError(f"{next(iter(tables.values()))}: correlation needs at least two alternatives, got 1 data row")
+    tied = [name for name, ranking in rankings.items() if ranking.distinct_positions() == 1]
+    if measure == TAU_B and len(rankings) > 1 and tied:
+        raise DegenerateRankingError(f"{tables[tied[0]]}: tau-b is undefined: column {tied[0]!r} ties every row (col {tied[0]})")
+
+
 def cmd_correlate(args: argparse.Namespace) -> int:
     _, rankings = mio.load_ranks(args.ranks_csv)
     measure = MEASURE_FLAGS[args.measure]
+    if len(rankings) < 2:
+        raise InputError(f"{args.ranks_csv}: a correlation matrix needs at least two rankings, got 1 (row 1)")
+    _check_census(dict.fromkeys(rankings, args.ranks_csv), rankings, measure)
     matrix = correlation_matrix(rankings, measure)
     decimals = _MEASURE_DECIMALS[measure]
     mio.write_labeled_matrix(args.output, matrix.labels, matrix.values, fmt=lambda v: f"{v:.{decimals}f}")
@@ -74,13 +86,14 @@ def _write_dot(handle: TextIO, comparison) -> None:
 
 def cmd_metarank(args: argparse.Namespace) -> int:
     alternatives, rankings, profile = mio.load_profile(args.ranks_csv, args.weights)
-    candidates = dict(rankings)
+    candidates, tables = dict(rankings), dict.fromkeys(rankings, args.ranks_csv)
     for extra in args.candidates or ():
         for name, ranking in mio.load_aligned_ranks(extra, args.ranks_csv, alternatives).items():
             if name in candidates:
                 raise InputError(f"{extra}: duplicate candidate column {name!r} (row 1, col {name})")
-            candidates[name] = ranking
+            candidates[name], tables[name] = ranking, extra
     measure = MEASURE_FLAGS[args.measure]
+    _check_census(tables, candidates, measure)
     comparison = rankings_majority(candidates, list(profile.criteria), measure)
     weak_order = closest_weak_order(comparison)
     if args.emit_dot:

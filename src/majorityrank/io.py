@@ -36,7 +36,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .cip import INDICATORS, IndicatorRecord
+from .cip import INDICATORS, IndicatorRecord, cip_index
 from .copeland import copeland_ranking
 from .core import DENSE, MAX_RANK, MAX_TOTAL_WEIGHT, AlternativeSet, Criterion, Profile, Ranking
 from .correlation import COINCIDING, TAU_B, correlation_matrix, kendall_tau_b
@@ -257,6 +257,9 @@ def load_indicators(path: str | Path) -> list[IndicatorRecord]:
             if value < 0:
                 raise InputError(f"{path}: {name} {value} is negative (row {row_number}, col {name})")
         records.append(IndicatorRecord(country=country, **values))
+        index = cip_index(records[-1])
+        if not math.isfinite(index):
+            raise InputError(f"{path}: the CIP index of {country!r} is not finite: {index!r} (row {row_number})")
     return records
 
 
@@ -368,7 +371,7 @@ def _parse_cell(path: Path, row_number: int, column: str, text: str, kind: type[
     """
     try:
         value = kind(text)
-        if text.isascii() and "_" not in text and math.isfinite(value):
+        if text.isascii() and "_" not in text and (kind is int or math.isfinite(value)):
             return value
     except ValueError:
         pass

@@ -63,14 +63,16 @@ class MajorityStructure:
     def __len__(self) -> int:
         return len(self.alternatives)
 
-    def restrict_indices(self, subset: set[str] | frozenset[str] | None) -> np.ndarray:
-        """Indices of ``subset`` in stable alternative order (full set if None)."""
+    def restrict(self, subset: set[str] | frozenset[str] | None) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of ``subset`` in stable order and the beats matrix among them: the one sub-tournament
+        restriction, whose ties are the pairs neither side beats.  None, or every alternative, gives ``beats``
+        itself, uncopied; a proper subset takes two plain gathers."""
         if subset is None:
-            return np.arange(len(self.alternatives))
+            return np.arange(len(self)), self.beats
         if not subset:
             raise InputError("subset must not be empty")
-        idx = sorted(self.alternatives.index(name) for name in subset)
-        return np.array(idx, dtype=np.intp)
+        idx = np.array(sorted(self.alternatives.index(name) for name in subset), dtype=np.intp)
+        return idx, self.beats if len(idx) == len(self) else self.beats[idx][:, idx]
 
 
 def _bool_matrix(values, what: str) -> np.ndarray:

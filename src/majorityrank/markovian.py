@@ -135,19 +135,18 @@ def leagues(ms: MajorityStructure) -> LeaguePartition:
 
 
 def transition_matrix(ms: MajorityStructure, league: frozenset[str] | set[str]) -> TransitionMatrix:
-    """Build the title-passing matrix of one league.
+    """Build the title-passing matrix of one league from its one beats restriction, which holds its ties too.
 
     Raises:
         SingletonLeagueError: for a one-member league, which has no games;
             its member receives probability 1 directly.
     """
-    idx = ms.restrict_indices(league)
+    idx, beats = ms.restrict(league)
     k = len(idx)
     if k < 2:
         raise SingletonLeagueError("a singleton league has no transition matrix")
-    beats = ms.beats[np.ix_(idx, idx)].astype(np.int64)
-    ties = ms.ties[np.ix_(idx, idx)].astype(np.int64)
-    counts = beats + ties + np.diag(beats.sum(axis=1))
+    counts = (~beats.T).astype(np.int64)  # i beats or ties j exactly where j does not beat i
+    np.fill_diagonal(counts, beats.sum(axis=1))
     members = tuple(ms.alternatives.items[i] for i in idx.tolist())
     return TransitionMatrix(members=members, counts=counts, denominator=k - 1)
 

@@ -215,8 +215,6 @@ def _order_dp(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list
     if n > SUBSET_SOLVER_LIMIT:
         raise SizeLimitError(f"exact order search is capped at {SUBSET_SOLVER_LIMIT} candidates, got {n}")
     # count[S] <= |S|! and 20! < 2**63 <= 21!, so int64 counts are exact up to the cap
-    if math.factorial(n) > np.iinfo(np.int64).max:
-        raise SizeLimitError(f"optimal order counts over {n} candidates overflow int64")
     bits = np.int32(1) << np.arange(n, dtype=np.int32)
     closure = _transitive_closure(adj)
     cross = adj & ~(closure & closure.T)  # the arcs between SCCs
@@ -295,7 +293,7 @@ def closest_weak_order(mc: MetaComparison) -> Ranking:
     order = mc._fixed
     n = len(order)
     extension = np.argsort(order.sum(axis=0), kind="stable")  # fewer candidates above come first
-    comparable = order[np.ix_(extension, extension)]
+    comparable = order[extension][:, extension]
     comparable |= comparable.T
     # position of the last candidate incomparable with each one (itself at least)
     last_tie = n - 1 - np.argmax(~comparable[:, ::-1], axis=1)

@@ -12,7 +12,8 @@ given subset of alternatives (all relations restricted to that subset):
 * ``WTC`` - the weak top cycle: the unique minimal set whose every member
   beats every non-member.
 
-All three work on B, the beats matrix restricted to the subset.  UC and
+All three work on B, the beats matrix of the subset from its one
+``MajorityStructure.restrict`` (a tie is a pair B leaves unordered).  UC and
 MES are decided by float32 BLAS products of B (UC by B Bᵀ, MES by Bᵀ U and
 B·bad per block of witnesses, with U = B | I).  Exactness bound: every
 entry, and every partial sum, counts at most n members of the subset, and
@@ -62,16 +63,14 @@ class SortedClasses:
 
 def uncovered_set(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = None) -> SolutionSet:
     """Alternatives of ``subset`` not covered by any other member."""
-    idx = ms.restrict_indices(subset)
-    sub = ms.beats[np.ix_(idx, idx)]
+    idx, sub = ms.restrict(subset)
     f = sub.astype(np.float32)
     # common[x, y] = # of z beaten by both; x covers y iff x beats y and beats all y beats.
     # Entries are at most n < 2**24, so the float32 BLAS product is exact (module docstring).
     common = f @ f.T
     covers = sub & (common == sub.sum(axis=1)[None, :])
     uncovered = ~covers.any(axis=0)
-    items = ms.alternatives.items
-    return SolutionSet(UC, frozenset(items[i] for i in idx[uncovered]))
+    return SolutionSet(UC, _names(ms, idx[uncovered]))
 
 
 def _certificates(sub: np.ndarray):
@@ -102,17 +101,20 @@ def _certificates(sub: np.ndarray):
         yield u & (badf.sum(axis=0) - f @ badf - badf == 0)
 
 
+def _names(ms: MajorityStructure, positions: np.ndarray) -> frozenset[str]:
+    """The alternatives at ``positions``."""
+    items = ms.alternatives.items
+    return frozenset(items[i] for i in positions.tolist())
+
+
 def _subset_mask(ms: MajorityStructure, idx: np.ndarray, names, what: str) -> np.ndarray:
-    """Mask over ``idx`` of ``names``; InputError names the first one outside it."""
-    inside = np.zeros(len(ms), dtype=bool)
-    inside[idx] = True
-    chosen = np.zeros(len(ms), dtype=bool)
-    for name in names:
-        i = ms.alternatives.index(name)
-        if not inside[i]:
-            raise InputError(f"{what} {name!r} lies outside the subset")
-        chosen[i] = True
-    return chosen[idx]
+    """Mask over the positions ``idx`` of ``names``; InputError names the first one outside them."""
+    names = list(names)
+    positions = [ms.alternatives.index(name) for name in names]
+    inside = np.isin(positions, idx)
+    if not inside.all():
+        raise InputError(f"{what} {names[int(np.argmin(inside))]!r} lies outside the subset")
+    return np.isin(idx, positions)
 
 
 def is_externally_stable(
@@ -121,9 +123,9 @@ def is_externally_stable(
     subset: frozenset[str] | set[str] | None = None,
 ) -> bool:
     """Whether every alternative of ``subset`` outside ``candidate`` is beaten by a member."""
-    idx = ms.restrict_indices(subset)
+    idx, sub = ms.restrict(subset)
     inside = _subset_mask(ms, idx, candidate, "candidate member")
-    return bool((inside | ms.beats[np.ix_(idx, idx)][inside].any(axis=0)).all())
+    return bool((inside | sub[inside].any(axis=0)).all())
 
 
 def mes_union(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = None) -> SolutionSet:
@@ -138,12 +140,11 @@ def mes_union(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = 
     ``_certificates`` evaluates the test for every (x, z) pair at once from
     two exact float32 products per block of witnesses.
     """
-    idx = ms.restrict_indices(subset)
+    idx, sub = ms.restrict(subset)
     chosen = np.zeros(len(idx), dtype=bool)
-    for certified in _certificates(ms.beats[np.ix_(idx, idx)]):
+    for certified in _certificates(sub):
         chosen |= certified.any(axis=1)
-    items = ms.alternatives.items
-    return SolutionSet(MES, frozenset(items[i] for i in idx[chosen]))
+    return SolutionSet(MES, _names(ms, idx[chosen]))
 
 
 def minimal_stable_set_containing(
@@ -161,9 +162,8 @@ def minimal_stable_set_containing(
     beats loses its last cover.  Raises InputError when no minimal stable
     set contains ``x``.
     """
-    idx = ms.restrict_indices(subset)
+    idx, sub = ms.restrict(subset)
     i = int(np.flatnonzero(_subset_mask(ms, idx, [x], "alternative"))[0])
-    sub = ms.beats[np.ix_(idx, idx)]
     row = np.concatenate([certified[i] for certified in _certificates(sub)])
     if not row.any():
         raise InputError(f"no minimal externally stable set contains {x!r}")
@@ -178,8 +178,7 @@ def minimal_stable_set_containing(
         if cover[j] and not (~inside & sub[j] & (cover == 1)).any():
             inside[j] = False
             cover -= sub[j]
-    items = ms.alternatives.items
-    return frozenset(items[j] for j in idx[inside])
+    return _names(ms, idx[inside])
 
 
 def weak_top_cycle(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = None) -> SolutionSet:
@@ -190,8 +189,7 @@ def weak_top_cycle(ms: MajorityStructure, subset: frozenset[str] | set[str] | No
     seed under "add anything not beaten by every current member" therefore
     yields exactly the weak top cycle.
     """
-    idx = ms.restrict_indices(subset)
-    sub = ms.beats[np.ix_(idx, idx)]
+    idx, sub = ms.restrict(subset)
     score = sub.sum(axis=1) - sub.sum(axis=0)
     inside = np.zeros(len(idx), dtype=bool)
     inside[int(np.argmax(score))] = True
@@ -201,8 +199,7 @@ def weak_top_cycle(ms: MajorityStructure, subset: frozenset[str] | set[str] | No
         if not grow.any():
             break
         inside |= grow
-    items = ms.alternatives.items
-    return SolutionSet(WTC, frozenset(items[i] for i in idx[inside]))
+    return SolutionSet(WTC, _names(ms, idx[inside]))
 
 
 _SOLVERS = {UC: uncovered_set, MES: mes_union, WTC: weak_top_cycle}

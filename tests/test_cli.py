@@ -593,6 +593,35 @@ def test_cip_names_row_1_and_the_first_missing_column(tmp_path, capsys):
     assert "Traceback" not in error
 
 
+TWO_CRITERIA = "country,A,B\na,1,2\nb,2,1\nc,3,3\n"
+
+
+@pytest.mark.parametrize("argv, tables, at_fault, problem", [
+    (["correlate", "t.csv"], {"t.csv": f"country,A,B\na,1,2\nb,2,1{'0' * 400}\n"}, "t.csv",
+     f"rank 1{'0' * 400} is above {2 ** 63 - 1} (row 3, col B)"),
+    (["correlate", "t.csv"], {"t.csv": "country,A\na,1\nb,2\n"}, "t.csv",
+     "a correlation matrix needs at least two rankings, got 1 (row 1)"),
+    (["correlate", "t.csv"], {"t.csv": "country,A,B\na,1,1\n"}, "t.csv",
+     "correlation needs at least two alternatives, got 1 data row"),
+    (["metarank", "t.csv", "--weights", "w.cfg"], {"t.csv": "country,A,B\na,1,1\n"}, "t.csv",
+     "correlation needs at least two alternatives, got 1 data row"),
+    (["correlate", "t.csv"], {"t.csv": "country,A,B\na,1,1\nb,2,1\nc,3,1\n"}, "t.csv",
+     "tau-b is undefined: column 'B' ties every row (col B)"),
+    (["metarank", "t.csv", "--weights", "w.cfg", "--candidates", "c.csv"],
+     {"t.csv": TWO_CRITERIA, "c.csv": "country,X\na,1\nb,1\nc,1\n"}, "c.csv",
+     "tau-b is undefined: column 'X' ties every row (col X)"),
+    (["cip", "i.csv"], {"i.csv": INDICATORS_TABLE.replace("small,1,1,", "small,1e300,1e300,")}, "i.csv",
+     "the CIP index of 'small' is not finite: inf (row 3)"),
+], ids=["rank-past-float-range", "one-ranking", "one-row-correlate", "one-row-metarank", "tied-column-correlate",
+        "tied-candidate-column", "cip-index-overflow"])
+def test_errors_the_library_finds_name_the_file_and_column(tmp_path, capsys, argv, tables, at_fault, problem):
+    for name, text in {"w.cfg": "A = 1\nB = 1\n", **tables}.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / arg) if "." in arg else arg for arg in argv]
+    assert run_main(*argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {tmp_path / at_fault}: {problem}\n"
+
+
 FUZZ_CASES = 30  # seeded mutations per command
 FUZZ_BYTES = (b"", b",", b"\n", b'"', b"\xff", b"9", b"-")
 FUZZ_CELLS = (b"", b"0", b"-1", b"1.5", b"x", b"nan", b"1e999", b"1_0", b"99999999999999999999", b'"')

@@ -122,6 +122,17 @@ def test_criterion_and_profile_validation():
     assert profile.total_weight == 3
 
 
+@pytest.mark.parametrize("make, problem", [
+    (lambda: Ranking(ABC, {"a": 1, "b": 2, "c": 3}, scheme="olympic"), "unknown ranking scheme 'olympic'"),
+    (lambda: Profile(ABC, []), "profile needs at least one criterion"),
+    (lambda: Profile(ABC, [Criterion("c", 1, from_ranks(ABC, {"a": 1, "b": 2, "c": 3}))] * 2),
+     "duplicate criterion name 'c'"),
+], ids=["scheme", "no-criterion", "duplicate-criterion"])
+def test_rankings_and_profiles_reject_unknown_schemes_and_criterion_lists(make, problem):
+    with pytest.raises(InputError, match=f"^{problem}$"):
+        make()
+
+
 def test_ranks_above_two_to_the_53_stay_distinct():
     names = AlternativeSet(("a", "b", "c", "d"))
     big = {"a": 2 ** 60, "b": 2 ** 60 + 1, "c": 2 ** 53 + 1, "d": 2 ** 63 - 1}

@@ -76,6 +76,18 @@ def test_degenerate_ranking_raises():
     assert coinciding_share(flat, strict) == 0.0
 
 
+@pytest.mark.parametrize("make, problem", [
+    (lambda: correlation.PairStats(3, 2, 2, 0, 0, -1), "pair counts must be non-negative"),
+    (lambda: correlation.PairStats(3, 2, 0, 0, 0, 0), "inconsistent pair census"),
+    (lambda: correlation_matrix([("r", order_ranking(ABC, ("a", "b", "c")))] * 2), "ranking names must be unique"),
+    (lambda: pair_stats(Ranking(AlternativeSet(("a",)), {"a": 1}), Ranking(AlternativeSet(("a",)), {"a": 1})),
+     "correlation needs at least two alternatives"),
+], ids=["negative", "inconsistent", "repeated-name", "one-alternative"])
+def test_census_rejects_counts_and_inputs_no_census_has(make, problem):
+    with pytest.raises(InputError, match=f"^{problem}$"):
+        make()
+
+
 def test_census_matches_naive_loops_and_scipy():
     rng = random.Random(51)
     names = AlternativeSet(tuple(f"c{i}" for i in range(12)))

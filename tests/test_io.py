@@ -14,6 +14,7 @@ from majorityrank import (
     run_reproduce,
     save_ranking,
 )
+from majorityrank import io as mio
 from majorityrank.io import FIXTURE_FILES
 
 
@@ -206,4 +207,20 @@ def test_indicator_errors_name_file_row_and_column(tmp_path, rows, problem):
     path = write(tmp_path, "indicators.csv", INDICATOR_HEADER + rows)
     with pytest.raises(InputError) as excinfo:
         load_indicators(path)
+    assert str(excinfo.value) == f"{path}: {problem}"
+
+
+@pytest.mark.parametrize("name, text, load, problem", [
+    ("ranks.csv", "country,c1\n", load_ranks, "no data rows"),
+    ("ranks.csv", "country\na\nb\n", load_ranks, "need a country column plus at least one ranking column"),
+    ("weights.cfg", " = 1\n", load_weights, "line 1: empty criterion name"),
+    ("table1_cycles.csv", "k,cycles,extra\n3,1,1\n", mio._load_reference_cycles,
+     "header must have 2 columns (k, cycles), got 3"),
+    ("table5_meta.csv", "ranking,tau_b_rank,r_rank\nA,1,1\n", mio._load_reference_meta,
+     "header must be ranking,tau_b_rank,r_rank,data_column"),
+], ids=["header-only", "country-column-only", "empty-criterion-name", "cycles-header-width", "meta-header"])
+def test_loaders_reject_tables_without_the_columns_or_rows_they_need(tmp_path, name, text, load, problem):
+    path = write(tmp_path, name, text)
+    with pytest.raises(InputError) as excinfo:
+        load(path)
     assert str(excinfo.value) == f"{path}: {problem}"

@@ -55,6 +55,31 @@ def test_structure_validation_rejects_bad_matrices():
         MajorityStructure(names, np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool))
 
 
+@pytest.mark.parametrize("beats, ties, problem", [
+    (np.zeros((3, 3)), np.zeros((3, 3)), "matrices must be 2x2"),
+    ([[1, 0], [0, 0]], [[0, 1], [1, 0]], "majority and tie matrices must have zero diagonals"),
+    ([[0, 0], [0, 0]], [[0, 1], [0, 0]], "tie matrix must be symmetric"),
+], ids=["shape", "diagonal", "asymmetric-ties"])
+def test_structure_rejects_matrices_of_the_wrong_shape_diagonal_or_symmetry(beats, ties, problem):
+    with pytest.raises(InputError, match=f"^{problem}$"):
+        MajorityStructure(AlternativeSet(("a", "b")), beats, ties)
+
+
+def test_restrict_gives_the_whole_structure_uncopied_and_a_subset_gathered():
+    rng = random.Random(19)
+    ms = random_structure(rng, 9, 0.3)
+    names = ms.alternatives.items
+    for subset in (None, set(names)):
+        idx, beats = ms.restrict(subset)
+        assert beats is ms.beats and idx.tolist() == list(range(9))
+    subset = {names[7], names[2], names[4]}
+    idx, beats = ms.restrict(subset)
+    assert idx.tolist() == [2, 4, 7]
+    assert np.array_equal(beats, ms.beats[np.ix_(idx, idx)])
+    with pytest.raises(InputError, match="subset must not be empty"):
+        ms.restrict(set())
+
+
 @pytest.mark.parametrize("entry", [-1, 0.5, float("nan"), 2], ids=["minus-one", "half", "nan", "two"])
 def test_structure_rejects_entries_other_than_zero_or_one(entry):
     names = AlternativeSet(("a", "b"))

@@ -116,6 +116,37 @@ def test_transition_matrix_rejects_counts_no_league_has(counts, problem):
         TransitionMatrix(members=members, counts=counts, denominator=len(counts) - 1)
 
 
+@pytest.mark.parametrize("members, counts, denominator, problem", [
+    ("ab", [[1, 1, 0], [0, 0, 1], [0, 0, 0]], 1, "counts must be 2x2"),
+    ("ab", [[1, 1], [0, 0]], 2, "denominator must equal league size minus one (size >= 2)"),
+    ("a", [[0]], 0, "denominator must equal league size minus one (size >= 2)"),
+    ("ab", np.array([["1", "1"], ["0", "0"]]), 1, "counts must be integers, got dtype <U1"),
+], ids=["shape", "denominator", "one-member", "dtype"])
+def test_transition_matrix_rejects_a_shape_denominator_or_dtype_no_league_has(members, counts, denominator, problem):
+    with pytest.raises(InputError, match=re.escape(problem)):
+        TransitionMatrix(members=tuple(members), counts=counts, denominator=denominator)
+
+
+def test_lift_rejects_a_row_whose_product_with_n_could_be_inexact():
+    # N = [1]: every residual is 0, so only the final max|x| * ||N||_inf < 2**53 check can refuse the rows
+    system = np.ones((1, 1))
+    assert markovian._lift(system, system, 1, 52, 1) is not None
+    assert markovian._lift(system, system, 1, 53, 1) is None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(structures(), st.randoms(use_true_random=False))
+def test_transition_counts_are_beats_plus_ties_plus_wins_on_the_diagonal(ms, rng):
+    league = {name for name in ms.alternatives.items if rng.random() < 0.7} | {ms.alternatives.items[0]}
+    if len(league) < 2:
+        return
+    idx = np.array(sorted(ms.alternatives.index(name) for name in league))
+    beats, ties = (matrix[np.ix_(idx, idx)].astype(np.int64) for matrix in (ms.beats, ms.ties))
+    tm = transition_matrix(ms, league)
+    assert tm.members == tuple(ms.alternatives.items[i] for i in idx)
+    assert np.array_equal(tm.counts, beats + ties + np.diag(beats.sum(axis=1)))
+
+
 def test_reducible_chain_is_singular():
     # {a, b} and {c, d} are two closed classes, so the fixed point is not unique; a and c never meet
     counts = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]]

@@ -105,6 +105,27 @@ def test_meta_comparison_needs_a_candidate():
                        wins=np.zeros((0, 0), dtype=np.int64), measure="tau_b")
 
 
+@pytest.mark.parametrize("majority, wins, problem", [
+    (np.zeros((3, 3)), np.zeros((2, 2)), "matrices must be 2x2"),
+    ([[0, 1], [1, 0]], [[0, 1], [1, 0]], "majority matrix must be asymmetric"),
+    ([[0, 1], [0, 0]], [[0, 1], [1, 0]], "majority entries must mirror strict win-total comparisons"),
+], ids=["shape", "asymmetry", "mirror"])
+def test_meta_comparison_rejects_matrices_no_comparison_has(majority, wins, problem):
+    with pytest.raises(InputError, match=f"^{problem}$"):
+        MetaComparison(candidates=("r1", "r2"), majority=majority, wins=wins, measure="tau_b")
+
+
+@pytest.mark.parametrize("candidates, measure, problem", [
+    ([("r", "abc"), ("r", "cba")], "tau_b", "candidate names must be unique"),
+    ([("r", "abc")], "pearson", "unknown measure 'pearson'"),
+], ids=["duplicate-name", "unknown-measure"])
+def test_rankings_majority_rejects_repeated_names_and_unknown_measures(candidates, measure, problem):
+    abc = AlternativeSet(("a", "b", "c"))
+    named = [(name, order_ranking(abc, tuple(order))) for name, order in candidates]
+    with pytest.raises(InputError, match=problem):
+        rankings_majority(named, [Criterion("c", 1, order_ranking(abc, ("a", "b", "c")))], measure)
+
+
 def test_self_comparison_is_zero():
     names = AlternativeSet(("a", "b", "c"))
     rng = random.Random(63)
@@ -404,6 +425,11 @@ def test_edgeless_twenty_candidates_count_every_order():
     assert optimal_order_count(comparison) == math.factorial(20)
     assert minimum_distance(comparison) == 0
     assert set(closest_weak_order(comparison).ranks.values()) == {1}
+
+
+def test_int64_order_counts_are_exact_up_to_the_candidate_cap():
+    # count[S] <= |S|!, so the cap alone keeps every DP count below 2**63
+    assert math.factorial(metarank.SUBSET_SOLVER_LIMIT) < 2 ** 63 <= math.factorial(metarank.SUBSET_SOLVER_LIMIT + 1)
 
 
 def test_order_enumeration_cap_is_checked_up_front():

@@ -26,6 +26,13 @@ def test_only_io_constructs_a_csv_writer():
     assert writers == ["io.py"]
 
 
+def test_no_open_mesh_gather_in_the_package():
+    # MajorityStructure.restrict is the one sub-tournament restriction, by two plain gathers; np.ix_
+    # took about five times as long at every size measured
+    users = [path.name for path in SOURCES if "np.ix_" in path.read_text(encoding="utf-8")]
+    assert users == []
+
+
 def test_metarank_keys_are_not_fractions():
     # the exact tau-b keys are Python ints (metarank's module docstring): Fraction keys made ranking
     # them about ten times slower
