@@ -105,25 +105,27 @@ def test_meta_comparison_needs_a_candidate():
                        wins=np.zeros((0, 0), dtype=np.int64), measure="tau_b")
 
 
-@pytest.mark.parametrize("majority, wins, problem", [
-    (np.zeros((3, 3)), np.zeros((2, 2)), "matrices must be 2x2"),
-    ([[0, 1], [1, 0]], [[0, 1], [1, 0]], "majority matrix must be asymmetric"),
-    ([[0, 1], [0, 0]], [[0, 1], [1, 0]], "majority entries must mirror strict win-total comparisons"),
-], ids=["shape", "asymmetry", "mirror"])
-def test_meta_comparison_rejects_matrices_no_comparison_has(majority, wins, problem):
-    with pytest.raises(InputError, match=f"^{problem}$"):
-        MetaComparison(candidates=("r1", "r2"), majority=majority, wins=wins, measure="tau_b")
+def meta_of(majority, wins):
+    return MetaComparison(candidates=("r1", "r2"), majority=majority, wins=wins, measure="tau_b")
 
 
-@pytest.mark.parametrize("candidates, measure, problem", [
-    ([("r", "abc"), ("r", "cba")], "tau_b", "candidate names must be unique"),
-    ([("r", "abc")], "pearson", "unknown measure 'pearson'"),
-], ids=["duplicate-name", "unknown-measure"])
-def test_rankings_majority_rejects_repeated_names_and_unknown_measures(candidates, measure, problem):
+def meta_by(measure, *names):
     abc = AlternativeSet(("a", "b", "c"))
-    named = [(name, order_ranking(abc, tuple(order))) for name, order in candidates]
-    with pytest.raises(InputError, match=problem):
-        rankings_majority(named, [Criterion("c", 1, order_ranking(abc, ("a", "b", "c")))], measure)
+    candidates = [(name, order_ranking(abc, ("a", "b", "c"))) for name in names]
+    return rankings_majority(candidates, [Criterion("c", 1, order_ranking(abc, ("c", "b", "a")))], measure)
+
+
+@pytest.mark.parametrize("make, problem", [
+    (lambda: meta_of(np.zeros((3, 3)), np.zeros((2, 2))), "matrices must be 2x2"),
+    (lambda: meta_of([[0, 1], [1, 0]], [[0, 1], [1, 0]]), "majority matrix must be asymmetric"),
+    (lambda: meta_of([[0, 1], [0, 0]], [[0, 1], [1, 0]]), "majority entries must mirror strict win-total comparisons"),
+    (lambda: meta_by("tau_b", "r", "r"), "candidate names must be unique"),
+    (lambda: meta_by("pearson", "r"), "unknown measure 'pearson'; expected one of ('tau_b', 'coinciding')"),
+], ids=["shape", "asymmetry", "mirror", "repeated-name", "unknown-measure"])
+def test_meta_comparison_rejects_matrices_names_and_measures_no_comparison_has(make, problem):
+    with pytest.raises(InputError) as excinfo:
+        make()
+    assert str(excinfo.value) == problem
 
 
 def test_self_comparison_is_zero():
