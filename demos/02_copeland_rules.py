@@ -52,8 +52,7 @@ quad = AlternativeSet(("a", "b", "c", "d"))
 beats = np.zeros((4, 4), dtype=bool)
 beats[1, 0] = True          # b beats a
 beats[0, 2] = beats[0, 3] = True  # a beats c, d
-ties = ~np.eye(4, dtype=bool) & ~(beats | beats.T)
-tied_structure = MajorityStructure(quad, beats, ties)
+tied_structure = MajorityStructure(quad, beats)
 
 print("\ntied structure (b beats a; a beats c and d; the rest drawn):")
 for version in (1, 2, 3):

@@ -29,7 +29,7 @@ for top in ("a", "b", "c"):
     for low in ("d", "e"):
         beats[names.index(top), names.index(low)] = True
 beats[names.index("d"), names.index("e")] = True
-structure = MajorityStructure(names, beats, np.zeros((5, 5), dtype=bool))
+structure = MajorityStructure(names, beats)
 
 print("elites of the full set:")
 print("  uncovered set:", sorted(uncovered_set(structure).members))

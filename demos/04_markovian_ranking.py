@@ -31,7 +31,7 @@ beats = np.array([
     [0, 0, 0, 0, 1],
     [1, 1, 1, 0, 0],
 ], dtype=bool)
-structure = MajorityStructure(names, beats, np.zeros((5, 5), dtype=bool))
+structure = MajorityStructure(names, beats)
 
 partition = leagues(structure)
 print("leagues:", [sorted(league) for league in partition.leagues])

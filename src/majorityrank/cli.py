@@ -23,7 +23,7 @@ from . import io as mio
 from .cip import cip_index, cip_ranking
 from .core import DENSE, SCHEMES, Ranking
 from .correlation import COINCIDING, TAU_B, correlation_matrix
-from .errors import DegenerateRankingError, InputError, NumericalError, SingletonLeagueError, SizeLimitError
+from .errors import DegenerateRankingError, InputError, NumericalError
 from .majority import build_majority, cycle_counts
 from .metarank import closest_weak_order, rankings_majority
 
@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SingletonLeagueError, SizeLimitError, DegenerateRankingError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

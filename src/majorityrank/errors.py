@@ -2,10 +2,10 @@
 
 
 class InputError(ValueError):
-    """Malformed or inconsistent user input (bad file, unknown alternative, ...)."""
+    """Malformed or inconsistent user input (bad file, unknown alternative, ...); the root of every exit-2 error."""
 
 
-class DegenerateRankingError(ValueError):
+class DegenerateRankingError(InputError):
     """A correlation is undefined because a ranking ties all alternatives."""
 
 
@@ -13,7 +13,7 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to produce a result within its budget."""
 
 
-class SingletonLeagueError(ValueError):
+class SingletonLeagueError(InputError):
     """A transition matrix was requested for a one-member league.
 
     The transition model divides by ``m - 1``; a singleton league has no
@@ -22,5 +22,5 @@ class SingletonLeagueError(ValueError):
     """
 
 
-class SizeLimitError(ValueError):
+class SizeLimitError(InputError):
     """An exact combinatorial computation would exceed its instance-size cap."""

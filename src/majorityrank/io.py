@@ -231,9 +231,9 @@ def write_table(destination: str | Path | TextIO | None, header: Iterable, rows:
     writer.writerows(rows)
 
 
-def save_ranking(destination: str | Path | TextIO | None, ranking: Ranking, label: str = "country") -> None:
-    """Write a ranking as a two-column CSV in alternative-set order."""
-    write_table(destination, [label, "rank"], ranking.ranks.items())
+def save_ranking(destination: str | Path | TextIO | None, ranking: Ranking) -> None:
+    """Write a ranking as a ``country,rank`` CSV in alternative-set order."""
+    write_table(destination, ["country", "rank"], ranking.ranks.items())
 
 
 def write_labeled_matrix(destination: str | Path | TextIO | None, labels: tuple[str, ...], values, fmt=str) -> None:

@@ -1,15 +1,17 @@
 """Weighted majority relation over a profile, sections, and cycle counting.
 
-For alternatives x, y the structure records exactly one of three outcomes:
-x beats y (criteria preferring x outweigh, by votes, those preferring y),
-y beats x, or the two sides carry equal weight and the pair is tied.
-Criteria that rank the pair equal contribute to neither side.
+Every pair of alternatives x, y has exactly one of three outcomes: x beats
+y (criteria preferring x outweigh, by votes, those preferring y), y beats
+x, or the two sides carry equal weight and the pair is tied.  Criteria
+that rank the pair equal contribute to neither side.  A tie is a pair that
+neither side beats, so the structure stores only the beats matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,60 +31,52 @@ _TRACE_BLOCK = 128
 
 @dataclass(frozen=True)
 class MajorityStructure:
-    """Boolean majority and tie matrices over an alternative set.
+    """Boolean majority matrix over an alternative set.
 
-    ``beats[i, j]`` is True iff alternative ``i`` majority-dominates ``j``;
-    ``ties`` is symmetric and irreflexive.  For every pair exactly one of
-    ``beats[i, j]``, ``beats[j, i]``, ``ties[i, j]`` holds.
+    ``beats[i, j]`` is True iff alternative ``i`` majority-dominates ``j``.
+    ``ties`` is derived from it: the pairs that neither side beats.
     """
 
     alternatives: AlternativeSet
     beats: np.ndarray
-    ties: np.ndarray
 
     def __post_init__(self) -> None:
         m = len(self.alternatives)
-        beats = _bool_matrix(self.beats, "majority")
-        ties = _bool_matrix(self.ties, "tie")
-        if beats.shape != (m, m) or ties.shape != (m, m):
+        array = np.asarray(self.beats)
+        if array.dtype != bool:
+            valid = np.isin(array, (0, 1))  # NaN is neither
+            if not valid.all():
+                raise InputError(f"majority matrix entries must be 0 or 1, got {array[~valid].tolist()[0]!r}")
+        beats = np.array(array, dtype=bool)
+        if beats.shape != (m, m):
             raise InputError(f"matrices must be {m}x{m}")
-        if beats.diagonal().any() or ties.diagonal().any():
-            raise InputError("majority and tie matrices must have zero diagonals")
+        if beats.diagonal().any():
+            raise InputError("majority matrix must have a zero diagonal")
         if (beats & beats.T).any():
             raise InputError("majority matrix must be asymmetric")
-        if not np.array_equal(ties, ties.T):
-            raise InputError("tie matrix must be symmetric")
-        off = ~np.eye(m, dtype=bool)
-        if not np.array_equal(beats | beats.T | ties, off) or (beats & ties).any() or (beats.T & ties).any():
-            raise InputError("each pair must be decided exactly once (beat, lose or tie)")
         beats.setflags(write=False)
-        ties.setflags(write=False)
         object.__setattr__(self, "beats", beats)
-        object.__setattr__(self, "ties", ties)
+
+    @cached_property
+    def ties(self) -> np.ndarray:
+        """Read-only tie matrix: symmetric, irreflexive, and True exactly where neither side beats."""
+        ties = ~(self.beats | self.beats.T | np.eye(len(self), dtype=bool))
+        ties.setflags(write=False)
+        return ties
 
     def __len__(self) -> int:
         return len(self.alternatives)
 
     def restrict(self, subset: set[str] | frozenset[str] | None) -> tuple[np.ndarray, np.ndarray]:
         """Positions of ``subset`` in stable order and the beats matrix among them: the one sub-tournament
-        restriction, whose ties are the pairs neither side beats.  None, or every alternative, gives ``beats``
-        itself, uncopied; a proper subset takes two plain gathers."""
+        restriction, which holds the subset's ties too, as the pairs it leaves unordered.  None, or every
+        alternative, gives ``beats`` itself, uncopied; a proper subset takes two plain gathers."""
         if subset is None:
             return np.arange(len(self)), self.beats
         if not subset:
             raise InputError("subset must not be empty")
         idx = np.array(sorted(self.alternatives.index(name) for name in subset), dtype=np.intp)
         return idx, self.beats if len(idx) == len(self) else self.beats[idx][:, idx]
-
-
-def _bool_matrix(values, what: str) -> np.ndarray:
-    """A boolean copy of ``values``; InputError names the matrix unless every entry is 0 or 1."""
-    array = np.asarray(values)
-    if array.dtype != bool:
-        valid = np.isin(array, (0, 1))  # NaN is neither
-        if not valid.all():
-            raise InputError(f"{what} matrix entries must be 0 or 1, got {array[~valid].tolist()[0]!r}")
-    return np.array(array, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ def build_majority(profile: Profile) -> MajorityStructure:
 
     ``beats[x, y]`` holds iff the total weight of criteria ranking x
     strictly better than y exceeds the total weight ranking y better;
-    equal totals put the pair into ``ties``.  Votes accumulate in the
+    equal totals leave the pair tied.  Votes accumulate in the
     narrowest unsigned integer dtype that holds the profile's total weight:
     no vote total exceeds it, so no sum wraps.
     """
@@ -109,9 +103,7 @@ def build_majority(profile: Profile) -> MajorityStructure:
     for criterion in profile.criteria:
         ranks = criterion.ranking.rank_vector()
         votes += np.multiply(ranks[:, None] < ranks[None, :], criterion.weight, dtype=acc)
-    beats = votes > votes.T
-    ties = (votes == votes.T) & ~np.eye(m, dtype=bool)
-    return MajorityStructure(profile.alternatives, beats, ties)
+    return MajorityStructure(profile.alternatives, votes > votes.T)
 
 
 def sections(ms: MajorityStructure, x: str) -> Sections:

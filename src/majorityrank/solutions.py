@@ -182,24 +182,24 @@ def minimal_stable_set_containing(
 
 
 def weak_top_cycle(ms: MajorityStructure, subset: frozenset[str] | set[str] | None = None) -> SolutionSet:
-    """The minimal dominant subset of ``subset``.
+    """The minimal dominant subset of ``subset``: every member beats every non-member.
 
-    Dominant sets form an inclusion chain, and an alternative with maximal
-    wins-minus-losses score always belongs to the minimal one; closing that
-    seed under "add anything not beaten by every current member" therefore
-    yields exactly the weak top cycle.
+    Let s = wins - losses inside the n-member subset.  For any k-set S the
+    arcs inside S cancel, so the sum of s over S is the arcs from S to its
+    complement minus those into S: at most k(n - k), with equality iff S
+    beats every outsider.  A member of a dominant k-set scores at least
+    n - 2k + 1 and an outsider at most n - 2k - 1, so a dominant k-set is
+    exactly the first k alternatives of the stable descending sort by s.
+    Dominant sets form an inclusion chain that ends at the whole subset
+    (sum 0), so the weak top cycle is the shortest prefix of that sort whose
+    score sum equals k(n - k).
     """
     idx, sub = ms.restrict(subset)
     score = sub.sum(axis=1) - sub.sum(axis=0)
-    inside = np.zeros(len(idx), dtype=bool)
-    inside[int(np.argmax(score))] = True
-    while True:
-        dominated_by_all = sub[inside].all(axis=0)
-        grow = ~inside & ~dominated_by_all
-        if not grow.any():
-            break
-        inside |= grow
-    return SolutionSet(WTC, _names(ms, idx[inside]))
+    order = np.argsort(-score, kind="stable")
+    k = np.arange(1, len(idx) + 1)
+    size = int(np.argmax(np.cumsum(score[order]) == k * (len(idx) - k))) + 1
+    return SolutionSet(WTC, _names(ms, idx[order[:size]]))
 
 
 _SOLVERS = {UC: uncovered_set, MES: mes_union, WTC: weak_top_cycle}

@@ -54,16 +54,13 @@ def structures(draw, max_m: int = 12) -> MajorityStructure:
     m = draw(st.integers(1, max_m))
     outcomes = draw(st.lists(st.sampled_from("<>="), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2))
     beats = np.zeros((m, m), dtype=bool)
-    ties = np.zeros((m, m), dtype=bool)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     for (i, j), outcome in zip(pairs, outcomes):
-        if outcome == "=":
-            ties[i, j] = ties[j, i] = True
-        elif outcome == ">":
+        if outcome == ">":
             beats[i, j] = True
-        else:
+        elif outcome == "<":
             beats[j, i] = True
-    return MajorityStructure(AlternativeSet(tuple(f"a{i}" for i in range(m))), beats, ties)
+    return MajorityStructure(AlternativeSet(tuple(f"a{i}" for i in range(m))), beats)
 
 
 @st.composite

@@ -27,17 +27,16 @@ def random_structure(rng: random.Random, m: int, tie_prob: float = 0.2) -> Major
     """Random majority structure: each pair beats one way, the other, or ties."""
     names = AlternativeSet(tuple(f"a{i}" for i in range(m)))
     beats = np.zeros((m, m), dtype=bool)
-    ties = np.zeros((m, m), dtype=bool)
     for i in range(m):
         for j in range(i + 1, m):
             roll = rng.random()
             if roll < tie_prob:
-                ties[i, j] = ties[j, i] = True
-            elif roll < tie_prob + (1.0 - tie_prob) / 2.0:
+                continue  # the pair stays tied
+            if roll < tie_prob + (1.0 - tie_prob) / 2.0:
                 beats[i, j] = True
             else:
                 beats[j, i] = True
-    return MajorityStructure(names, beats, ties)
+    return MajorityStructure(names, beats)
 
 
 def noisy_profile_structure(rng: random.Random, m: int, criteria: int = 5) -> MajorityStructure:
@@ -56,8 +55,9 @@ def noisy_profile_structure(rng: random.Random, m: int, criteria: int = 5) -> Ma
     return build_majority(profile)
 
 
-def naive_majority(profile: Profile) -> MajorityStructure:
-    """Weighted majority by a loop over ordered pairs, summing Python-int weights on each side."""
+def naive_majority(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """Beats and tie matrices of the weighted majority, by a loop over ordered pairs summing Python-int
+    weights on each side; a tie is read from equal sums, not from the beats matrix."""
     m = len(profile.alternatives)
     weighted = [(c.weight, c.ranking.rank_vector().tolist()) for c in profile.criteria]
     beats = np.zeros((m, m), dtype=bool)
@@ -68,7 +68,7 @@ def naive_majority(profile: Profile) -> MajorityStructure:
                 pro = sum(w for w, ranks in weighted if ranks[x] < ranks[y])
                 con = sum(w for w, ranks in weighted if ranks[y] < ranks[x])
                 beats[x, y], ties[x, y] = pro > con, pro == con
-    return MajorityStructure(profile.alternatives, beats, ties)
+    return beats, ties
 
 
 def random_ranking(rng: random.Random, alternatives: AlternativeSet, max_positions: int | None = None) -> Ranking:

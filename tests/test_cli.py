@@ -12,9 +12,10 @@ from hypothesis import given, settings
 
 from majorityrank import COMPETITION, DENSE, AlternativeSet, Ranking, build_majority, bundled_fixtures_dir
 from majorityrank import io as mio
-from majorityrank import majority, solutions
+from majorityrank import cli, majority, solutions
 from majorityrank.cli import METHODS, main
 from majorityrank.core import SCHEMES
+from majorityrank.errors import DegenerateRankingError, SingletonLeagueError, SizeLimitError
 from conftest import in_tree_env, profiles
 
 CRITERIA_CSV = str(bundled_fixtures_dir() / "table6_criteria.csv")
@@ -177,6 +178,18 @@ def test_analyze_size_error_writes_no_file(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "counting 5-cycles supports at most 2 alternatives, got 3" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("error", [SizeLimitError, DegenerateRankingError, SingletonLeagueError])
+def test_every_input_error_subclass_exits_two(tmp_path, monkeypatch, capsys, error):
+    # main catches InputError alone, so each specialised input error must derive from it
+    def refuse(structure):
+        raise error("refused")
+
+    table, weights = write_toy_table(tmp_path)
+    monkeypatch.setattr(cli, "cycle_counts", refuse)
+    code, _ = run_main("analyze", str(table), "--weights", str(weights), "--output", str(tmp_path / "out"))
+    assert code == 2 and capsys.readouterr().err == "error: refused\n"
 
 
 def test_rank_reports_an_empty_solution_as_a_numerical_failure(tmp_path, monkeypatch, capsys):

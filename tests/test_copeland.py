@@ -30,7 +30,7 @@ def test_toy_ranking_version_2(toy_structure):
 
 def test_complete_tie_structure_scores_zero():
     names = AlternativeSet(("a", "b", "c"))
-    ms = MajorityStructure(names, np.zeros((3, 3), dtype=bool), ~np.eye(3, dtype=bool))
+    ms = MajorityStructure(names, np.zeros((3, 3), dtype=bool))
     assert set(copeland_scores(ms, 1).scores.values()) == {0}
 
 

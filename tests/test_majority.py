@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -47,22 +48,31 @@ def test_equal_weights_tie():
 
 
 def test_structure_validation_rejects_bad_matrices():
-    names = AlternativeSet(("a", "b"))
     sym = np.array([[0, 1], [1, 0]], dtype=bool)
-    with pytest.raises(InputError):
-        MajorityStructure(names, sym, np.zeros((2, 2), dtype=bool))
-    with pytest.raises(InputError):
-        MajorityStructure(names, np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool))
+    with pytest.raises(InputError, match="^majority matrix must be asymmetric$"):
+        MajorityStructure(AlternativeSet(("a", "b")), sym)
 
 
-@pytest.mark.parametrize("beats, ties, problem", [
-    (np.zeros((3, 3)), np.zeros((3, 3)), "matrices must be 2x2"),
-    ([[1, 0], [0, 0]], [[0, 1], [1, 0]], "majority and tie matrices must have zero diagonals"),
-    ([[0, 0], [0, 0]], [[0, 1], [0, 0]], "tie matrix must be symmetric"),
-], ids=["shape", "diagonal", "asymmetric-ties"])
-def test_structure_rejects_matrices_of_the_wrong_shape_diagonal_or_symmetry(beats, ties, problem):
+@pytest.mark.parametrize("beats, problem", [
+    (np.zeros((3, 3)), "matrices must be 2x2"),
+    ([[1, 0], [0, 0]], "majority matrix must have a zero diagonal"),
+], ids=["shape", "diagonal"])
+def test_structure_rejects_matrices_of_the_wrong_shape_diagonal_or_symmetry(beats, problem):
     with pytest.raises(InputError, match=f"^{problem}$"):
-        MajorityStructure(AlternativeSet(("a", "b")), beats, ties)
+        MajorityStructure(AlternativeSet(("a", "b")), beats)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(structures())
+def test_ties_are_the_read_only_symmetric_complement_of_beats(ms):
+    off = ~np.eye(len(ms), dtype=bool)
+    assert ms.ties.dtype == bool and not ms.ties.flags.writeable
+    assert np.array_equal(ms.ties, ms.ties.T)
+    assert not (ms.ties & ms.beats).any() and not (ms.ties & ms.beats.T).any()
+    assert np.array_equal(ms.beats | ms.beats.T | ms.ties, off)
+    assert ms.ties is ms.ties  # derived once, then cached
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ms.ties = ms.beats
 
 
 def test_restrict_gives_the_whole_structure_uncopied_and_a_subset_gathered():
@@ -82,18 +92,14 @@ def test_restrict_gives_the_whole_structure_uncopied_and_a_subset_gathered():
 
 @pytest.mark.parametrize("entry", [-1, 0.5, float("nan"), 2], ids=["minus-one", "half", "nan", "two"])
 def test_structure_rejects_entries_other_than_zero_or_one(entry):
-    names = AlternativeSet(("a", "b"))
-    zeros = np.zeros((2, 2))
     with pytest.raises(InputError, match=f"^majority matrix entries must be 0 or 1, got {entry}$"):
-        MajorityStructure(names, [[0, entry], [0, 0]], zeros)
-    with pytest.raises(InputError, match=f"^tie matrix entries must be 0 or 1, got {entry}$"):
-        MajorityStructure(names, zeros, [[0, entry], [entry, 0]])
+        MajorityStructure(AlternativeSet(("a", "b")), [[0, entry], [0, 0]])
 
 
 def test_structure_accepts_zero_one_ints_and_floats():
     names = AlternativeSet(("a", "b"))
     for beats in ([[0, 1], [0, 0]], [[0.0, 1.0], [0.0, 0.0]], np.array([[0, 1], [0, 0]], dtype=np.uint8)):
-        ms = MajorityStructure(names, beats, np.zeros((2, 2), dtype=int))
+        ms = MajorityStructure(names, beats)
         assert ms.beats.dtype == bool and ms.beats.tolist() == [[False, True], [False, False]]
 
 
@@ -128,8 +134,8 @@ def test_vote_accumulator_holds_the_total_weight_at_every_width_boundary(total):
     for criteria in profiles:
         profile = Profile(names, criteria)
         assert profile.total_weight == total
-        expected, ms = naive_majority(profile), build_majority(profile)
-        assert np.array_equal(ms.beats, expected.beats) and np.array_equal(ms.ties, expected.ties)
+        (beats, ties), ms = naive_majority(profile), build_majority(profile)
+        assert np.array_equal(ms.beats, beats) and np.array_equal(ms.ties, ties)
 
 
 def test_sections_read_off(toy_structure):
@@ -143,19 +149,19 @@ def test_sections_read_off(toy_structure):
 
 def test_sections_on_chain_and_ties():
     abc = AlternativeSet(("a", "b", "c"))
-    chain = MajorityStructure(abc, np.triu(np.ones((3, 3), dtype=bool), 1), np.zeros((3, 3), dtype=bool))
+    chain = MajorityStructure(abc, np.triu(np.ones((3, 3), dtype=bool), 1))
     mid = sections(chain, "b")
     assert mid.lower == {"c"} and mid.upper == {"a"} and mid.horizon == set()
 
     ab = AlternativeSet(("a", "b"))
-    tied = MajorityStructure(ab, np.zeros((2, 2), dtype=bool), ~np.eye(2, dtype=bool))
+    tied = MajorityStructure(ab, np.zeros((2, 2), dtype=bool))
     both = sections(tied, "a")
     assert both.lower == set() and both.upper == set() and both.horizon == {"b"}
 
 
 def test_cycles_on_transitive_chain_are_zero():
     names = AlternativeSet(tuple("abcd"))
-    chain = MajorityStructure(names, np.triu(np.ones((4, 4), dtype=bool), 1), np.zeros((4, 4), dtype=bool))
+    chain = MajorityStructure(names, np.triu(np.ones((4, 4), dtype=bool), 1))
     assert [count_cycles(chain, k) for k in (3, 4, 5)] == [0, 0, 0]
 
 

@@ -32,12 +32,8 @@ from conftest import structures
 from oracles import exact_stationary, random_structure
 
 ABC = AlternativeSet(("a", "b", "c"))
-CHAIN = MajorityStructure(ABC, np.triu(np.ones((3, 3), dtype=bool), 1), np.zeros((3, 3), dtype=bool))
-CYCLE = MajorityStructure(
-    ABC,
-    np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool),
-    np.zeros((3, 3), dtype=bool),
-)
+CHAIN = MajorityStructure(ABC, np.triu(np.ones((3, 3), dtype=bool), 1))
+CYCLE = MajorityStructure(ABC, np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool))
 
 
 def test_chain_gives_singleton_leagues():
@@ -71,7 +67,7 @@ def test_toy_structure_stationary(toy_structure):
 
 def test_two_member_league_absorbs():
     ab = AlternativeSet(("a", "b"))
-    ms = MajorityStructure(ab, np.array([[0, 1], [0, 0]], dtype=bool), np.zeros((2, 2), dtype=bool))
+    ms = MajorityStructure(ab, np.array([[0, 1], [0, 0]], dtype=bool))
     # a beats b outright, so the league split separates them
     assert leagues(ms).leagues == ({"a"}, {"b"})
     tm = transition_matrix(ms, {"a", "b"})
@@ -82,7 +78,7 @@ def test_two_member_league_absorbs():
 
 def test_tied_pair_league():
     ab = AlternativeSet(("a", "b"))
-    ms = MajorityStructure(ab, np.zeros((2, 2), dtype=bool), ~np.eye(2, dtype=bool))
+    ms = MajorityStructure(ab, np.zeros((2, 2), dtype=bool))
     assert leagues(ms).leagues == ({"a", "b"},)
     tm = transition_matrix(ms, {"a", "b"})
     vector = stationary(tm)
@@ -245,12 +241,12 @@ def stacked_cycles(n: int) -> MajorityStructure:
         a, b, c = 3 * block, 3 * block + 1, 3 * block + 2
         beats[a, b] = beats[b, c] = beats[c, a] = True
         beats[a:c + 1, c + 1:] = True
-    return MajorityStructure(names, beats, np.zeros_like(beats))
+    return MajorityStructure(names, beats)
 
 
 def fully_tied(m: int) -> MajorityStructure:
     names = AlternativeSet(tuple(f"t{i}" for i in range(m)))
-    return MajorityStructure(names, np.zeros((m, m), dtype=bool), ~np.eye(m, dtype=bool))
+    return MajorityStructure(names, np.zeros((m, m), dtype=bool))
 
 
 def league_matrices(ms: MajorityStructure):

@@ -30,12 +30,8 @@ from oracles import (
 )
 
 ABC = AlternativeSet(("a", "b", "c"))
-CHAIN = MajorityStructure(ABC, np.triu(np.ones((3, 3), dtype=bool), 1), np.zeros((3, 3), dtype=bool))
-CYCLE = MajorityStructure(
-    ABC,
-    np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool),
-    np.zeros((3, 3), dtype=bool),
-)
+CHAIN = MajorityStructure(ABC, np.triu(np.ones((3, 3), dtype=bool), 1))
+CYCLE = MajorityStructure(ABC, np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool))
 
 
 def test_chain_solutions():

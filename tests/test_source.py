@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import majorityrank
@@ -40,3 +41,9 @@ def test_metarank_keys_are_not_fractions():
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "math" in modules and "fractions" not in modules
+
+
+def test_majority_structure_holds_only_the_beats_matrix():
+    # a tie is a pair neither side beats, so the tie matrix is derived, never stored or validated apart
+    fields = [field.name for field in dataclasses.fields(majorityrank.MajorityStructure)]
+    assert fields == ["alternatives", "beats"]
