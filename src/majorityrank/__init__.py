@@ -19,7 +19,6 @@ from .core import (
     Criterion,
     Profile,
     Ranking,
-    compare,
     from_scores,
 )
 from .correlation import (

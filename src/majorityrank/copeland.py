@@ -16,7 +16,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .core import DENSE, Ranking, from_scores
+import numpy as np
+
+from .core import DENSE, Ranking, _labels
 from .errors import InputError
 from .majority import MajorityStructure
 
@@ -34,22 +36,20 @@ class ScoreVector:
 
 def copeland_scores(ms: MajorityStructure, version: int) -> ScoreVector:
     """Copeland scores of every alternative under the chosen version."""
-    if version not in VERSIONS:
-        raise InputError(f"Copeland version must be one of {VERSIONS}, got {version!r}")
-    m = len(ms)
-    wins = ms.beats.sum(axis=1)
-    losses = ms.beats.sum(axis=0)
-    if version == 1:
-        values = wins - losses
-    elif version == 2:
-        values = wins
-    else:
-        values = m - losses
-    scores = {name: int(values[i]) for i, name in enumerate(ms.alternatives)}
-    return ScoreVector(version=version, scores=scores)
+    return ScoreVector(version=version, scores=dict(zip(ms.alternatives.items, _score_vector(ms, version).tolist())))
 
 
 def copeland_ranking(ms: MajorityStructure, version: int, scheme: str = DENSE) -> Ranking:
     """Rank alternatives by decreasing Copeland score; equal scores tie."""
-    vector = copeland_scores(ms, version)
-    return from_scores(ms.alternatives, {a: float(s) for a, s in vector.scores.items()}, scheme=scheme)
+    return Ranking(ms.alternatives, _labels(-_score_vector(ms, version), scheme), scheme=scheme)
+
+
+def _score_vector(ms: MajorityStructure, version: int) -> np.ndarray:
+    """The chosen version's integer scores in alternative-set order."""
+    if version not in VERSIONS:
+        raise InputError(f"Copeland version must be one of {VERSIONS}, got {version!r}")
+    wins = ms.beats.sum(axis=1)
+    losses = ms.beats.sum(axis=0)
+    if version == 1:
+        return wins - losses
+    return wins if version == 2 else len(ms) - losses

@@ -1,7 +1,9 @@
 """Alternatives, rankings, criteria and profiles.
 
 A ranking maps every alternative to a positive integer rank, smaller being
-better, with ties allowed.  Two numbering schemes are supported:
+better, with ties allowed.  It is held as one read-only int64 rank vector
+in alternative-set order; the name mapping ``Ranking.ranks`` is built from
+it only when read.  Two numbering schemes are supported:
 
 * ``dense`` - the ranks in use are exactly ``1..K`` (a tied block is
   followed by the next integer);
@@ -15,9 +17,10 @@ of a key array: ``_levels`` sorts each row and counts the steps between
 neighbours, so int64, float and object keys (Python ints, Fractions) are
 compared as they are, with no cast to float anywhere (-0.0 and 0.0 tie).
 Dense labels are those levels plus one; competition labels are one plus
-the number of strictly smaller keys.  The constructors,
+the number of strictly smaller keys.  The constructors, Copeland,
 ``conforms_to_scheme``, the pair census, the Markov ranking and the
-meta-comparison keys all use it.
+meta-comparison keys all use it; every ranking the package builds takes
+its label vector straight, with no name mapping in between.
 
 A profile's total criterion weight is bounded by ``MAX_TOTAL_WEIGHT``.
 ``build_majority`` sums votes in the narrowest unsigned integer dtype that
@@ -30,6 +33,7 @@ import enum
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -80,6 +84,13 @@ class AlternativeSet:
         except KeyError:
             raise InputError(f"unknown alternative {name!r}") from None
 
+    def positions(self, names: Iterable[str]) -> np.ndarray:
+        """The positions of ``names``, in their order, as one intp vector; InputError for an unknown name."""
+        try:
+            return np.fromiter(map(self._index.__getitem__, names), dtype=np.intp)  # type: ignore[attr-defined]
+        except KeyError as exc:
+            raise InputError(f"unknown alternative {exc.args[0]!r}") from None
+
     def __len__(self) -> int:
         return len(self.items)
 
@@ -90,9 +101,16 @@ class AlternativeSet:
         return name in self._index  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ranking:
     """Assignment of one positive integer rank, at most ``MAX_RANK``, to every alternative.
+
+    It holds one read-only int64 vector in set order (:meth:`rank_vector`),
+    validated once.  ``ranks`` is that vector (an integer array, not bool),
+    or a mapping of every alternative to an int, read into it first; an
+    error names the first alternative whose rank is out of 1..``MAX_RANK``.
+    The read-only mapping :attr:`ranks` is built only when read.  Equality
+    compares alternatives, scheme and vector.
 
     ``scheme`` declares the intended numbering convention.  Constructors in
     this package always emit conforming numberings; rankings ingested from
@@ -101,38 +119,29 @@ class Ranking:
     """
 
     alternatives: AlternativeSet
-    ranks: Mapping[str, int]
-    scheme: str = DENSE
+    scheme: str
+    _vector: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise InputError(f"unknown ranking scheme {self.scheme!r}")
-        ranks = dict(self.ranks)
-        if set(ranks) != set(self.alternatives.items):
-            missing = set(self.alternatives.items) - set(ranks)
-            extra = set(ranks) - set(self.alternatives.items)
-            raise InputError(f"ranking does not match alternative set (missing {sorted(missing)}, extra {sorted(extra)})")
-        values = [ranks[a] for a in self.alternatives]
-        # one type check per distinct type, so that a str never reaches min; the loop only words the error
-        integral = all(issubclass(kind, (int, np.integer)) and not issubclass(kind, (bool, np.bool_))
-                       for kind in set(map(type, values)))
-        if not integral or min(values) < 1 or max(values) > MAX_RANK:
-            for name, rank in ranks.items():
-                if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool) or rank < 1:
-                    raise InputError(f"rank of {name!r} must be a positive integer, got {rank!r}")
-                if rank > MAX_RANK:
-                    raise InputError(f"rank of {name!r} must be at most {MAX_RANK}, got {rank!r}")
-        vector = np.array(values, dtype=np.int64)
-        vector.setflags(write=False)
-        object.__setattr__(self, "_vector", vector)
-        object.__setattr__(self, "ranks", MappingProxyType(dict(zip(self.alternatives.items, vector.tolist()))))
+    def __init__(self, alternatives: AlternativeSet, ranks: Mapping[str, int] | np.ndarray, scheme: str = DENSE):
+        if scheme not in SCHEMES:
+            raise InputError(f"unknown ranking scheme {scheme!r}")
+        object.__setattr__(self, "alternatives", alternatives)
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "_vector", _rank_vector(alternatives, ranks))
 
-    def rank_of(self, name: str) -> int:
-        self.alternatives.index(name)
-        return self.ranks[name]
+    @cached_property
+    def ranks(self) -> Mapping[str, int]:
+        """Read-only mapping of every alternative, in set order, to its rank."""
+        return MappingProxyType(dict(zip(self.alternatives.items, self._vector.tolist())))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alternatives == other.alternatives and self.scheme == other.scheme  # type: ignore[attr-defined]
+                and bool(np.array_equal(self._vector, other._vector)))  # type: ignore[attr-defined]
 
     def compare(self, a: str, b: str) -> Comparison:
-        ra, rb = self.rank_of(a), self.rank_of(b)
+        ra, rb = self._vector[self.alternatives.index(a)], self._vector[self.alternatives.index(b)]
         if ra < rb:
             return Comparison.BETTER
         if ra > rb:
@@ -141,22 +150,43 @@ class Ranking:
 
     def rank_vector(self) -> np.ndarray:
         """Ranks as a read-only int64 vector in alternative-set order."""
-        return self._vector  # type: ignore[attr-defined]
+        return self._vector
 
     def distinct_positions(self) -> int:
-        return len(set(self.ranks.values()))
+        return len(set(self._vector.tolist()))
 
     def conforms_to_scheme(self) -> bool:
         """Whether the stored ranks satisfy the declared numbering scheme: relabelling in it changes none."""
-        return bool(np.array_equal(_labels(self.rank_vector(), self.scheme), self.rank_vector()))
+        return bool(np.array_equal(_labels(self._vector, self.scheme), self._vector))
 
-    def to_dense(self) -> "Ranking":
-        """Relabel to the dense scheme, preserving the order and all ties."""
-        return from_ranks(self.alternatives, self.ranks, scheme=DENSE)
 
-    def to_competition(self) -> "Ranking":
-        """Relabel to the competition scheme, preserving the order and all ties."""
-        return from_ranks(self.alternatives, self.ranks, scheme=COMPETITION)
+def _rank_vector(alternatives: AlternativeSet, ranks: Mapping[str, int] | np.ndarray) -> np.ndarray:
+    """``ranks`` as a new read-only int64 vector in set order, or the InputError ``Ranking`` documents."""
+    names = alternatives.items
+    if isinstance(ranks, np.ndarray):
+        if ranks.shape != (len(names),):
+            raise InputError(f"ranking needs one rank for each of {len(names)} alternatives, got shape {ranks.shape}")
+        # the dtype types every entry; no signed integer dtype holds one above MAX_RANK
+        kind = ranks.dtype.kind
+        valid = kind in "iu" and ranks.min() >= 1 and (kind == "i" or ranks.max() <= MAX_RANK)
+    else:
+        if ranks.keys() != alternatives._index.keys():  # type: ignore[attr-defined]
+            missing = set(names) - set(ranks)
+            extra = set(ranks) - set(names)
+            raise InputError(f"ranking does not match alternative set (missing {sorted(missing)}, extra {sorted(extra)})")
+        ranks = [ranks[name] for name in names]
+        # a list has no dtype: one check per distinct type, so that a str never reaches min
+        valid = (all(issubclass(cls, (int, np.integer)) and not issubclass(cls, (bool, np.bool_))
+                     for cls in set(map(type, ranks))) and min(ranks) >= 1 and max(ranks) <= MAX_RANK)
+    if not valid:  # the loop only words the error
+        for name, rank in zip(names, ranks):
+            if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool) or rank < 1:
+                raise InputError(f"rank of {name!r} must be a positive integer, got {rank!r}")
+            if rank > MAX_RANK:
+                raise InputError(f"rank of {name!r} must be at most {MAX_RANK}, got {rank!r}")
+    vector = np.array(ranks, dtype=np.int64)
+    vector.setflags(write=False)
+    return vector
 
 
 def from_scores(
@@ -168,29 +198,41 @@ def from_scores(
     """Rank alternatives by descending score.
 
     Higher value means better (smaller) rank; exactly equal values share a
-    rank.  ``decimals`` optionally rounds the values first, so that scores
-    published with fixed precision reproduce their published ties; by
-    default no rounding is applied and ties require exact equality.
+    rank.  ``decimals`` optionally rounds the values first, by Python's
+    ``round``, so that scores published with fixed precision reproduce their
+    published ties; by default no rounding is applied and ties require
+    exact equality.
 
     Raises:
-        InputError: if a value is missing or non-finite.
+        InputError: naming the first alternative, in set order, whose value
+            is missing or does not convert to a finite float.
     """
-    scored = []
-    for name in alternatives:
-        if name not in values:
-            raise InputError(f"no value for alternative {name!r}")
-        v = float(values[name])
-        if not math.isfinite(v):
-            raise InputError(f"value for alternative {name!r} is not finite: {v!r}")
-        scored.append(-(round(v, decimals) if decimals is not None else v))
-    labels = _labels(np.array(scored), scheme)
-    return Ranking(alternatives, dict(zip(alternatives.items, labels.tolist())), scheme=scheme)
+    names = alternatives.items
+    try:
+        scores = np.array([float(values[name]) for name in names])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        scores = None
+    if scores is None or not np.isfinite(scores).all():
+        for name in names:
+            if name not in values:
+                raise InputError(f"no value for alternative {name!r}")
+            try:
+                finite = math.isfinite(float(values[name]))
+            except (TypeError, ValueError, OverflowError):  # None, a non-numeric str, an int past the float range
+                finite = False
+            if not finite:
+                raise InputError(f"value for alternative {name!r} is not a finite number: {values[name]!r}")
+    if decimals is not None:
+        scores = np.array([round(v, decimals) for v in scores.tolist()])  # np.round(2.675, 2) would give 2.68
+    return Ranking(alternatives, _labels(-scores, scheme), scheme=scheme)
 
 
-def from_ranks(alternatives: AlternativeSet, ranks: Mapping[str, int], scheme: str = DENSE) -> Ranking:
-    """Relabel a weak order given by any positive integer ranks (smaller is better) in ``scheme``."""
-    labels = _labels(Ranking(alternatives, ranks).rank_vector(), scheme)
-    return Ranking(alternatives, dict(zip(alternatives.items, labels.tolist())), scheme=scheme)
+def from_ranks(alternatives: AlternativeSet, ranks: Mapping[str, int] | np.ndarray, scheme: str = DENSE) -> Ranking:
+    """Relabel a weak order given by any positive integer ranks (smaller is better) in ``scheme``.
+
+    ``ranks`` is read and checked as by ``Ranking``.
+    """
+    return Ranking(alternatives, _labels(_rank_vector(alternatives, ranks), scheme), scheme=scheme)
 
 
 def _levels(keys: np.ndarray) -> np.ndarray:
@@ -207,11 +249,6 @@ def _levels(keys: np.ndarray) -> np.ndarray:
 def _labels(keys: np.ndarray, scheme: str) -> np.ndarray:
     """The ranks in ``scheme`` of a key vector, a smaller key ranking better."""
     return 1 + (_levels(keys[None])[0] if scheme == DENSE else np.searchsorted(np.sort(keys), keys))
-
-
-def compare(ranking: Ranking, a: str, b: str) -> Comparison:
-    """Compare two alternatives within a ranking (``Better`` iff rank(a) < rank(b))."""
-    return ranking.compare(a, b)
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,8 @@ def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
         raise InputError(f"{path}: need a country column plus at least one ranking column")
     columns = header[1:]
     countries = _row_labels(path, header, rows)
-    ranks: dict[str, dict[str, int]] = {name: {} for name in columns}
-    for (row_number, row), country in zip(rows, countries):
+    cells: list[int] = []  # row by row
+    for row_number, row in rows:
         for column, text in zip(columns, row[1:]):
             if not text:
                 raise InputError(f"{path}: missing rank (row {row_number}, col {column})")
@@ -109,11 +109,12 @@ def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
                 raise InputError(f"{path}: rank {value} is not positive (row {row_number}, col {column})")
             if value > MAX_RANK:
                 raise InputError(f"{path}: rank {value} is above {MAX_RANK} (row {row_number}, col {column})")
-            ranks[column][country] = value
+            cells.append(value)
+    table = np.array(cells, dtype=np.int64).reshape(len(rows), len(columns))
     alternatives = AlternativeSet(countries)
     rankings: dict[str, Ranking] = {}
-    for column in columns:
-        ranking = Ranking(alternatives, ranks[column])
+    for j, column in enumerate(columns):
+        ranking = Ranking(alternatives, table[:, j])
         if not ranking.conforms_to_scheme():
             warnings.warn(f"{path}: column {column} is not densely numbered; keeping ranks as published")
         rankings[column] = ranking

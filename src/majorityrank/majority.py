@@ -75,7 +75,7 @@ class MajorityStructure:
             return np.arange(len(self)), self.beats
         if not subset:
             raise InputError("subset must not be empty")
-        idx = np.array(sorted(self.alternatives.index(name) for name in subset), dtype=np.intp)
+        idx = np.sort(self.alternatives.positions(subset))
         return idx, self.beats if len(idx) == len(self) else self.beats[idx][:, idx]
 
 

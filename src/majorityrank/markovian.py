@@ -272,12 +272,11 @@ def markovian_ranking(ms: MajorityStructure, scheme: str = DENSE) -> Ranking:
     Exactly equal probabilities within a league share a rank; all members
     of league k rank above all members of league k+1.
     """
-    ranks: dict[str, int] = {}  # 1 + league number * len(ms) + the level of -numerator in the league
+    ranks = np.zeros(len(ms), dtype=np.int64)  # 1 + league number * len(ms) + the level of -numerator in the league
     for number, league in enumerate(leagues(ms).leagues):
-        if len(league) == 1:
-            ranks[next(iter(league))] = 1 + number * len(ms)
-            continue
-        vector = stationary(transition_matrix(ms, league))
-        levels = _levels(np.array([[-n for n in vector.numerators]], dtype=object))[0]
-        ranks.update(zip(vector.members, (1 + number * len(ms) + levels).tolist()))
+        members, levels = league, 0
+        if len(league) > 1:
+            vector = stationary(transition_matrix(ms, league))
+            members, levels = vector.members, _levels(np.array([[-n for n in vector.numerators]], dtype=object))[0]
+        ranks[ms.alternatives.positions(members)] = 1 + number * len(ms) + levels
     return from_ranks(ms.alternatives, ranks, scheme=scheme)

@@ -299,7 +299,8 @@ def closest_weak_order(mc: MetaComparison) -> Ranking:
     last_tie = n - 1 - np.argmax(~comparable[:, ::-1], axis=1)
     block_ends = np.maximum.accumulate(last_tie) == np.arange(n)
     block = np.concatenate(([1], 1 + np.cumsum(block_ends[:-1])))
-    ranks = {mc.candidates[i]: int(b) for i, b in zip(extension, block)}
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[extension] = block
     return from_ranks(AlternativeSet(mc.candidates), ranks, scheme=COMPETITION)
 
 

@@ -57,7 +57,9 @@ class SortedClasses:
 
     def ranking(self, scheme: str = DENSE) -> Ranking:
         """Ranking that places the k-th class k-th, numbered in ``scheme``."""
-        ranks = {name: k for k, cls in enumerate(self.classes, start=1) for name in cls}
+        ranks = np.zeros(len(self.alternatives), dtype=np.int64)  # rank 0, which Ranking rejects, marks an unplaced name
+        for k, cls in enumerate(self.classes, start=1):
+            ranks[self.alternatives.positions(cls)] = k
         return from_ranks(self.alternatives, ranks, scheme=scheme)
 
 
@@ -110,7 +112,7 @@ def _names(ms: MajorityStructure, positions: np.ndarray) -> frozenset[str]:
 def _subset_mask(ms: MajorityStructure, idx: np.ndarray, names, what: str) -> np.ndarray:
     """Mask over the positions ``idx`` of ``names``; InputError names the first one outside them."""
     names = list(names)
-    positions = [ms.alternatives.index(name) for name in names]
+    positions = ms.alternatives.positions(names)
     inside = np.isin(positions, idx)
     if not inside.all():
         raise InputError(f"{what} {names[int(np.argmin(inside))]!r} lies outside the subset")

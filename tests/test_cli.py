@@ -14,7 +14,7 @@ from majorityrank import COMPETITION, DENSE, AlternativeSet, Ranking, build_majo
 from majorityrank import io as mio
 from majorityrank import cli, majority, solutions
 from majorityrank.cli import METHODS, main
-from majorityrank.core import SCHEMES
+from majorityrank.core import SCHEMES, from_ranks
 from majorityrank.errors import DegenerateRankingError, SingletonLeagueError, SizeLimitError
 from conftest import in_tree_env, profiles
 
@@ -466,7 +466,8 @@ def test_every_rank_method_conforms_to_every_scheme_on_tied_profiles(profile):
         for scheme, ranking in rankings.items():
             assert ranking.scheme == scheme and ranking.conforms_to_scheme(), (method, scheme)
         # both numberings describe one weak order
-        assert rankings[COMPETITION].to_dense().ranks == rankings[DENSE].ranks, method
+        competition = rankings[COMPETITION]
+        assert from_ranks(competition.alternatives, competition.rank_vector(), DENSE) == rankings[DENSE], method
 
 
 def test_rank_methods_and_published_columns_come_from_one_table():

@@ -1,8 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majorityrank import (
     AlternativeSet,
@@ -12,11 +15,10 @@ from majorityrank import (
     Profile,
     Ranking,
     build_majority,
-    compare,
     from_scores,
     rankings_majority,
 )
-from majorityrank.core import MAX_TOTAL_WEIGHT, SCHEMES, _labels, from_ranks
+from majorityrank.core import COMPETITION, DENSE, MAX_RANK, MAX_TOTAL_WEIGHT, SCHEMES, _labels, from_ranks
 from oracles import brute_labels
 
 ABC = AlternativeSet(("a", "b", "c"))
@@ -53,6 +55,25 @@ def test_from_scores_rejects_missing_and_non_finite():
         from_scores(ABC, {"a": 1.0, "b": float("nan"), "c": 0.0})
 
 
+@pytest.mark.parametrize("values, problem", [
+    ({"a": 1.0, "b": 10 ** 400, "c": None}, f"value for alternative 'b' is not a finite number: {10 ** 400}"),
+    ({"a": 1.0, "b": None, "c": 10 ** 400}, "value for alternative 'b' is not a finite number: None"),
+    ({"a": "one", "b": float("nan"), "c": 0.0}, "value for alternative 'a' is not a finite number: 'one'"),
+    ({"a": 1.0, "b": float("-inf")}, "value for alternative 'b' is not a finite number: -inf"),
+    ({"b": None, "c": 1.0}, "no value for alternative 'a'"),
+], ids=["overflow", "none", "str", "infinite-before-missing", "missing-first"])
+def test_from_scores_names_the_first_bad_value_in_set_order(values, problem):
+    with pytest.raises(InputError) as excinfo:
+        from_scores(ABC, values)
+    assert str(excinfo.value) == problem
+
+
+def test_from_scores_rounds_as_python_does():
+    # 2.675 is stored just below itself, so round(2.675, 2) is 2.67; np.round gives 2.68 and would tie the two
+    ranking = from_scores(AlternativeSet(("a", "b")), {"a": 2.675, "b": 2.68}, decimals=2)
+    assert ranking.ranks == {"a": 2, "b": 1}
+
+
 def test_from_scores_optional_rounding_controls_ties():
     close = {"a": 0.1231, "b": 0.1232, "c": 0.5}
     assert from_scores(ABC, close).distinct_positions() == 3
@@ -61,11 +82,11 @@ def test_from_scores_optional_rounding_controls_ties():
 
 def test_compare_basic():
     ranking = Ranking(ABC, {"a": 1, "b": 2, "c": 2})
-    assert compare(ranking, "a", "b") is Comparison.BETTER
-    assert compare(ranking, "b", "c") is Comparison.TIED
-    assert compare(ranking, "c", "a") is Comparison.WORSE
+    assert ranking.compare("a", "b") is Comparison.BETTER
+    assert ranking.compare("b", "c") is Comparison.TIED
+    assert ranking.compare("c", "a") is Comparison.WORSE
     with pytest.raises(InputError):
-        compare(ranking, "a", "zz")
+        ranking.compare("a", "zz")
 
 
 def test_ranking_validation():
@@ -106,8 +127,8 @@ def test_from_scores_order_level_idempotence():
 
 def test_relabeling_between_schemes():
     ranking = Ranking(ABC, {"a": 4, "b": 4, "c": 9})  # sparse labels, valid order
-    assert ranking.to_dense().ranks == {"a": 1, "b": 1, "c": 2}
-    assert ranking.to_competition().ranks == {"a": 1, "b": 1, "c": 3}
+    assert from_ranks(ABC, ranking.rank_vector(), DENSE).ranks == {"a": 1, "b": 1, "c": 2}
+    assert from_ranks(ABC, ranking.rank_vector(), COMPETITION).ranks == {"a": 1, "b": 1, "c": 3}
     assert not ranking.conforms_to_scheme()
 
 
@@ -138,9 +159,8 @@ def test_ranks_above_two_to_the_53_stay_distinct():
     big = {"a": 2 ** 60, "b": 2 ** 60 + 1, "c": 2 ** 53 + 1, "d": 2 ** 63 - 1}
     expected = {"a": 2, "b": 3, "c": 1, "d": 4}  # four distinct ranks: dense and competition agree
     ranking = Ranking(names, big)
-    assert ranking.to_dense().ranks == expected
-    assert ranking.to_competition().ranks == expected
     for scheme in SCHEMES:
+        assert from_ranks(names, ranking.rank_vector(), scheme).ranks == expected
         assert from_ranks(names, big, scheme=scheme).ranks == expected
         assert not Ranking(names, big, scheme=scheme).conforms_to_scheme()
         assert Ranking(names, expected, scheme=scheme).conforms_to_scheme()
@@ -163,6 +183,75 @@ def test_ranking_accepts_mixed_integer_types():
     ranking = Ranking(ABC, {"a": np.int64(1), "b": 2, "c": np.uint8(3)})
     assert ranking.ranks == {"a": 1, "b": 2, "c": 3}
     assert all(type(rank) is int for rank in ranking.ranks.values())
+
+
+_INT_KINDS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@st.composite
+def rank_vectors(draw) -> np.ndarray:
+    """Rank vectors of any numpy integer kind, drawn from a small pool so that most hold ties."""
+    kind = draw(st.sampled_from(_INT_KINDS))
+    top = min(int(np.iinfo(kind).max), MAX_RANK)
+    pool = draw(st.lists(st.one_of(st.just(top), st.integers(1, top)), min_size=1, max_size=4))
+    m = draw(st.integers(1, 8))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m)), dtype=kind)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(rank_vectors(), st.sampled_from(SCHEMES))
+def test_a_mapping_and_its_vector_give_equal_rankings(vector, scheme):
+    names = AlternativeSet(f"v{i}" for i in range(len(vector)))
+    by_vector = Ranking(names, vector, scheme)
+    expected = vector.tolist()
+    for mapping in (dict(zip(names, vector)), dict(zip(names, expected))):  # numpy scalars and Python ints
+        by_mapping = Ranking(names, mapping, scheme)
+        assert by_mapping == by_vector
+        assert by_mapping.ranks == by_vector.ranks == dict(zip(names, expected))
+        assert by_mapping.rank_vector().tolist() == by_vector.rank_vector().tolist() == expected
+        assert by_mapping.conforms_to_scheme() == by_vector.conforms_to_scheme() == \
+            (expected == brute_labels(expected, scheme))
+    assert by_vector.rank_vector().dtype == np.int64 and not by_vector.rank_vector().flags.writeable
+    if vector.flags.writeable:  # the ranking holds a copy, not the caller's array
+        vector[0] = 1
+    assert by_vector.rank_vector().tolist() == expected
+    other = COMPETITION if scheme == DENSE else DENSE
+    assert Ranking(names, by_vector.rank_vector(), other) != by_vector
+
+
+@pytest.mark.parametrize("ranks, scheme, problem", [
+    (np.array([1, 2]), DENSE, "ranking needs one rank for each of 3 alternatives, got shape (2,)"),
+    (np.array([[1, 2, 3]]), DENSE, "ranking needs one rank for each of 3 alternatives, got shape (1, 3)"),
+    (np.array([1.0, 2.0, 3.0]), DENSE, "rank of 'a' must be a positive integer, got np.float64(1.0)"),
+    (np.array([True, False, True]), DENSE, "rank of 'a' must be a positive integer, got np.True_"),
+    (np.array([1, 0, 2]), DENSE, "rank of 'b' must be a positive integer, got np.int64(0)"),
+    (np.array([1, 2 ** 63, 2], dtype=np.uint64), DENSE,
+     f"rank of 'b' must be at most {MAX_RANK}, got np.uint64(9223372036854775808)"),
+    ({"a": 1, "b": 2}, DENSE, "ranking does not match alternative set (missing ['c'], extra [])"),
+    ({"a": 1, "b": 2, "c": 3, "d": 4}, DENSE, "ranking does not match alternative set (missing [], extra ['d'])"),
+    (np.array([1, 2, 3]), "olympic", "unknown ranking scheme 'olympic'"),
+], ids=["short", "matrix", "float", "bool", "zero", "uint64-past-int64", "missing", "extra", "scheme"])
+def test_ranking_and_from_ranks_reject_what_no_rank_vector_holds(ranks, scheme, problem):
+    for make in (Ranking, from_ranks):
+        with pytest.raises(InputError) as excinfo:
+            make(ABC, ranks, scheme)
+        assert str(excinfo.value) == problem
+
+
+def test_ranks_mapping_is_read_only():
+    ranking = Ranking(ABC, np.array([2, 1, 2]))
+    assert list(ranking.ranks.items()) == [("a", 2), ("b", 1), ("c", 2)]
+    with pytest.raises(TypeError):
+        ranking.ranks["a"] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ranking.ranks = {"a": 1, "b": 1, "c": 1}
+
+
+def test_positions_reads_names_in_their_order():
+    assert ABC.positions(["c", "a", "b"]).tolist() == [2, 0, 1]
+    assert ABC.positions(frozenset()).dtype == np.intp
+    with pytest.raises(InputError, match="^unknown alternative 'zz'$"):
+        ABC.positions(["a", "zz"])
 
 
 def test_rank_vector_is_read_only():

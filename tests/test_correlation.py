@@ -21,6 +21,7 @@ from majorityrank import (
 )
 from conftest import order_ranking
 from majorityrank import correlation
+from majorityrank.core import COMPETITION, from_ranks
 from majorityrank.correlation import _CENSUS_MAX_SIZE, _CENSUS_STEP, MEASURES, _census
 from oracles import naive_pair_stats, random_ranking
 
@@ -207,7 +208,8 @@ def test_census_of_repeated_rankings_matches_naive_loops():
     names = AlternativeSet(tuple(f"c{i}" for i in range(9)))
     ranking, other = random_ranking(rng, names, 4), random_ranking(rng, names, 4)
     twin = Ranking(names, dict(ranking.ranks))
-    assert_census_matches_naive_loops([ranking, ranking, twin, other, ranking.to_competition(), other])
+    relabelled = from_ranks(names, ranking.rank_vector(), COMPETITION)
+    assert_census_matches_naive_loops([ranking, ranking, twin, other, relabelled, other])
     assert_census_matches_naive_loops([ranking, ranking])
 
 

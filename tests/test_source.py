@@ -47,3 +47,13 @@ def test_majority_structure_holds_only_the_beats_matrix():
     # a tie is a pair neither side beats, so the tie matrix is derived, never stored or validated apart
     fields = [field.name for field in dataclasses.fields(majorityrank.MajorityStructure)]
     assert fields == ["alternatives", "beats"]
+
+
+def test_ranking_holds_only_its_rank_vector():
+    # the name mapping is derived from the int64 rank vector, and built only when read
+    fields = [field.name for field in dataclasses.fields(majorityrank.Ranking)]
+    assert "ranks" not in fields
+    ranking = majorityrank.from_scores(majorityrank.AlternativeSet(("a", "b")), {"a": 1.0, "b": 2.0})
+    assert "ranks" not in vars(ranking)
+    assert ranking.ranks == {"a": 2, "b": 1}
+    assert "ranks" in vars(ranking)
