@@ -15,7 +15,6 @@ from .core import (
     COMPETITION,
     DENSE,
     AlternativeSet,
-    Comparison,
     Criterion,
     Profile,
     Ranking,

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
 
 from . import io as mio
 from .cip import cip_index, cip_ranking
-from .core import DENSE, SCHEMES, Ranking
+from .core import DENSE, SCHEMES
 from .correlation import COINCIDING, TAU_B, correlation_matrix
 from .errors import DegenerateRankingError, InputError, NumericalError
 from .majority import build_majority, cycle_counts
@@ -32,10 +34,26 @@ MEASURE_FLAGS = {"tau-b": TAU_B, "coinciding": COINCIDING}
 _MEASURE_DECIMALS = {TAU_B: 3, COINCIDING: 2}
 
 
+@contextmanager
+def _in_table(tables: Mapping[str, str], default: str) -> Iterator[None]:
+    """Re-raise a library InputError led by the table of the ranking (column) it names, else by ``default``."""
+    try:
+        yield
+    except InputError as exc:
+        name, text = exc.ranking, str(exc)
+        if isinstance(exc, DegenerateRankingError):
+            text = f"tau-b is undefined: column {name!r} ties every row (col {name})"
+        elif text.startswith("correlation needs at least two alternatives"):
+            text = "correlation needs at least two alternatives, got 1 data row"
+        raise type(exc)(f"{tables.get(name, default)}: {text}", name) from None
+
+
 def cmd_rank(args: argparse.Namespace) -> int:
     _, _, profile = mio.load_profile(args.ranks_csv, args.weights)
     _, aggregate = mio.AGGREGATES[args.method]
-    mio.save_ranking(args.output, aggregate(build_majority(profile), args.scheme))
+    with _in_table({}, args.ranks_csv):
+        ranking = aggregate(build_majority(profile), args.scheme)
+    mio.save_ranking(args.output, ranking)
     return 0
 
 
@@ -52,22 +70,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_census(tables: dict[str, str], rankings: dict[str, Ranking], measure: str) -> None:
-    """Raise first, naming the table ``tables[column]`` and the column, what the pair census of ``rankings`` refuses."""
-    if len(next(iter(rankings.values())).alternatives) < 2:
-        raise InputError(f"{next(iter(tables.values()))}: correlation needs at least two alternatives, got 1 data row")
-    tied = [name for name, ranking in rankings.items() if ranking.distinct_positions() == 1]
-    if measure == TAU_B and len(rankings) > 1 and tied:
-        raise DegenerateRankingError(f"{tables[tied[0]]}: tau-b is undefined: column {tied[0]!r} ties every row (col {tied[0]})")
-
-
 def cmd_correlate(args: argparse.Namespace) -> int:
     _, rankings = mio.load_ranks(args.ranks_csv)
     measure = MEASURE_FLAGS[args.measure]
     if len(rankings) < 2:
         raise InputError(f"{args.ranks_csv}: a correlation matrix needs at least two rankings, got 1 (row 1)")
-    _check_census(dict.fromkeys(rankings, args.ranks_csv), rankings, measure)
-    matrix = correlation_matrix(rankings, measure)
+    with _in_table({}, args.ranks_csv):
+        matrix = correlation_matrix(rankings, measure)
     decimals = _MEASURE_DECIMALS[measure]
     mio.write_labeled_matrix(args.output, matrix.labels, matrix.values, fmt=lambda v: f"{v:.{decimals}f}")
     return 0
@@ -93,8 +102,8 @@ def cmd_metarank(args: argparse.Namespace) -> int:
                 raise InputError(f"{extra}: duplicate candidate column {name!r} (row 1, col {name})")
             candidates[name], tables[name] = ranking, extra
     measure = MEASURE_FLAGS[args.measure]
-    _check_census(tables, candidates, measure)
-    comparison = rankings_majority(candidates, list(profile.criteria), measure)
+    with _in_table(tables, args.ranks_csv):
+        comparison = rankings_majority(candidates, list(profile.criteria), measure)
     weak_order = closest_weak_order(comparison)
     if args.emit_dot:
         with Path(args.emit_dot).open("w", encoding="utf-8") as handle:

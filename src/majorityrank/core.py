@@ -29,7 +29,6 @@ holds the total, and the meta-comparison sums weights in int64.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -45,14 +44,6 @@ COMPETITION = "competition"
 SCHEMES = (DENSE, COMPETITION)
 MAX_RANK = 2 ** 63 - 1  # the largest rank an int64 rank vector holds
 MAX_TOTAL_WEIGHT = 2 ** 63 - 1  # the largest total weight, which the meta-comparison's int64 sums hold
-
-
-class Comparison(enum.Enum):
-    """Outcome of comparing two alternatives within one ranking."""
-
-    BETTER = "better"
-    WORSE = "worse"
-    TIED = "tied"
 
 
 @dataclass(frozen=True)
@@ -139,14 +130,6 @@ class Ranking:
             return NotImplemented
         return (self.alternatives == other.alternatives and self.scheme == other.scheme  # type: ignore[attr-defined]
                 and bool(np.array_equal(self._vector, other._vector)))  # type: ignore[attr-defined]
-
-    def compare(self, a: str, b: str) -> Comparison:
-        ra, rb = self._vector[self.alternatives.index(a)], self._vector[self.alternatives.index(b)]
-        if ra < rb:
-            return Comparison.BETTER
-        if ra > rb:
-            return Comparison.WORSE
-        return Comparison.TIED
 
     def rank_vector(self) -> np.ndarray:
         """Ranks as a read-only int64 vector in alternative-set order."""

@@ -26,6 +26,14 @@ rankings of one weak order are censused once.  S S^T runs in float32, exact
 because every step's Gram entry is an integer below 2**24 (``_sign_gram``),
 and the joint keys stay below m**2 in int64 (``_joint_ties``); the census
 is exact for m <= 77,936 (``_census``).
+
+Which rankings a census refuses is decided here alone.  The front door
+``_named_census`` rejects a repeated name and an unknown measure; ``_census``
+needs one alternative set of 2 <= m <= 77,936 and, for tau-b, no ranking
+that ties every pair (all its dense levels 0, checked before any Gram work;
+a lone candidate of ``rankings_majority`` compares nothing and is exempt).
+Each error names the first ranking at fault, candidates before criteria, in
+its text and as ``InputError.ranking`` (r1 and r2 for the two-ranking helpers).
 """
 
 from __future__ import annotations
@@ -36,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ranking, _levels
-from .errors import DegenerateRankingError, InputError
+from .core import Criterion, Ranking, _levels
+from .errors import DegenerateRankingError, InputError, SizeLimitError
 
 TAU_B = "tau_b"
 COINCIDING = "coinciding"
@@ -45,6 +53,8 @@ MEASURES = (TAU_B, COINCIDING)
 _CENSUS_STEP = 1 << 16  # float32 cells per step of the census: 256 KiB
 # the largest m with (m (m - 1) / 2)**2 < 2**63
 _CENSUS_MAX_SIZE = (1 + math.isqrt(1 + 8 * math.isqrt(2 ** 63 - 1))) // 2
+
+NamedRankings = Mapping[str, Ranking] | Sequence[tuple[str, Ranking]]
 
 
 @dataclass(frozen=True)
@@ -132,8 +142,8 @@ def _joint_ties(levels: np.ndarray) -> np.ndarray:
     return ties
 
 
-def _census(rankings: Sequence[Ranking]) -> tuple[np.ndarray, ...]:
-    """Pair census of every two of R rankings: six R x R int64 arrays in ``PairStats`` field order.
+def _census(names: Sequence[str], rankings: Sequence[Ranking], tau_b: bool = False) -> tuple[np.ndarray, ...]:
+    """Pair census of every two of R named rankings: six R x R int64 arrays in ``PairStats`` field order.
 
     Each ranking is relabelled by its dense levels 0..L-1, below m however
     large the ranks.  Only the U distinct level rows (one per weak order)
@@ -142,17 +152,24 @@ def _census(rankings: Sequence[Ranking]) -> tuple[np.ndarray, ...]:
 
     Exactness bounds: those of ``_sign_gram`` and ``_joint_ties``; the
     tau-b normaliser is at most N**2, which int64 holds for
-    m <= ``_CENSUS_MAX_SIZE`` (77,936); a larger m raises InputError.
+    m <= ``_CENSUS_MAX_SIZE`` (77,936), above which SizeLimitError is raised.
+    With ``tau_b``, a ranking that ties every pair raises DegenerateRankingError.
     """
     first = rankings[0].alternatives.items
-    if any(ranking.alternatives.items != first for ranking in rankings):
-        raise InputError("rankings are over different alternative sets")
-    m = len(first)
+    for name, ranking in zip(names, rankings):
+        if ranking.alternatives.items != first:
+            raise InputError(f"rankings are over different alternative sets: {name!r} differs from {names[0]!r}", name)
+    m, name = len(first), names[0]
     if m < 2:
-        raise InputError("correlation needs at least two alternatives")
+        raise InputError(f"correlation needs at least two alternatives; ranking {name!r} has {m}", name)
     if m > _CENSUS_MAX_SIZE:
-        raise InputError(f"the pair census supports at most {_CENSUS_MAX_SIZE} alternatives, got {m}")
+        raise SizeLimitError(f"the pair census supports at most {_CENSUS_MAX_SIZE} alternatives, got {m} in ranking "
+                             f"{name!r}", name)
     levels = _levels(np.array([ranking.rank_vector() for ranking in rankings]))
+    flat = ~levels.any(axis=1)  # a ranking ties every pair exactly when all its levels are 0
+    if tau_b and flat.any():
+        name = names[int(np.argmax(flat))]
+        raise DegenerateRankingError(f"tau-b is undefined: ranking {name!r} ties every pair", name)
     # rankings of one weak order share their levels and every count: census each order once
     index: dict[bytes, int] = {}
     inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in levels])
@@ -173,25 +190,31 @@ def _census(rankings: Sequence[Ranking]) -> tuple[np.ndarray, ...]:
     )
 
 
-def _measure_values(census: Sequence[np.ndarray], measure: str) -> np.ndarray:
-    """The measure's value in every cell of census count arrays.
+def _named_census(rankings: NamedRankings, measure: str, criteria: Sequence[Criterion] = (),
+                  tau_b: bool = True) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+    """Names and ``_census`` of ``rankings`` then criteria (tau-b held if ``tau_b``), after name and measure checks."""
+    pairs = list(rankings.items()) if isinstance(rankings, Mapping) else list(rankings)
+    names = tuple(name for name, _ in pairs)
+    if len(set(names)) != len(names):
+        name = next(name for k, name in enumerate(names) if name in names[:k])
+        raise InputError(f"ranking names must be unique: {name!r} is repeated", name)
+    if measure not in MEASURES:
+        raise InputError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    return names, _census([*names, *(c.name for c in criteria)],
+                          [*(r for _, r in pairs), *(c.ranking for c in criteria)], tau_b and measure == TAU_B)
 
-    Raises DegenerateRankingError for tau-b where a ranking ties all pairs.
-    """
+
+def _measure_values(census: Sequence[np.ndarray], measure: str) -> np.ndarray:
+    """The measure's value in every cell of census count arrays whose rankings each order some pair."""
     total, concordant, discordant, ties_first, ties_second, ties_both = census
     if measure == TAU_B:
-        denom = (total - ties_first) * (total - ties_second)
-        if not denom.all():
-            raise DegenerateRankingError("tau-b is undefined when a ranking ties all pairs")
-        return (concordant - discordant) / np.sqrt(denom.astype(np.float64))
-    if measure == COINCIDING:
-        return 100.0 * (concordant + ties_both) / total
-    raise InputError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+        return (concordant - discordant) / np.sqrt(((total - ties_first) * (total - ties_second)).astype(np.float64))
+    return 100.0 * (concordant + ties_both) / total
 
 
 def pair_stats(r1: Ranking, r2: Ranking) -> PairStats:
     """Count concordant, inverted and tied pairs of two rankings (the census of two)."""
-    return PairStats(*(int(counts[0, 1]) for counts in _census([r1, r2])))
+    return PairStats(*(int(counts[0, 1]) for counts in _census(("r1", "r2"), (r1, r2))))
 
 
 def kendall_tau_b(r1: Ranking, r2: Ranking) -> float:
@@ -199,14 +222,14 @@ def kendall_tau_b(r1: Ranking, r2: Ranking) -> float:
 
     Raises:
         DegenerateRankingError: if either ranking ties every pair, which
-            zeroes the normaliser and leaves the value undefined.
+            zeroes the normaliser and leaves the value undefined (named r1 or r2).
     """
-    return float(_measure_values(_census([r1, r2]), TAU_B)[0, 1])
+    return float(_measure_values(_census(("r1", "r2"), (r1, r2), tau_b=True), TAU_B)[0, 1])
 
 
 def coinciding_share(r1: Ranking, r2: Ranking) -> float:
     """Percentage of pairs ordered identically (mirrored ties included)."""
-    return float(_measure_values(_census([r1, r2]), COINCIDING)[0, 1])
+    return float(_measure_values(_census(("r1", "r2"), (r1, r2)), COINCIDING)[0, 1])
 
 
 _MEASURE_DIAGONAL = {TAU_B: 1.0, COINCIDING: 100.0}
@@ -225,26 +248,20 @@ class CorrelationMatrix:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def value(self, a: str, b: str) -> float:
-        return float(self.values[self.labels.index(a), self.labels.index(b)])
 
-
-def correlation_matrix(
-    rankings: Mapping[str, Ranking] | Sequence[tuple[str, Ranking]],
-    measure: str = TAU_B,
-) -> CorrelationMatrix:
+def correlation_matrix(rankings: NamedRankings, measure: str = TAU_B) -> CorrelationMatrix:
     """All pairwise correlations of two or more rankings over one alternative set.
 
     The diagonal is set to the measure's self-correlation (1 for tau-b,
-    100 for the coinciding share).  Tau-b fails on a fully tied ranking,
-    whose correlation with every other ranking is undefined.
+    100 for the coinciding share).
+
+    Raises:
+        InputError: fewer than two rankings, or what the census refuses, naming the ranking at fault
+            (module docstring): under tau-b, a ranking that ties every pair.
     """
-    pairs = list(rankings.items()) if isinstance(rankings, Mapping) else list(rankings)
-    if len(pairs) < 2:
+    if len(rankings) < 2:
         raise InputError("a correlation matrix needs at least two rankings")
-    labels = tuple(name for name, _ in pairs)
-    if len(set(labels)) != len(labels):
-        raise InputError("ranking names must be unique")
-    values = _measure_values(_census([ranking for _, ranking in pairs]), measure)
+    labels, census = _named_census(rankings, measure)
+    values = _measure_values(census, measure)
     np.fill_diagonal(values, _MEASURE_DIAGONAL[measure])
     return CorrelationMatrix(labels=labels, values=values, measure=measure)

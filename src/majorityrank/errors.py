@@ -2,7 +2,11 @@
 
 
 class InputError(ValueError):
-    """Malformed or inconsistent user input (bad file, unknown alternative, ...); the root of every exit-2 error."""
+    """Malformed or inconsistent user input, the root of every exit-2 error; ``ranking`` names any ranking at fault."""
+
+    def __init__(self, message: str, ranking: str | None = None) -> None:
+        super().__init__(message)
+        self.ranking = ranking
 
 
 class DegenerateRankingError(InputError):

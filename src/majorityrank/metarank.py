@@ -35,20 +35,18 @@ its fixed pairs and the program's tables, which every query reads.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import COMPETITION, AlternativeSet, Criterion, Ranking, _levels, _total_weight, from_ranks
-from .correlation import COINCIDING, MEASURES, TAU_B, _census, _measure_values
-from .errors import DegenerateRankingError, InputError, SizeLimitError
+from .correlation import COINCIDING, TAU_B, NamedRankings, _measure_values, _named_census
+from .errors import InputError, SizeLimitError
 
 SUBSET_SOLVER_LIMIT = 20
 _DP_BLOCK = 1024  # states per step of the subset DP, which bounds its temporaries to about 1 MB
-
-NamedRankings = Mapping[str, Ranking] | Sequence[tuple[str, Ranking]]
 
 
 @dataclass(frozen=True)
@@ -58,40 +56,35 @@ class CorrelationVector:
     ranking_name: str
     components: tuple[tuple[str, float], ...]
 
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.components)
-
 
 @dataclass(frozen=True)
 class MetaComparison:
     """Pairwise weighted majority comparison of candidate rankings.
 
     ``wins[i, j]`` is the total criterion weight favouring candidate i
-    over candidate j; ``majority[i, j]`` is True iff that total exceeds
-    the reverse one.
+    over candidate j; the majority digraph is derived from it.
     """
 
     candidates: tuple[str, ...]
-    majority: np.ndarray
     wins: np.ndarray
     measure: str
 
     def __post_init__(self) -> None:
         if not self.candidates:
             raise InputError("a meta-comparison needs at least one candidate")
-        majority = np.array(self.majority, dtype=bool)
         wins = np.array(self.wins, dtype=np.int64)
         n = len(self.candidates)
-        if majority.shape != (n, n) or wins.shape != (n, n):
-            raise InputError(f"matrices must be {n}x{n}")
-        if (majority & majority.T).any():
-            raise InputError("majority matrix must be asymmetric")
-        if not np.array_equal(majority, wins > wins.T):
-            raise InputError("majority entries must mirror strict win-total comparisons")
-        majority.setflags(write=False)
+        if wins.shape != (n, n):
+            raise InputError(f"the wins matrix must be {n}x{n}")
         wins.setflags(write=False)
-        object.__setattr__(self, "majority", majority)
         object.__setattr__(self, "wins", wins)
+
+    @cached_property
+    def majority(self) -> np.ndarray:
+        """Read-only ``majority[i, j]``: the weight favouring candidate i over j exceeds the reverse one."""
+        majority = self.wins > self.wins.T
+        majority.setflags(write=False)
+        return majority
 
     @cached_property
     def _dp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -127,8 +120,8 @@ def correlation_vector(
     measure: str = TAU_B,
     name: str = "candidate",
 ) -> CorrelationVector:
-    """Correlate one ranking with every criterion ranking."""
-    counts = _census([ranking, *(c.ranking for c in criteria)])
+    """Correlate one ranking, named ``name`` in errors, with every criterion ranking."""
+    _, counts = _named_census([(name, ranking)], measure, criteria)
     values = _measure_values([row[0, 1:] for row in counts], measure)
     components = tuple(zip((c.name for c in criteria), values.tolist()))
     return CorrelationVector(ranking_name=name, components=components)
@@ -143,36 +136,30 @@ def rankings_majority(
 
     Every pair of candidates is compared component by component; a
     criterion contributes its vote weight to the side it strictly favours.
+
+    Raises:
+        InputError: no criterion or no candidate, or what the census refuses,
+            naming the ranking at fault (``correlation``'s module docstring):
+            under tau-b a candidate or criterion that ties every pair.
     """
-    pairs = list(candidates.items()) if isinstance(candidates, Mapping) else list(candidates)
-    names = tuple(name for name, _ in pairs)
-    if len(set(names)) != len(names):
-        raise InputError("candidate names must be unique")
     if not criteria:
         raise InputError("a meta-comparison needs at least one criterion")
     _total_weight(criteria)
-    n = len(pairs)
-    total, concordant, discordant, ties_first, ties_second, ties_both = (
-        counts[:n, n:] for counts in _census([*(r for _, r in pairs), *(c.ranking for c in criteria)])
-    )
+    names, counts = _named_census(candidates, measure, criteria, tau_b=len(candidates) > 1)
+    n = len(names)
+    total, concordant, discordant, ties_first, _, ties_both = (c[:n, n:] for c in counts)
     if measure == COINCIDING:
         keys = concordant + ties_both
-    elif measure == TAU_B:
-        norm = (total - ties_first) * (total - ties_second)
-        if n > 1 and not norm.all():
-            raise DegenerateRankingError("tau-b comparison involving a fully tied ranking is undefined")
+    else:
         # the exact key a|a| * L/(N - n1) (module docstring); N - n1 = 0 only for a lone candidate
         untied = np.maximum(total[:, 0] - ties_first[:, 0], 1).tolist()
         lcm = math.lcm(*untied)
         score = (concordant - discordant).astype(object)
         keys = score * abs(score) * np.array([lcm // u for u in untied], dtype=object)[:, None]
-    else:
-        raise InputError(f"unknown measure {measure!r}; expected one of {MEASURES}")
     levels = _levels(keys.T).T  # each criterion's keys as int levels: comparisons of ints, in key order
     weights = np.array([c.weight for c in criteria], dtype=np.int64)
     wins = (levels[:, None, :] > levels[None, :, :]).astype(np.int64) @ weights
-    majority = wins > wins.T
-    return MetaComparison(candidates=names, majority=majority, wins=wins, measure=measure)
+    return MetaComparison(candidates=names, wins=wins, measure=measure)
 
 
 # ---------------------------------------------------------------------------

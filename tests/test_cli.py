@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from majorityrank import COMPETITION, DENSE, AlternativeSet, Ranking, build_majority, bundled_fixtures_dir
 from majorityrank import io as mio
-from majorityrank import cli, majority, solutions
+from majorityrank import cli, correlation, majority, solutions
 from majorityrank.cli import METHODS, main
 from majorityrank.core import SCHEMES, from_ranks
 from majorityrank.errors import DegenerateRankingError, SingletonLeagueError, SizeLimitError
@@ -624,11 +624,26 @@ TWO_CRITERIA = "country,A,B\na,1,2\nb,2,1\nc,3,3\n"
     (["metarank", "t.csv", "--weights", "w.cfg", "--candidates", "c.csv"],
      {"t.csv": TWO_CRITERIA, "c.csv": "country,X\na,1\nb,1\nc,1\n"}, "c.csv",
      "tau-b is undefined: column 'X' ties every row (col X)"),
+    (["metarank", "t.csv", "--weights", "w.cfg", "--candidates", "c.csv"],
+     {"t.csv": "country,A,B\na,1,1\nb,2,1\nc,3,1\n", "c.csv": "country,X\na,2\nb,1\nc,3\n"}, "t.csv",
+     "tau-b is undefined: column 'B' ties every row (col B)"),
     (["cip", "i.csv"], {"i.csv": INDICATORS_TABLE.replace("small,1,1,", "small,1e300,1e300,")}, "i.csv",
      "the CIP index of 'small' is not finite: inf (row 3)"),
+    (["correlate", "t.csv"], {"t.csv": TWO_CRITERIA + "d,4,4\n"}, "t.csv",
+     "the pair census supports at most 3 alternatives, got 4 in ranking 'A'"),
+    (["metarank", "t.csv", "--weights", "w.cfg", "--candidates", "c.csv"],
+     {"t.csv": TWO_CRITERIA + "d,4,4\n", "c.csv": "country,X\na,1\nb,2\nc,3\nd,4\n"}, "t.csv",
+     "the pair census supports at most 3 alternatives, got 4 in ranking 'A'"),
+    (["rank", "t.csv", "--weights", "w.cfg", "--method", "markovian"],
+     {"t.csv": "country,A,B\n" + "".join(f"c{i},1,1\n" for i in range(2049))}, "t.csv",
+     "the exact stationary solve is capped at 2048 league members, got 2049"),
 ], ids=["rank-past-float-range", "one-ranking", "one-row-correlate", "one-row-metarank", "tied-column-correlate",
-        "tied-candidate-column", "cip-index-overflow"])
-def test_errors_the_library_finds_name_the_file_and_column(tmp_path, capsys, argv, tables, at_fault, problem):
+        "tied-candidate-column", "tied-criterion-column", "cip-index-overflow", "census-cap-correlate",
+        "census-cap-metarank", "markov-league-cap"])
+def test_errors_the_library_finds_name_the_file_and_column(tmp_path, capsys, monkeypatch, argv, tables, at_fault,
+                                                           problem):
+    # a census cap of 3 alternatives, which only the census-cap rows' four-row tables exceed
+    monkeypatch.setattr(correlation, "_CENSUS_MAX_SIZE", 3)
     for name, text in {"w.cfg": "A = 1\nB = 1\n", **tables}.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     argv = [str(tmp_path / arg) if "." in arg else arg for arg in argv]

@@ -10,14 +10,17 @@ from scipy import stats
 
 from majorityrank import (
     AlternativeSet,
+    Criterion,
     DegenerateRankingError,
     InputError,
     Ranking,
     coinciding_share,
     correlation_matrix,
+    correlation_vector,
     from_scores,
     kendall_tau_b,
     pair_stats,
+    rankings_majority,
 )
 from conftest import order_ranking
 from majorityrank import correlation
@@ -80,9 +83,10 @@ def test_degenerate_ranking_raises():
 @pytest.mark.parametrize("make, problem", [
     (lambda: correlation.PairStats(3, 2, 2, 0, 0, -1), "pair counts must be non-negative"),
     (lambda: correlation.PairStats(3, 2, 0, 0, 0, 0), "inconsistent pair census"),
-    (lambda: correlation_matrix([("r", order_ranking(ABC, ("a", "b", "c")))] * 2), "ranking names must be unique"),
+    (lambda: correlation_matrix([("r", order_ranking(ABC, ("a", "b", "c")))] * 2),
+     "ranking names must be unique: 'r' is repeated"),
     (lambda: pair_stats(Ranking(AlternativeSet(("a",)), {"a": 1}), Ranking(AlternativeSet(("a",)), {"a": 1})),
-     "correlation needs at least two alternatives"),
+     "correlation needs at least two alternatives; ranking 'r1' has 1"),
 ], ids=["negative", "inconsistent", "repeated-name", "one-alternative"])
 def test_census_rejects_counts_and_inputs_no_census_has(make, problem):
     with pytest.raises(InputError, match=f"^{problem}$"):
@@ -131,16 +135,18 @@ def scalar_measure(counts, measure):
 def assert_census_matches_naive_loops(rankings):
     """The census equals the pair loops, and every off-diagonal matrix value is the scalar formula on them."""
     expected = naive_census(rankings)
-    census = _census(rankings)
+    named = [(f"r{i}", ranking) for i, ranking in enumerate(rankings)]
+    census = _census([name for name, _ in named], rankings)
     for (r, q), counts in expected.items():
         assert tuple(int(c[r, q]) for c in census) == counts, (r, q)
     if len(rankings) < 2:
         return
-    named = [(f"r{i}", ranking) for i, ranking in enumerate(rankings)]
     for measure in MEASURES:
-        if measure == "tau_b" and any(ranking.distinct_positions() == 1 for ranking in rankings):
-            with pytest.raises(DegenerateRankingError):
+        tied = [name for name, ranking in named if ranking.distinct_positions() == 1]
+        if measure == "tau_b" and tied:
+            with pytest.raises(DegenerateRankingError) as excinfo:
                 correlation_matrix(named, measure)
+            assert excinfo.value.ranking == tied[0]
             continue
         values = correlation_matrix(named, measure).values
         for (r, q), counts in expected.items():
@@ -197,7 +203,7 @@ def test_census_tie_count_over_several_chunks_of_pairs():
     rng = random.Random(59)
     names = AlternativeSet(tuple(f"c{i}" for i in range(700)))
     rankings = [random_ranking(rng, names, (2, 3, 9, 40, 700)[i % 5]) for i in range(14)]
-    census = _census(rankings)
+    census = _census([f"r{i}" for i in range(len(rankings))], rankings)
     for r, q in combinations_with_replacement(range(len(rankings)), 2):
         assert tuple(int(c[r, q]) for c in census) == dense_pair_stats(rankings[r], rankings[q]), (r, q)
 
@@ -299,3 +305,68 @@ def test_correlation_matrix_shape_and_diagonal():
         correlation_matrix({"one": r1}, "tau_b")
     with pytest.raises(InputError):
         correlation_matrix({"one": r1, "two": r2}, "pearson")
+
+
+ONE = Ranking(AlternativeSet(("a",)), {"a": 1})
+STRICT = order_ranking(ABC, ("a", "b", "c"))
+OTHER = order_ranking(ABC, ("b", "c", "a"))
+FLAT = Ranking(ABC, {"a": 1, "b": 1, "c": 1})
+TOO_FEW = "correlation needs at least two alternatives; ranking {!r} has 1"
+TIED = "tau-b is undefined: ranking {!r} ties every pair"
+
+
+def by(*rankings):
+    """Criteria c0, c1, ... of weight 1 over ``rankings``."""
+    return [Criterion(f"c{k}", 1, ranking) for k, ranking in enumerate(rankings)]
+
+
+@pytest.mark.parametrize("make, error, problem, ranking", [
+    (lambda: correlation_matrix({"x": ONE, "y": ONE}), InputError, TOO_FEW, "x"),
+    (lambda: rankings_majority({"x": ONE}, by(ONE)), InputError, TOO_FEW, "x"),
+    (lambda: correlation_vector(ONE, by(ONE), name="x"), InputError, TOO_FEW, "x"),
+    (lambda: kendall_tau_b(ONE, ONE), InputError, TOO_FEW, "r1"),
+    (lambda: pair_stats(ONE, ONE), InputError, TOO_FEW, "r1"),
+    (lambda: correlation_matrix({"x": FLAT, "y": STRICT, "z": FLAT}), DegenerateRankingError, TIED, "x"),
+    (lambda: rankings_majority({"x": FLAT, "y": STRICT}, by(STRICT)), DegenerateRankingError, TIED, "x"),
+    (lambda: correlation_vector(FLAT, by(STRICT), name="x"), DegenerateRankingError, TIED, "x"),
+    (lambda: kendall_tau_b(FLAT, STRICT), DegenerateRankingError, TIED, "r1"),
+    (lambda: pair_stats(FLAT, STRICT), None, None, None),
+    (lambda: correlation_matrix({"x": STRICT, "y": FLAT, "z": FLAT}), DegenerateRankingError, TIED, "y"),
+    (lambda: rankings_majority({"x": STRICT, "y": FLAT, "z": OTHER}, by(FLAT)), DegenerateRankingError, TIED, "y"),
+    (lambda: kendall_tau_b(STRICT, FLAT), DegenerateRankingError, TIED, "r2"),
+    (lambda: pair_stats(STRICT, FLAT), None, None, None),
+    (lambda: rankings_majority({"x": STRICT, "y": OTHER}, by(STRICT, FLAT)), DegenerateRankingError, TIED, "c1"),
+    (lambda: correlation_vector(STRICT, by(OTHER, FLAT), name="x"), DegenerateRankingError, TIED, "c1"),
+    (lambda: rankings_majority({"x": FLAT}, by(FLAT)), None, None, None),
+], ids=[
+    "one-alternative-matrix", "one-alternative-meta", "one-alternative-vector", "one-alternative-tau",
+    "one-alternative-pairs",
+    "tied-first-matrix", "tied-first-meta", "tied-first-vector", "tied-first-tau", "tied-first-pairs",
+    "tied-middle-matrix", "tied-middle-meta", "tied-middle-tau", "tied-middle-pairs",
+    "tied-criterion-meta", "tied-criterion-vector", "lone-tied-candidate-meta",
+])
+def test_census_errors_name_the_first_ranking_at_fault(make, error, problem, ranking):
+    # candidates come before criteria; a lone candidate is compared with none, so tau-b does not hold it
+    if error is None:
+        make()
+        return
+    with pytest.raises(error) as excinfo:
+        make()
+    assert type(excinfo.value) is error
+    assert (str(excinfo.value), excinfo.value.ranking) == (problem.format(ranking), ranking)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: correlation_matrix({"x": STRICT, "y": OTHER}, "kendall"),
+    lambda: rankings_majority({"x": STRICT, "y": OTHER}, by(STRICT), "kendall"),
+    lambda: correlation_vector(STRICT, by(OTHER), "kendall"),
+], ids=["matrix", "meta", "vector"])
+def test_unknown_measure_is_rejected_before_any_census_work(monkeypatch, make):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(correlation, "_census", refuse)
+    with pytest.raises(InputError) as excinfo:
+        make()
+    assert str(excinfo.value) == "unknown measure 'kendall'; expected one of ('tau_b', 'coinciding')"
+    assert excinfo.value.ranking is None

@@ -34,13 +34,10 @@ from oracles import brute_minimum, naive_meta_wins, random_ranking
 
 def make_comparison(names, edges):
     n = len(names)
-    majority = np.zeros((n, n), dtype=bool)
     wins = np.zeros((n, n), dtype=np.int64)
     for a, b in edges:
-        i, j = names.index(a), names.index(b)
-        majority[i, j] = True
-        wins[i, j] = 1
-    return MetaComparison(candidates=tuple(names), majority=majority, wins=wins, measure="tau_b")
+        wins[names.index(a), names.index(b)] = 1
+    return MetaComparison(candidates=tuple(names), wins=wins, measure="tau_b")
 
 
 def nondegenerate_ranking(rng, names):
@@ -86,6 +83,8 @@ def test_majority_wins_direction():
     i, j = comparison.candidates.index("close"), comparison.candidates.index("far")
     assert comparison.wins[i, j] == 1 and comparison.wins[j, i] == 0
     assert comparison.majority[i, j] and not comparison.majority[j, i]
+    # the digraph is derived from the wins, read-only, and built once
+    assert not comparison.majority.flags.writeable and comparison.majority is comparison.majority
 
 
 def test_meta_comparison_needs_a_criterion():
@@ -101,12 +100,11 @@ def test_meta_comparison_needs_a_candidate():
         with pytest.raises(InputError, match="at least one candidate"):
             rankings_majority({}, [criterion], measure)
     with pytest.raises(InputError, match="at least one candidate"):
-        MetaComparison(candidates=(), majority=np.zeros((0, 0), dtype=bool),
-                       wins=np.zeros((0, 0), dtype=np.int64), measure="tau_b")
+        MetaComparison(candidates=(), wins=np.zeros((0, 0), dtype=np.int64), measure="tau_b")
 
 
-def meta_of(majority, wins):
-    return MetaComparison(candidates=("r1", "r2"), majority=majority, wins=wins, measure="tau_b")
+def meta_of(wins):
+    return MetaComparison(candidates=("r1", "r2"), wins=wins, measure="tau_b")
 
 
 def meta_by(measure, *names):
@@ -116,12 +114,10 @@ def meta_by(measure, *names):
 
 
 @pytest.mark.parametrize("make, problem", [
-    (lambda: meta_of(np.zeros((3, 3)), np.zeros((2, 2))), "matrices must be 2x2"),
-    (lambda: meta_of([[0, 1], [1, 0]], [[0, 1], [1, 0]]), "majority matrix must be asymmetric"),
-    (lambda: meta_of([[0, 1], [0, 0]], [[0, 1], [1, 0]]), "majority entries must mirror strict win-total comparisons"),
-    (lambda: meta_by("tau_b", "r", "r"), "candidate names must be unique"),
+    (lambda: meta_of(np.zeros((3, 3))), "the wins matrix must be 2x2"),
+    (lambda: meta_by("tau_b", "r", "r"), "ranking names must be unique: 'r' is repeated"),
     (lambda: meta_by("pearson", "r"), "unknown measure 'pearson'; expected one of ('tau_b', 'coinciding')"),
-], ids=["shape", "asymmetry", "mirror", "repeated-name", "unknown-measure"])
+], ids=["shape", "repeated-name", "unknown-measure"])
 def test_meta_comparison_rejects_matrices_names_and_measures_no_comparison_has(make, problem):
     with pytest.raises(InputError) as excinfo:
         make()

@@ -5,6 +5,7 @@ import dataclasses
 from pathlib import Path
 
 import majorityrank
+from majorityrank import cli
 
 SOURCES = sorted(Path(majorityrank.__file__).parent.glob("*.py"))
 
@@ -57,3 +58,18 @@ def test_ranking_holds_only_its_rank_vector():
     assert "ranks" not in vars(ranking)
     assert ranking.ranks == {"a": 2, "b": 1}
     assert "ranks" in vars(ranking)
+
+
+def test_meta_comparison_holds_only_its_wins_matrix():
+    # the majority digraph is derived from the wins, never stored or validated apart
+    fields = [field.name for field in dataclasses.fields(majorityrank.MetaComparison)]
+    assert fields == ["candidates", "wins", "measure"]
+
+
+def test_cli_rederives_no_census_precondition():
+    # the census decides which rankings it refuses and names the one at fault; the CLI only words its error
+    tree = ast.parse((Path(majorityrank.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    calls = {node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert "distinct_positions" not in calls
+    assert not hasattr(cli, "_check_census")
