@@ -41,7 +41,7 @@ def _in_table(tables: Mapping[str, str], default: str) -> Iterator[None]:
         yield
     except InputError as exc:
         name, text = exc.ranking, str(exc)
-        if isinstance(exc, DegenerateRankingError):
+        if isinstance(exc, DegenerateRankingError) and name is not None:
             text = f"tau-b is undefined: column {name!r} ties every row (col {name})"
         elif text.startswith("correlation needs at least two alternatives"):
             text = "correlation needs at least two alternatives, got 1 data row"
@@ -60,7 +60,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     _, _, profile = mio.load_profile(args.ranks_csv, args.weights)
     structure = build_majority(profile)
-    counts = cycle_counts(structure)  # before any file, so that a size error leaves none half written
+    with _in_table({}, args.ranks_csv):
+        counts = cycle_counts(structure)  # before any file, so that a size error leaves none half written
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     labels = structure.alternatives.items

@@ -28,6 +28,9 @@ _CYCLE_LENGTHS = (3, 4, 5)
 # or its elementwise products) is 1 MB at m = 1000.
 _TRACE_BLOCK = 128
 
+# float32 holds every integer below this exactly; every float32 product of the trace stays below it.
+_FLOAT32_EXACT = 2 ** 24
+
 
 @dataclass(frozen=True)
 class MajorityStructure:
@@ -120,9 +123,10 @@ def count_cycles(ms: MajorityStructure, k: int) -> int:
     """Exact number of directed k-cycles in the majority relation, k in {3, 4, 5}.
 
     trace(A^k) = sum(A^2 * (A^(k-2))^T) is accumulated over column blocks of
-    width ``_TRACE_BLOCK``.  A and A^2 are float32 and held at full size; for
-    k = 5 a float64 copy of A is too, and each block's A^3 columns come from
-    a float64 product of it with the block's A^2 columns.  Each block's
+    width ``_TRACE_BLOCK``.  A and A^2 are float32 and held at full size.  For
+    k = 5 each block's A^3 columns come from one float32 product of A with
+    the block's A^2 columns split into base-2**s digit planes, side by side
+    (``_digit_shifts``), recombined by a float64 sum.  Each block's
     elementwise products are formed in float64 and cast to int64 before
     summing; ``_max_exact_size`` states why all of them stay exact.
     """
@@ -144,12 +148,11 @@ def _count_cycles(ms: MajorityStructure, lengths: tuple[int, ...]) -> dict[int, 
             raise InputError(f"counting {k}-cycles supports at most {limit} alternatives, got {m}")
     a = np.asarray(ms.beats, dtype=np.float32)
     a2 = a @ a
-    a64 = a.astype(np.float64) if 5 in lengths else None  # the one float64 m x m matrix
     traces = dict.fromkeys(lengths, 0)
     for start in range(0, m, _TRACE_BLOCK):
         cols = slice(start, start + _TRACE_BLOCK)
         for k in lengths:
-            tail = a[:, cols] if k == 3 else a2[:, cols] if k == 4 else a64 @ a2[:, cols].astype(np.float64)
+            tail = a[:, cols] if k == 3 else a2[:, cols] if k == 4 else _a3_columns(a, a2[:, cols])
             traces[k] += int(np.multiply(a2[cols, :].T, tail, dtype=np.float64).astype(np.int64).sum())
     for k, trace in traces.items():
         if trace % k:
@@ -157,21 +160,42 @@ def _count_cycles(ms: MajorityStructure, lengths: tuple[int, ...]) -> dict[int, 
     return {k: trace // k for k, trace in traces.items()}
 
 
+def _digit_shifts(m: int) -> tuple[int, np.ndarray]:
+    """The digit width s, the largest with m * (2**s - 1) < ``_FLOAT32_EXACT``, and the shifts of the
+    base-2**s digits that cover every A^2 entry (at most m - 1): one digit up to m = 4,096, two at the
+    5-cycle cap."""
+    s = ((_FLOAT32_EXACT - 1) // m + 1).bit_length() - 1
+    return s, np.arange(0, max(m - 1, 1).bit_length(), s, dtype=np.int32)
+
+
+def _a3_columns(a: np.ndarray, a2_cols: np.ndarray) -> np.ndarray:
+    """float64 A^3 columns from one float32 product of A with the digit planes of A^2's columns, side by
+    side; each plane is scaled by its power of two in float32, which is exact, and summed in float64."""
+    s, shifts = _digit_shifts(len(a))
+    digits = (a2_cols.astype(np.int32)[:, None, :] >> shifts[:, None]) & ((1 << s) - 1)
+    planes = a @ digits.reshape(len(a), -1).astype(np.float32)
+    return np.ldexp(planes.reshape(digits.shape), shifts[:, None]).sum(axis=1, dtype=np.float64)
+
+
 def _max_exact_size(k: int) -> int:
     """Largest m for which the trace kernel counts k-cycles exactly.
 
-    An entry of A^j counts j-walks between two vertices, at most m**(j-1).
-    The float32 product A^2 has entries, and BLAS partial sums, that are
-    integers at most m; below 2**24 each is exact.  Every float64 value the
-    kernel forms (A^3 columns and the elementwise products) is a
-    non-negative integer at most m**(k-2); below 2**53 each is exact, and so
-    is every partial sum of the A^3 product.  The trace counts each k-cycle
-    once per ordered start, so it is at most the m!/(m-k)! ordered k-tuples
-    of distinct vertices, which int64 holds while below 2**63.  That last
-    bound binds first for every k, so the float32 A^2 costs no cap.
+    An entry of A^j counts j-walks between two vertices: A^2 entries are
+    at most m - 1 and A^3 entries at most m * (m - 1).  Every float32
+    product holds non-negative integers below 2**24 (``_FLOAT32_EXACT``) in
+    its entries and BLAS partial sums, so it is exact: A^2's are at most m,
+    and the digit products' at most m * (2**s - 1), below 2**24 by the
+    choice of s, which is at least 1 while m < 2**24.  Scaling a digit
+    product by a power of two is exact.  Every float64 value the kernel
+    forms (the partial sums of the recombined A^3 columns and the
+    elementwise products) is a non-negative integer at most m**(k-2); below
+    2**53 each is exact.  The trace counts each k-cycle once per ordered
+    start, so it is at most the m!/(m-k)! ordered k-tuples of distinct
+    vertices, which int64 holds while below 2**63.  That last bound binds
+    first for every k, so float32 costs no cap.
     """
     def exact(m: int) -> bool:
-        return math.perm(m, k) < 2 ** 63 and m < 2 ** 24 and m ** (k - 2) < 2 ** 53
+        return math.perm(m, k) < 2 ** 63 and m < _FLOAT32_EXACT and m ** (k - 2) < 2 ** 53
 
     m = int(2 ** (63 / k))  # perm(m, k) < m**k <= 2**63, so this m is exact
     while exact(m + 1):

@@ -45,7 +45,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import DENSE, Ranking, _levels, from_ranks
+from .core import DENSE, Ranking, _labels, from_ranks
 from .errors import InputError, NumericalError, SingletonLeagueError, SizeLimitError
 from .majority import MajorityStructure
 from .solutions import WTC, sort_by_solution
@@ -272,11 +272,11 @@ def markovian_ranking(ms: MajorityStructure, scheme: str = DENSE) -> Ranking:
     Exactly equal probabilities within a league share a rank; all members
     of league k rank above all members of league k+1.
     """
-    ranks = np.zeros(len(ms), dtype=np.int64)  # 1 + league number * len(ms) + the level of -numerator in the league
+    ranks = np.zeros(len(ms), dtype=np.int64)  # league number * len(ms) + the dense label of -numerator in the league
     for number, league in enumerate(leagues(ms).leagues):
-        members, levels = league, 0
+        members, labels = league, 1
         if len(league) > 1:
             vector = stationary(transition_matrix(ms, league))
-            members, levels = vector.members, _levels(np.array([[-n for n in vector.numerators]], dtype=object))[0]
-        ranks[ms.alternatives.positions(members)] = 1 + number * len(ms) + levels
+            members, labels = vector.members, _labels(np.array([-n for n in vector.numerators], dtype=object), DENSE)
+        ranks[ms.alternatives.positions(members)] = number * len(ms) + labels
     return from_ranks(ms.alternatives, ranks, scheme=scheme)

@@ -144,6 +144,8 @@ def rankings_majority(
     """
     if not criteria:
         raise InputError("a meta-comparison needs at least one criterion")
+    if not candidates:
+        raise InputError("a meta-comparison needs at least one candidate")
     _total_weight(criteria)
     names, counts = _named_census(candidates, measure, criteria, tau_b=len(candidates) > 1)
     n = len(names)

@@ -176,7 +176,7 @@ def test_analyze_size_error_writes_no_file(tmp_path, monkeypatch, capsys):
     outdir = tmp_path / "analysis"
     code, _ = run_main("analyze", str(table), "--weights", str(weights), "--output", str(outdir))
     assert code == 2
-    assert "counting 5-cycles supports at most 2 alternatives, got 3" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {table}: counting 5-cycles supports at most 2 alternatives, got 3\n"
     assert not outdir.exists()
 
 
@@ -189,7 +189,7 @@ def test_every_input_error_subclass_exits_two(tmp_path, monkeypatch, capsys, err
     table, weights = write_toy_table(tmp_path)
     monkeypatch.setattr(cli, "cycle_counts", refuse)
     code, _ = run_main("analyze", str(table), "--weights", str(weights), "--output", str(tmp_path / "out"))
-    assert code == 2 and capsys.readouterr().err == "error: refused\n"
+    assert code == 2 and capsys.readouterr().err == f"error: {table}: refused\n"
 
 
 def test_rank_reports_an_empty_solution_as_a_numerical_failure(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from majorityrank import (
     from_scores,
     sections,
 )
+from majorityrank import majority
 from majorityrank.core import MAX_TOTAL_WEIGHT
-from majorityrank.majority import _max_exact_size
+from majorityrank.majority import _digit_shifts, _max_exact_size
 from conftest import TOY_BEATS, order_ranking, structures
 from oracles import brute_cycles, int64_cycles, naive_majority, noisy_profile_structure, random_structure
 
@@ -193,11 +195,61 @@ def test_cycle_count_size_limit_names_the_per_k_bound(k, limit):
         count_cycles(Oversized(), k)
 
 
+def test_digit_products_stay_exact_at_the_5_cycle_cap():
+    m = _max_exact_size(5)
+    s, shifts = _digit_shifts(m)
+    assert (m, s, shifts.tolist()) == (6210, 11, [0, 11])
+    # the digit products' entries and BLAS partial sums are at most m * (2**s - 1): below 2**24 for s = 11, not for 12
+    assert 6210 * 2047 < 2 ** 24 <= 6210 * 4095
+    # two base-2**11 digits cover every A^2 entry, at most m - 1
+    assert 6209 < 2 ** 22
+    # each recombined A^3 entry, at most m * (m - 2) on an asymmetric relation, is exact in float64
+    assert 6210 * 6208 < 2 ** 53
+    # the digit count derives from m alone: one digit up to m = 4,096, two beyond
+    assert [len(_digit_shifts(n)[1]) for n in (2, 135, 1000, 4096, 4097, 6210)] == [1, 1, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("limit, sizes, digit_counts", [
+    (2 ** 4, (5, 8), {2, 3}),
+    (2 ** 7, (9, 60), {2, 3, 6}),
+    (2 ** 9, (17, 60), {2}),
+], ids=["2**4", "2**7", "2**9"])
+def test_cycle_counts_recombine_every_number_of_digit_planes(monkeypatch, limit, sizes, digit_counts):
+    # with the float32 limit forced down, A^2 splits into several digit planes; the recombined counts must not move
+    monkeypatch.setattr(majority, "_FLOAT32_EXACT", limit)
+    rng = random.Random(limit)
+    seen = set()
+    for tie_prob in (0.0, 0.2, 0.6):
+        for _ in range(20):
+            ms = random_structure(rng, rng.randint(*sizes), tie_prob)
+            seen.add(len(_digit_shifts(len(ms))[1]))
+            counts = cycle_counts(ms)
+            assert counts == {k: int64_cycles(ms, k) for k in (3, 4, 5)}
+            if len(ms) <= 8:
+                assert counts == {k: brute_cycles(ms, k) for k in (3, 4, 5)}
+    assert seen == digit_counts
+
+
+def test_cycle_counts_hold_no_float64_copy_of_the_majority_matrix():
+    # Bound: float32 A and A^2 (4 m^2 bytes each) plus one m x m float64 array (8 m^2), 16 m^2 bytes in all.
+    # A float64 copy of A beside A and A^2 reaches it before any block temporary, so the block's digit planes,
+    # A^3 columns and elementwise products must fit in the 8 m^2 bytes left.
+    m = 600
+    ms = random_structure(random.Random(600), m)
+    tracemalloc.start()
+    try:
+        cycle_counts(ms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * m ** 2
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_cycle_count_float32_bound(k):
     # A^2 is a float32 product whose entries and partial sums are integers at most m; float32 holds
     # every integer below 2**24 exactly, so each cap keeps it exact
-    assert _max_exact_size(k) < 2 ** 24
+    assert _max_exact_size(k) < majority._FLOAT32_EXACT == 2 ** 24
 
 
 def test_cycle_counts_check_every_bound_before_any_product():

@@ -26,7 +26,7 @@ from majorityrank import (
     run_reproduce,
 )
 from conftest import order_ranking
-from majorityrank import metarank
+from majorityrank import correlation, metarank
 from majorityrank.correlation import MEASURES
 from majorityrank.metarank import _order_dp, _realized_pairs
 from oracles import brute_minimum, naive_meta_wins, random_ranking
@@ -93,12 +93,17 @@ def test_meta_comparison_needs_a_criterion():
         rankings_majority({"one": order_ranking(names, ("a", "b", "c"))}, [])
 
 
-def test_meta_comparison_needs_a_candidate():
+def test_meta_comparison_needs_a_candidate(monkeypatch):
     names = AlternativeSet(("a", "b", "c"))
     criterion = Criterion("p", 1, order_ranking(names, ("a", "b", "c")))
+    calls = []
+    census = correlation._census
+    monkeypatch.setattr(correlation, "_census", lambda *args, **kwargs: calls.append(args) or census(*args, **kwargs))
     for measure in MEASURES:
-        with pytest.raises(InputError, match="at least one candidate"):
-            rankings_majority({}, [criterion], measure)
+        for empty in ({}, []):
+            with pytest.raises(InputError, match="^a meta-comparison needs at least one candidate$"):
+                rankings_majority(empty, [criterion], measure)
+    assert calls == []  # refused before the census of the criteria
     with pytest.raises(InputError, match="at least one candidate"):
         MetaComparison(candidates=(), wins=np.zeros((0, 0), dtype=np.int64), measure="tau_b")
 
