@@ -13,16 +13,14 @@ it only when read.  Two numbering schemes are supported:
 Both schemes encode the same weak order; they differ only in labelling.
 
 Every weak order in the package is labelled here, by one exact relabelling
-of a key array: the keys are sorted and each is compared with its
-neighbour, so int64, float and object keys (Python ints, Fractions) are
-compared as they are, with no cast to float anywhere (-0.0 and 0.0 tie).
-Dense labels count the runs of equal keys up to each key's own
-(``_labels`` for one vector; ``_levels``, from 0, for each row of a 2-D
-array); competition labels are one plus the number of strictly smaller
-keys.  The constructors, Copeland, ``conforms_to_scheme``, the pair
-census, the Markov ranking and the meta-comparison keys all use it; every
-ranking the package builds takes its label vector straight, with no name
-mapping in between.
+of a key array: ``_levels`` sorts along the last axis and counts the steps
+between neighbours, so int64, float and object keys (Python ints,
+Fractions) are compared as they are, with no cast to float anywhere (-0.0
+and 0.0 tie).  Dense labels are those levels plus one; competition labels
+are one plus the number of strictly smaller keys.  The constructors,
+Copeland, ``conforms_to_scheme``, the pair census, the Markov ranking and
+the meta-comparison keys all use it; every ranking the package builds
+takes its label vector straight, with no name mapping in between.
 
 A profile's total criterion weight is bounded by ``MAX_TOTAL_WEIGHT``.
 ``build_majority`` sums votes in the narrowest unsigned integer dtype that
@@ -221,28 +219,20 @@ def from_ranks(alternatives: AlternativeSet, ranks: Mapping[str, int] | np.ndarr
 
 
 def _levels(keys: np.ndarray) -> np.ndarray:
-    """Dense levels 0..L-1 of each row of a 2-D key array: the smallest key at 0, equal keys at one level."""
-    order = np.argsort(keys, axis=1) + np.arange(len(keys))[:, None] * keys.shape[1]
+    """Dense levels 0..L-1 along the last axis of a key array (one vector, or each row of a 2-D array): the
+    smallest key at 0, equal keys at one level."""
+    order = np.argsort(keys, axis=-1) + np.arange(keys.size).reshape(keys.shape)[..., :1]  # into keys.ravel()
     ascending = keys.ravel()[order]
     steps = np.zeros(keys.shape, dtype=np.int64)
-    steps[:, 1:] = ascending[:, 1:] != ascending[:, :-1]
+    steps[..., 1:] = ascending[..., 1:] != ascending[..., :-1]
     levels = np.empty(keys.size, dtype=np.int64)
-    levels[order] = steps.cumsum(axis=1)
+    levels[order] = steps.cumsum(axis=-1)
     return levels.reshape(keys.shape)
 
 
 def _labels(keys: np.ndarray, scheme: str) -> np.ndarray:
-    """The ranks in ``scheme`` of a key vector, a smaller key ranking better: one plus the number of distinct
-    keys below (dense) or of all keys below (competition)."""
-    if scheme != DENSE:
-        return 1 + np.searchsorted(np.sort(keys), keys)
-    order = np.argsort(keys)
-    ascending = keys[order]
-    starts = np.ones(len(keys), dtype=np.int64)  # 1 where a run of equal keys starts
-    starts[1:] = ascending[1:] != ascending[:-1]
-    labels = np.empty(len(keys), dtype=np.int64)
-    labels[order] = starts.cumsum()
-    return labels
+    """The ranks in ``scheme`` of a key vector, a smaller key ranking better."""
+    return 1 + (_levels(keys) if scheme == DENSE else np.searchsorted(np.sort(keys), keys))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from majorityrank import (
     from_scores,
     rankings_majority,
 )
-from majorityrank.core import COMPETITION, DENSE, MAX_RANK, MAX_TOTAL_WEIGHT, SCHEMES, _labels, _levels, from_ranks
+from majorityrank.core import COMPETITION, DENSE, MAX_RANK, MAX_TOTAL_WEIGHT, SCHEMES, _labels, from_ranks
 from oracles import brute_labels
 
 ABC = AlternativeSet(("a", "b", "c"))
@@ -282,22 +282,6 @@ def test_labels_match_the_definitional_oracle():
                 assert conforms == (labels == brute_labels(labels, scheme))
             keys = _tied_draws(rng, big, m)
             assert _labels(np.array(keys, dtype=object), scheme).tolist() == brute_labels(keys, scheme)
-
-
-def test_dense_labels_of_one_vector_equal_its_row_levels():
-    # _labels relabels one vector by itself; _levels relabels each row of a 2-D key array, which the census uses
-    rng = random.Random(21)
-    pools = {
-        np.int64: [2 ** 63 - 1, 2 ** 62, -(2 ** 63), 0, 1, -1, 5],
-        np.float64: [-0.0, 0.0, 1.5, -2.25, 1e300, -1e-300, 2.0 ** 60, 2.0 ** 60 + 2 ** 8],
-        object: [2 ** 100, 2 ** 100 + 1, -(2 ** 100), 7, 0, Fraction(1, 3), Fraction(2, 6)],
-    }
-    for dtype, pool in pools.items():
-        for _ in range(100):
-            keys = np.array(_tied_draws(rng, pool, rng.randint(1, 40)), dtype=dtype)
-            labels = _labels(keys, DENSE)
-            assert labels.dtype == np.int64
-            assert labels.tolist() == (1 + _levels(keys[None])[0]).tolist() == brute_labels(keys.tolist(), DENSE)
 
 
 def _bound_profile(second_weight):

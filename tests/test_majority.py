@@ -199,12 +199,13 @@ def test_digit_products_stay_exact_at_the_5_cycle_cap():
     m = _max_exact_size(5)
     s, shifts = _digit_shifts(m)
     assert (m, s, shifts.tolist()) == (6210, 11, [0, 11])
-    # the digit products' entries and BLAS partial sums are at most m * (2**s - 1): below 2**24 for s = 11, not for 12
-    assert 6210 * 2047 < 2 ** 24 <= 6210 * 4095
-    # two base-2**11 digits cover every A^2 entry, at most m - 1
-    assert 6209 < 2 ** 22
+    # the digit products' entries and BLAS partial sums are at most m * (2**s - 1): below the float32 limit, and s
+    # is the widest digit for which that holds
+    assert m * ((1 << s) - 1) < majority._FLOAT32_EXACT <= m * ((1 << (s + 1)) - 1)
+    # the digits cover every A^2 entry, at most m - 1
+    assert (m - 1).bit_length() <= s * len(shifts)
     # each recombined A^3 entry, at most m * (m - 2) on an asymmetric relation, is exact in float64
-    assert 6210 * 6208 < 2 ** 53
+    assert m * (m - 2) < 2 ** 53
     # the digit count derives from m alone: one digit up to m = 4,096, two beyond
     assert [len(_digit_shifts(n)[1]) for n in (2, 135, 1000, 4096, 4097, 6210)] == [1, 1, 1, 1, 2, 2]
 
