@@ -12,11 +12,16 @@ have a published column against ``table6_aggregates``.
 
 All tabular data is CSV with a header row, UTF-8, and this module owns
 that boundary.  Loaders reject incomplete or malformed rows with
-row/column coordinates; they never impute.  No table may repeat a header
+row/column coordinates; they never impute.  The numbers of a ranks table
+or a reference matrix are parsed and tested as one table (``_cell_table``),
+and a labelled matrix is written from one text per distinct value
+(``write_labeled_matrix``): neither runs Python per cell, except to name
+the first bad cell of a refused table.  No table may repeat a header
 cell (``_unique_header``), every labelled table's row labels pass
 ``_row_labels``, every second ranks table must list the criteria table's
 countries in order (``load_aligned_ranks``), and every command writes its
-tables through ``write_table``.
+tables through ``write_table``, or ``write_labeled_matrix``, which writes
+the bytes ``write_table`` would.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from io import StringIO
 from pathlib import Path
-from types import MappingProxyType
-from typing import TextIO
+from types import MappingProxyType, SimpleNamespace
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -89,32 +94,21 @@ def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
     """Load a ranks table: one row per country, one column per ranking.
 
     Every cell must be a decimal integer in 1..2**63 - 1; the first column holds the
-    country names.  Dense numbering of each column is checked advisorily
-    (a warning, not an error), since published tables keep their own rank
-    labels.
+    country names.  The cells are parsed and tested as one table
+    (``_cell_table``); an error names the first bad cell in row order.
+    Dense numbering of each column is checked advisorily (a warning, not an
+    error), since published tables keep their own rank labels.
     """
     path = Path(path)
     header, rows = _read_simple_csv(path)
     if len(header) < 2:
         raise InputError(f"{path}: need a country column plus at least one ranking column")
     columns = header[1:]
-    countries = _row_labels(path, header, rows)
-    cells: list[int] = []  # row by row
-    for row_number, row in rows:
-        for column, text in zip(columns, row[1:]):
-            if not text:
-                raise InputError(f"{path}: missing rank (row {row_number}, col {column})")
-            value = _parse_cell(path, row_number, column, text, int)
-            if value < 1:
-                raise InputError(f"{path}: rank {value} is not positive (row {row_number}, col {column})")
-            if value > MAX_RANK:
-                raise InputError(f"{path}: rank {value} is above {MAX_RANK} (row {row_number}, col {column})")
-            cells.append(value)
-    table = np.array(cells, dtype=np.int64).reshape(len(rows), len(columns))
-    alternatives = AlternativeSet(countries)
+    alternatives = AlternativeSet(_row_labels(path, header, rows))
+    table = _cell_table(path, columns, rows, int)
     rankings: dict[str, Ranking] = {}
-    for j, column in enumerate(columns):
-        ranking = Ranking(alternatives, table[:, j])
+    for column, ranks in zip(columns, table.T):
+        ranking = Ranking(alternatives, ranks)
         if not ranking.conforms_to_scheme():
             warnings.warn(f"{path}: column {column} is not densely numbered; keeping ranks as published")
         rankings[column] = ranking
@@ -220,16 +214,27 @@ def load_aligned_ranks(path: str | Path, reference: str | Path, alternatives: Al
     return rankings
 
 
-def write_table(destination: str | Path | TextIO | None, header: Iterable, rows: Iterable[Iterable]) -> None:
-    """Write a header and rows as CSV to stdout (``None`` or ``-``), an open handle, or a path opened and closed here."""
+def _write_text(destination: str | Path | TextIO | None, text: str) -> None:
+    """Write ``text`` to stdout (``None`` or ``-``), an open handle, or a path opened and closed here."""
     if destination is None or destination == "-":
-        destination = sys.stdout
+        sys.stdout.write(text)
     elif isinstance(destination, (str, Path)):
         with Path(destination).open("w", encoding="utf-8", newline="") as handle:
-            return write_table(handle, header, rows)
-    writer = csv.writer(destination, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+            handle.write(text)
+    else:
+        destination.write(text)
+
+
+def _csv_lines(rows: Iterable[Iterable]) -> list[str]:
+    """Each row as one line of ``csv.writer`` text, quoted where the writer quotes, ending in a newline."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(rows)  # one write per row
+    return lines
+
+
+def write_table(destination: str | Path | TextIO | None, header: Iterable, rows: Iterable[Iterable]) -> None:
+    """Write a header and rows as CSV to stdout (``None`` or ``-``), an open handle, or a path opened and closed here."""
+    _write_text(destination, "".join(_csv_lines([header, *rows])))
 
 
 def save_ranking(destination: str | Path | TextIO | None, ranking: Ranking) -> None:
@@ -237,9 +242,21 @@ def save_ranking(destination: str | Path | TextIO | None, ranking: Ranking) -> N
     write_table(destination, ["country", "rank"], ranking.ranks.items())
 
 
-def write_labeled_matrix(destination: str | Path | TextIO | None, labels: tuple[str, ...], values, fmt=str) -> None:
-    """Write a labelled square numpy matrix as CSV (first column and row carry labels), one row at a time."""
-    write_table(destination, ["", *labels], ([label, *map(fmt, row.tolist())] for label, row in zip(labels, values)))
+def write_labeled_matrix(destination: str | Path | TextIO | None, labels: tuple[str, ...], values: np.ndarray,
+                         fmt=str) -> None:
+    """Write a labelled square numpy matrix as CSV (first column and row carry labels).
+
+    The bytes are those ``write_table`` writes for the rows ``[label, *map(fmt, row.tolist())]``,
+    without per-cell Python: only the header and the row labels go through ``csv.writer``,
+    which quotes them.  ``fmt`` is called once per distinct value, told apart by its bits (so
+    0.0 and -0.0 keep their own texts), and must return text CSV leaves unquoted, such as a
+    number; each row is one join of those texts.
+    """
+    bits, cells = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    texts = np.array([fmt(value) for value in bits.view(values.dtype).tolist()], dtype=object)
+    header, *labelled = _csv_lines([["", *labels], *([label, ""] for label in labels)])  # "label,\n" each
+    body = texts[cells.reshape(values.shape)].tolist()
+    _write_text(destination, header + "".join(line[:-1] + ",".join(row) + "\n" for line, row in zip(labelled, body)))
 
 
 def load_indicators(path: str | Path) -> list[IndicatorRecord]:
@@ -350,9 +367,8 @@ def _fixture(fixtures_dir: Path, filename: str) -> Path:
 
 def _read_simple_csv(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Stripped header and numbered non-blank rows (the header is row 1), each as wide as the header."""
-    numbered = [(number, [cell.strip() for cell in row])
-                for number, row in enumerate(csv.reader(StringIO(_read_text(path), newline="")), start=1)
-                if any(cell.strip() for cell in row)]
+    stripped = ([cell.strip() for cell in row] for row in csv.reader(StringIO(_read_text(path), newline="")))
+    numbered = [(number, row) for number, row in enumerate(stripped, start=1) if any(row)]
     if not numbered:
         raise InputError(f"{path}: empty file, no header (row 1)")
     (_, header), rows = numbered[0], numbered[1:]
@@ -362,6 +378,52 @@ def _read_simple_csv(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]
             raise InputError(f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
                              f" (row {row_number}, col {column})")
     return header, rows
+
+
+def _cell_table(path: Path, columns: list[str], rows: list[tuple[int, list[str]]],
+                kind: type[int] | type[float]) -> np.ndarray:
+    """The cells right of each row's label as one array: int64 ranks in 1..``MAX_RANK``, or finite float64 numbers.
+
+    One map of ``kind`` over every cell and one test of the whole table decide
+    validity: the text is ASCII without '_', every cell converts, and the values
+    fit int64 and are at least 1 (int) or are finite (float).  These are the
+    per-cell rules of ``_first_bad_cell``, which runs only on a refused table,
+    to name the cell at fault.
+    """
+    cells = [cell for _, row in rows for cell in row[1:]]
+    text = "".join(cells)
+    if text.isascii() and "_" not in text:  # int() and float() also read '1_0' and non-ASCII digits
+        try:
+            table = np.array(list(map(kind, cells)), dtype=np.int64 if kind is int else np.float64)
+        except (ValueError, OverflowError):  # a cell is not a number, or an integer is outside int64
+            pass
+        else:
+            valid = table.min() >= 1 if kind is int else np.isfinite(table).all()
+            if valid:
+                return table.reshape(len(rows), len(columns))
+    _first_bad_cell(path, columns, rows, kind)
+
+
+def _first_bad_cell(path: Path, columns: list[str], rows: list[tuple[int, list[str]]],
+                    kind: type[int] | type[float]) -> NoReturn:
+    """Raise the InputError of the first cell, row by row, that the per-cell rules refuse.
+
+    Only ``_cell_table`` calls this, once its whole-table test has failed; the
+    scan locates the error and never decides validity.
+    """
+    for row_number, row in rows:
+        for column, text in zip(columns, row[1:]):
+            if kind is float:
+                _parse_cell(path, row_number, column, text, float)
+                continue
+            if not text:
+                raise InputError(f"{path}: missing rank (row {row_number}, col {column})")
+            value = _parse_cell(path, row_number, column, text, int)
+            if value < 1:
+                raise InputError(f"{path}: rank {value} is not positive (row {row_number}, col {column})")
+            if value > MAX_RANK:
+                raise InputError(f"{path}: rank {value} is above {MAX_RANK} (row {row_number}, col {column})")
+    raise RuntimeError(f"{path}: the whole-table test refused a table whose every cell passes the per-cell rules")
 
 
 def _parse_cell(path: Path, row_number: int, column: str, text: str, kind: type[int] | type[float]) -> int | float:
@@ -400,14 +462,13 @@ def _load_reference_cycles(path: Path) -> dict[int, int]:
     return cycles
 
 
-def _load_reference_matrix(path: Path) -> tuple[list[str], list[list[float]]]:
+def _load_reference_matrix(path: Path) -> tuple[list[str], np.ndarray]:
+    """A published correlation table: its labels, and its finite values parsed as one table (``_cell_table``)."""
     header, rows = _read_simple_csv(path)
     labels = header[1:]
     if _row_labels(path, header, rows) != labels:
         raise InputError(f"{path}: row labels must match column labels")
-    values = [[_parse_cell(path, number, column, text, float) for column, text in zip(labels, row[1:])]
-              for number, row in rows]
-    return labels, values
+    return labels, _cell_table(path, labels, rows, float)
 
 
 META_COLUMNS = ("ranking", "tau_b_rank", "r_rank", "data_column")
@@ -513,7 +574,7 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
         labels, reference = reference_matrices[measure]
         matrix = correlation_matrix([(name, candidates[name]) for name in labels], measure)
         n_criteria = len(criteria_rankings)
-        deviation = np.abs(matrix.values - np.array(reference))
+        deviation = np.abs(matrix.values - reference)
         tight, loose = tolerance[measure]
         checks.append(_bound_check(f"{measure} criteria block (+/-{tight})",
                                    float(deviation[:n_criteria, :n_criteria].max()), f"<={tight}"))

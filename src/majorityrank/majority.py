@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import AlternativeSet, Profile
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, SizeLimitError
 
 # Closed k-walks on a loop-free asymmetric digraph cannot revisit a vertex
 # for k <= 5 (a revisit would split off a closed walk of length 1 or 2),
@@ -145,7 +145,7 @@ def _count_cycles(ms: MajorityStructure, lengths: tuple[int, ...]) -> dict[int, 
     for k in lengths:
         limit = _max_exact_size(k)
         if m > limit:
-            raise InputError(f"counting {k}-cycles supports at most {limit} alternatives, got {m}")
+            raise SizeLimitError(f"counting {k}-cycles supports at most {limit} alternatives, got {m}")
     a = np.asarray(ms.beats, dtype=np.float32)
     a2 = a @ a
     traces = dict.fromkeys(lengths, 0)

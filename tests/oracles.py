@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +15,7 @@ from majorityrank import (
     AlternativeSet,
     Criterion,
     DegenerateRankingError,
+    InputError,
     MajorityStructure,
     MetaComparison,
     Profile,
@@ -21,6 +24,7 @@ from majorityrank import (
     build_majority,
     from_scores,
 )
+from majorityrank import io as mio
 
 
 def random_structure(rng: random.Random, m: int, tie_prob: float = 0.2) -> MajorityStructure:
@@ -376,3 +380,47 @@ def brute_labels(keys: list, scheme: str) -> list[int]:
     if scheme == DENSE:
         return [1 + len({k for k in keys if k < key}) for key in keys]
     return [1 + sum(k < key for k in keys) for key in keys]
+
+
+def _naive_number(path: Path, row_number: int, column: str, text: str, kind: type[int] | type[float]) -> int | float:
+    """One cell read on its own: ASCII text without '_' that ``kind`` reads, and finite if a float."""
+    try:
+        value = kind(text)
+        if text.isascii() and "_" not in text and (kind is int or math.isfinite(value)):
+            return value
+    except ValueError:
+        pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise InputError(f"{path}: {text!r} is not {noun} (row {row_number}, col {column})")
+
+
+def naive_load_ranks(path: Path) -> tuple[list[str], np.ndarray]:
+    """Country labels and rank table of a ranks table, each cell parsed and checked on its own, row by row;
+    the first cell at fault raises its InputError."""
+    header, rows = mio._read_simple_csv(path)
+    if len(header) < 2:
+        raise InputError(f"{path}: need a country column plus at least one ranking column")
+    columns = header[1:]
+    countries = mio._row_labels(path, header, rows)
+    cells = []
+    for row_number, row in rows:
+        for column, text in zip(columns, row[1:]):
+            if not text:
+                raise InputError(f"{path}: missing rank (row {row_number}, col {column})")
+            value = _naive_number(path, row_number, column, text, int)
+            if value < 1:
+                raise InputError(f"{path}: rank {value} is not positive (row {row_number}, col {column})")
+            if value > 2 ** 63 - 1:
+                raise InputError(f"{path}: rank {value} is above {2 ** 63 - 1} (row {row_number}, col {column})")
+            cells.append(value)
+    return countries, np.array(cells, dtype=np.int64).reshape(len(rows), len(columns))
+
+
+def naive_load_reference_matrix(path: Path) -> tuple[list[str], list[list[float]]]:
+    """Labels and values of a published correlation table, each cell parsed on its own, row by row."""
+    header, rows = mio._read_simple_csv(path)
+    labels = header[1:]
+    if mio._row_labels(path, header, rows) != labels:
+        raise InputError(f"{path}: row labels must match column labels")
+    return labels, [[_naive_number(path, number, column, text, float) for column, text in zip(labels, row[1:])]
+                    for number, row in rows]

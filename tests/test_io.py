@@ -1,5 +1,9 @@
+import csv
+import io
+import random
 import warnings
 
+import numpy as np
 import pytest
 
 from majorityrank import (
@@ -15,7 +19,9 @@ from majorityrank import (
     save_ranking,
 )
 from majorityrank import io as mio
+from majorityrank.cli import _MEASURE_DECIMALS
 from majorityrank.io import FIXTURE_FILES
+from oracles import naive_load_ranks, naive_load_reference_matrix
 
 
 def write(tmp_path, name, text):
@@ -91,6 +97,122 @@ def test_loader_warns_on_non_dense_column(tmp_path):
     with pytest.warns(UserWarning, match="not densely numbered"):
         _, rankings = load_ranks(path)
     assert rankings["c1"].ranks == {"a": 1, "b": 7}  # kept as published
+
+
+def write_rows(path, rows):
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    return path
+
+
+def verdict(load, path):
+    """What ``load`` returns for ``path``, or the text of the InputError it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # mutated columns need not be densely numbered
+        try:
+            return load(path)
+        except InputError as exc:
+            return str(exc)
+
+
+RANK_CELLS = ["", "+3", "-0", "0", "007", "1_0", "\u0661\u0660", "\u00b2", "3.0", "1e3",
+              str(2 ** 63 - 1), str(2 ** 63), str(-(2 ** 63) - 1)]
+FLOAT_CELLS = ["", "+.5", "-0.0", "0", "007", "1_0.5", "\u0661", "\u00b2", "1e3", "1e400", "nan", "-inf", "0x10"]
+
+
+def mutated_tables(rng, count, corner, cell, mutations, square=False):
+    """``count`` random tables: a header, labelled rows of ``cell(m)`` text (m rows, or one per column if
+    ``square``), and 0-3 cells replaced from ``mutations``."""
+    for _ in range(count):
+        m, k = rng.randint(1, 6), rng.randint(1, 4)
+        labels = [f"c{j}" for j in range(k)]
+        rows = [[f"c{i}", *(cell(m) for _ in range(k))] for i in range(k if square else m)]
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            rows[rng.randrange(len(rows))][rng.randint(1, k)] = rng.choice(mutations)
+        yield [[corner, *labels], *rows]
+
+
+def test_whole_table_rank_parsing_matches_the_per_cell_oracle(tmp_path):
+    rng = random.Random(27)
+    path = tmp_path / "ranks.csv"
+    verdicts = {"loaded": 0, "refused": 0}
+    for table in mutated_tables(rng, 400, "country", lambda m: str(rng.randint(1, m)), RANK_CELLS):
+        write_rows(path, table)
+        expected, found = verdict(naive_load_ranks, path), verdict(load_ranks, path)
+        if isinstance(expected, str):
+            assert found == expected
+            verdicts["refused"] += 1
+            continue
+        labels, ranks = expected
+        alternatives, rankings = found
+        assert alternatives.items == tuple(labels)
+        assert list(rankings) == table[0][1:]
+        assert np.array_equal(np.column_stack([r.rank_vector() for r in rankings.values()]), ranks)
+        verdicts["loaded"] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_whole_table_reference_parsing_matches_the_per_cell_oracle(tmp_path):
+    rng = random.Random(28)
+    path = tmp_path / "table3.csv"
+    verdicts = {"loaded": 0, "refused": 0}
+    for table in mutated_tables(rng, 400, "", lambda m: f"{rng.uniform(-1, 1):.3f}", FLOAT_CELLS, square=True):
+        write_rows(path, table)
+        expected, found = verdict(naive_load_reference_matrix, path), verdict(mio._load_reference_matrix, path)
+        if isinstance(expected, str):
+            assert found == expected
+            verdicts["refused"] += 1
+            continue
+        assert found[0] == expected[0]
+        assert found[1].tobytes() == np.array(expected[1]).tobytes()  # bit for bit: -0.0 stays -0.0
+        verdicts["loaded"] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_bundled_tables_never_enter_the_per_cell_scan(monkeypatch, tmp_path):
+    def scan(*args):
+        raise AssertionError("the whole-table test refused a table")
+
+    monkeypatch.setattr(mio, "_first_bad_cell", scan)
+    fixtures = bundled_fixtures_dir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in ("table6_criteria.csv", "table6_aggregates.csv"):
+            load_ranks(fixtures / name)
+    for name in ("table3_taub.csv", "table3_r.csv"):
+        mio._load_reference_matrix(fixtures / name)
+    with pytest.raises(AssertionError, match="whole-table test refused"):  # a bad cell does reach the scan
+        load_ranks(write(tmp_path, "bad.csv", "country,c1\na,x\n"))
+
+
+def per_cell_matrix_csv(labels, values, fmt):
+    """A labelled matrix as ``csv.writer`` writes it cell by cell."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(
+        [["", *labels], *([label, *map(fmt, row.tolist())] for label, row in zip(labels, values))])
+    return buffer.getvalue()
+
+
+def test_labelled_matrix_writes_the_bytes_of_the_per_cell_writer(tmp_path, capsys):
+    labels = ("a,b", 'say "hi"', " lead", "Côte d'Ivoire", "two\nlines", "cr\rin", "plain")
+    rng = np.random.default_rng(27)
+    beats = rng.integers(0, 2, (7, 7))
+    correlations = rng.choice([0.0, -0.0, 0.5, -0.25, 1.0 / 3.0, -1e-9, 0.125], size=(7, 7))
+    correlations[0, :2] = 0.0, -0.0
+    fmt = lambda v: f"{v:.{_MEASURE_DECIMALS['tau_b']}f}"  # noqa: E731 - correlate's formatter
+    written = []
+    for values, cell_fmt in ((beats, str), (correlations, fmt), (np.zeros((0, 0)), str)):
+        n = len(values)
+        expected = per_cell_matrix_csv(labels[:n], values, cell_fmt)
+        path = tmp_path / "matrix.csv"
+        mio.write_labeled_matrix(path, labels[:n], values, cell_fmt)
+        assert path.read_bytes() == expected.encode("utf-8")
+        mio.write_labeled_matrix(None, labels[:n], values, cell_fmt)
+        assert capsys.readouterr().out == expected
+        written.append(expected)
+    assert '"a,b","say ""hi""", lead,' in written[0]
+    assert '\n"a,b",0.000,-0.000,' in written[1]
+    assert written[2] == '""\n'
 
 
 def test_weights_roundtrip(tmp_path):
