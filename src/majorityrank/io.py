@@ -97,7 +97,9 @@ def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
     country names.  The cells are parsed and tested as one table
     (``_cell_table``); an error names the first bad cell in row order.
     Dense numbering of each column is checked advisorily (a warning, not an
-    error), since published tables keep their own rank labels.
+    error), since published tables keep their own rank labels, and for the
+    whole table at once: a column is dense iff its sorted ranks start at 1
+    and step by 0 or 1.
     """
     path = Path(path)
     header, rows = _read_simple_csv(path)
@@ -106,12 +108,13 @@ def load_ranks(path: str | Path) -> tuple[AlternativeSet, dict[str, Ranking]]:
     columns = header[1:]
     alternatives = AlternativeSet(_row_labels(path, header, rows))
     table = _cell_table(path, columns, rows, int)
+    ordered = np.sort(table, axis=0)
+    dense = (ordered[0] == 1) & (np.diff(ordered, axis=0) <= 1).all(axis=0)
     rankings: dict[str, Ranking] = {}
-    for column, ranks in zip(columns, table.T):
-        ranking = Ranking(alternatives, ranks)
-        if not ranking.conforms_to_scheme():
+    for column, ranks, conforms in zip(columns, table.T, dense):
+        rankings[column] = Ranking(alternatives, ranks)
+        if not conforms:
             warnings.warn(f"{path}: column {column} is not densely numbered; keeping ranks as published")
-        rankings[column] = ranking
     return alternatives, rankings
 
 

@@ -5,6 +5,9 @@ y (criteria preferring x outweigh, by votes, those preferring y), y beats
 x, or the two sides carry equal weight and the pair is tied.  Criteria
 that rank the pair equal contribute to neither side.  A tie is a pair that
 neither side beats, so the structure stores only the beats matrix.
+Each structure counts its cycles once: the first ``count_cycles`` or
+``cycle_counts`` call runs the trace kernel for every length whose size
+cap admits the structure, and later calls read that count.
 """
 
 from __future__ import annotations
@@ -67,6 +70,12 @@ class MajorityStructure:
         ties.setflags(write=False)
         return ties
 
+    @cached_property
+    def _cycles(self) -> dict[int, int]:
+        """The k-cycle counts for every k in ``_CYCLE_LENGTHS`` whose cap admits this structure, from one
+        kernel run; the public functions check the caps before they read it."""
+        return _count_cycles(self, tuple(k for k in _CYCLE_LENGTHS if len(self) <= _max_exact_size(k)))
+
     def __len__(self) -> int:
         return len(self.alternatives)
 
@@ -128,24 +137,34 @@ def count_cycles(ms: MajorityStructure, k: int) -> int:
     the block's A^2 columns split into base-2**s digit planes, side by side
     (``_digit_shifts``), recombined by a float64 sum.  Each block's
     elementwise products are formed in float64 and cast to int64 before
-    summing; ``_max_exact_size`` states why all of them stay exact.
+    summing; ``_max_exact_size`` states why all of them stay exact.  That
+    runs once per structure, for every k its caps admit (``cycle_counts``
+    reads the same count); each call checks k's cap and reads it.
     """
     if k not in _CYCLE_LENGTHS:
         raise InputError(f"cycle length must be one of {_CYCLE_LENGTHS}, got {k}")
-    return _count_cycles(ms, (k,))[k]
+    _check_sizes(len(ms), (k,))
+    return ms._cycles[k]
 
 
 def cycle_counts(ms: MajorityStructure) -> dict[int, int]:
-    """``count_cycles`` for k = 3, 4 and 5 from one A^2, every size bound checked before any product."""
-    return _count_cycles(ms, _CYCLE_LENGTHS)
+    """``count_cycles`` for k = 3, 4 and 5, every size bound checked before any product: a new dict of the
+    structure's one count, which it shares with ``count_cycles``."""
+    _check_sizes(len(ms), _CYCLE_LENGTHS)
+    return dict(ms._cycles)
 
 
-def _count_cycles(ms: MajorityStructure, lengths: tuple[int, ...]) -> dict[int, int]:
-    m = len(ms)
+def _check_sizes(m: int, lengths: tuple[int, ...]) -> None:
+    """A SizeLimitError for the first of ``lengths`` whose exact-size cap m exceeds."""
     for k in lengths:
         limit = _max_exact_size(k)
         if m > limit:
             raise SizeLimitError(f"counting {k}-cycles supports at most {limit} alternatives, got {m}")
+
+
+def _count_cycles(ms: MajorityStructure, lengths: tuple[int, ...]) -> dict[int, int]:
+    """The trace kernel for ``lengths``, from one A^2; A^3 digit products only if 5 is among them."""
+    m = len(ms)
     a = np.asarray(ms.beats, dtype=np.float32)
     a2 = a @ a
     traces = dict.fromkeys(lengths, 0)

@@ -99,6 +99,31 @@ def test_loader_warns_on_non_dense_column(tmp_path):
     assert rankings["c1"].ranks == {"a": 1, "b": 7}  # kept as published
 
 
+def test_dense_numbering_warnings_match_the_per_column_check(tmp_path):
+    # the whole-table test warns for exactly the columns that fail Ranking.conforms_to_scheme, in column order
+    rng = random.Random(26)
+    warned_any = conformed_any = False
+    for trial in range(300):
+        m, k = rng.randint(1, 8), rng.randint(1, 5)
+        top = rng.choice((2, m, m + 2, 2 ** 63 - 1))
+        columns = [[rng.randint(1, min(top, m + 3)) if rng.random() < 0.9 else top for _ in range(m)]
+                   for _ in range(k)]
+        path = write_rows(tmp_path / f"t{trial}.csv",
+                          [["country", *(f"c{j}" for j in range(k))],
+                           *([f"a{i}", *(column[i] for column in columns)] for i in range(m))])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alternatives, rankings = load_ranks(path)
+        expected = [f"{path}: column c{j} is not densely numbered; keeping ranks as published"
+                    for j, column in enumerate(columns)
+                    if not Ranking(alternatives, np.array(column, dtype=np.int64)).conforms_to_scheme()]
+        assert [str(w.message) for w in caught] == expected
+        assert [ranking.rank_vector().tolist() for ranking in rankings.values()] == columns
+        warned_any |= bool(expected)
+        conformed_any |= len(expected) < k
+    assert warned_any and conformed_any
+
+
 def write_rows(path, rows):
     with path.open("w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerows(rows)

@@ -16,6 +16,7 @@ from majorityrank import (
     Profile,
     SizeLimitError,
     build_majority,
+    bundled_fixtures_dir,
     count_cycles,
     cycle_counts,
     from_scores,
@@ -23,6 +24,7 @@ from majorityrank import (
 )
 from majorityrank import majority
 from majorityrank.core import MAX_TOTAL_WEIGHT
+from majorityrank.io import load_profile
 from majorityrank.majority import _digit_shifts, _max_exact_size
 from conftest import TOY_BEATS, order_ranking, structures
 from oracles import brute_cycles, int64_cycles, naive_majority, noisy_profile_structure, random_structure
@@ -271,8 +273,97 @@ def test_cycle_count_rejects_a_trace_that_is_not_a_multiple_of_k():
         def __len__(self):
             return 2
 
+    # the kernel holds the check; the public functions read a structure's cached count, which TwoCycle lacks
     with pytest.raises(NumericalError, match="not a multiple of 4"):
-        count_cycles(TwoCycle(), 4)
+        majority._count_cycles(TwoCycle(), (4,))
+
+
+def spy_on_cycle_kernel(monkeypatch) -> list:
+    """The ``lengths`` of every trace kernel run from here on."""
+    calls = []
+    kernel = majority._count_cycles
+
+    def counted(ms, lengths):
+        calls.append(lengths)
+        return kernel(ms, lengths)
+
+    monkeypatch.setattr(majority, "_count_cycles", counted)
+    return calls
+
+
+def test_each_structure_runs_the_cycle_kernel_once(monkeypatch):
+    calls = spy_on_cycle_kernel(monkeypatch)
+    ms = random_structure(random.Random(21), 8)
+    counts = {k: count_cycles(ms, k) for k in (3, 4, 5)}
+    assert cycle_counts(ms) == counts == {k: brute_cycles(ms, k) for k in (3, 4, 5)}
+    assert calls == [(3, 4, 5)]
+    # an equal beats matrix in another structure counts again: the cache lives on the object, not its contents
+    twin = MajorityStructure(ms.alternatives, ms.beats.copy())
+    assert cycle_counts(twin) == counts
+    assert calls == [(3, 4, 5)] * 2
+
+
+def test_cycle_counts_returns_a_copy_of_the_cached_count():
+    ms = random_structure(random.Random(22), 8)
+    counts = cycle_counts(ms)
+    expected = dict(counts)
+    counts[3] += 1
+    del counts[5]
+    assert cycle_counts(ms) == expected
+    assert count_cycles(ms, 3) == expected[3]
+
+
+def test_cycle_cache_leaves_out_a_length_past_its_cap(monkeypatch):
+    calls = spy_on_cycle_kernel(monkeypatch)
+    cap = majority._max_exact_size
+    monkeypatch.setattr(majority, "_max_exact_size", lambda k: 5 if k == 5 else cap(k))
+    ms = random_structure(random.Random(23), 7, tie_prob=0.0)
+
+    def assert_5_cycles_refused():
+        for refused in (lambda: cycle_counts(ms), lambda: count_cycles(ms, 5)):
+            with pytest.raises(SizeLimitError) as excinfo:
+                refused()
+            assert str(excinfo.value) == "counting 5-cycles supports at most 5 alternatives, got 7"
+
+    assert_5_cycles_refused()
+    assert calls == []  # refused before any product
+    assert count_cycles(ms, 3) == brute_cycles(ms, 3) > 0
+    assert count_cycles(ms, 4) == brute_cycles(ms, 4)
+    assert calls == [(3, 4)]
+    assert_5_cycles_refused()
+    assert calls == [(3, 4)]
+
+
+def relabelled(ms: MajorityStructure, order: list[int], reverse: bool) -> MajorityStructure:
+    """A new structure on the alternatives in ``order``, with every arc reversed if ``reverse``."""
+    beats = ms.beats[order][:, order]
+    names = AlternativeSet(tuple(ms.alternatives.items[i] for i in order))
+    return MajorityStructure(names, beats.T if reverse else beats)
+
+
+def assert_cycle_counts_are_neutral(ms: MajorityStructure, rng: random.Random) -> None:
+    """Permuting the alternatives or reversing every arc moves no cycle count; each count comes from a
+    fresh structure, so each runs the kernel."""
+    expected = cycle_counts(ms)
+    identity = list(range(len(ms)))
+    shuffled = rng.sample(identity, len(ms))
+    for order, reverse in ((shuffled, False), (identity, True), (shuffled, True)):
+        assert cycle_counts(relabelled(ms, order, reverse)) == expected
+        assert {k: count_cycles(relabelled(ms, order, reverse), k) for k in (3, 4, 5)} == expected
+
+
+def test_cycle_counts_are_neutral_on_random_tied_structures():
+    rng = random.Random(24)
+    for tie_prob in (0.0, 0.2, 0.6):
+        for _ in range(15):
+            assert_cycle_counts_are_neutral(random_structure(rng, rng.randint(1, 14), tie_prob), rng)
+
+
+def test_cycle_counts_are_neutral_on_the_study():
+    _, _, profile = load_profile(bundled_fixtures_dir() / "table6_criteria.csv")
+    ms = build_majority(profile)
+    assert cycle_counts(ms) == {3: 638, 4: 5928, 5: 52754}
+    assert_cycle_counts_are_neutral(ms, random.Random(25))
 
 
 def test_trichotomy_and_symmetry_on_random_profiles():

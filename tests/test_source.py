@@ -2,10 +2,13 @@
 
 import ast
 import dataclasses
+import subprocess
+import sys
 from pathlib import Path
 
 import majorityrank
 from majorityrank import cli
+from conftest import in_tree_env
 
 SOURCES = sorted(Path(majorityrank.__file__).parent.glob("*.py"))
 
@@ -73,3 +76,15 @@ def test_cli_rederives_no_census_precondition():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
     assert "distinct_positions" not in calls
     assert not hasattr(cli, "_check_census")
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    # a fresh interpreter's set-up pays for every module the import pulls in; scipy or hypothesis there would
+    # cost every command its load time
+    probe = ("import sys; before = set(sys.modules); import majorityrank; "
+             "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=in_tree_env(),
+                            timeout=60, check=True)
+    added = set(result.stdout.split())
+    assert "majorityrank" in added
+    assert added - sys.stdlib_module_names <= {"numpy", "majorityrank"}
