@@ -10,11 +10,16 @@ Exit codes: 0 success, 1 failed check or numerical failure, 2 usage or
 input error.  Output formatting is fixed (tau-b three decimals, shares
 two, the CIP index six significant digits) so repeated runs are
 byte-identical.
+
+One parser per process, built on the first ``main`` call, not at import.  It
+holds no handler: ``main`` looks ``cmd_<subcommand>`` up by name at each call,
+so a handler rebound later (a monkeypatch, the benchmark tracer) is reached.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
@@ -130,6 +135,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="majorityrank",
@@ -143,19 +149,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--weights", help="criterion weights config (default: bundled study weights)")
     p_rank.add_argument("--scheme", choices=SCHEMES, default=DENSE)
     p_rank.add_argument("--output", help="output CSV (default: stdout)")
-    p_rank.set_defaults(func=cmd_rank)
 
     p_analyze = sub.add_parser("analyze", help="emit majority matrices M.csv/T.csv and cycles.csv")
     p_analyze.add_argument("ranks_csv")
     p_analyze.add_argument("--weights")
     p_analyze.add_argument("--output", required=True, help="output directory")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_correlate = sub.add_parser("correlate", help="pairwise correlation matrix of the table's columns")
     p_correlate.add_argument("ranks_csv")
     p_correlate.add_argument("--measure", choices=sorted(MEASURE_FLAGS), default="tau-b")
     p_correlate.add_argument("--output")
-    p_correlate.set_defaults(func=cmd_correlate)
 
     p_meta = sub.add_parser("metarank", help="rank candidate rankings by weighted criterion closeness")
     p_meta.add_argument("ranks_csv", help="criteria table (also the default candidate set)")
@@ -164,26 +167,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_meta.add_argument("--measure", choices=sorted(MEASURE_FLAGS), default="tau-b")
     p_meta.add_argument("--emit-dot", help="write the majority digraph in DOT format")
     p_meta.add_argument("--output")
-    p_meta.set_defaults(func=cmd_metarank)
 
     p_cip = sub.add_parser("cip", help="cardinal index and ranking from raw indicator values")
     p_cip.add_argument("indicators_csv")
     p_cip.add_argument("--scheme", choices=SCHEMES, default=DENSE)
     p_cip.add_argument("--output")
-    p_cip.set_defaults(func=cmd_cip)
 
     p_repro = sub.add_parser("reproduce", help="recompute the bundled case study and diff against references")
     p_repro.add_argument("fixtures_dir", nargs="?", help="fixture directory (default: bundled)")
-    p_repro.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io as stdio
@@ -17,6 +18,7 @@ from majorityrank.cli import METHODS, main
 from majorityrank.core import SCHEMES, from_ranks
 from majorityrank.errors import DegenerateRankingError, SingletonLeagueError, SizeLimitError
 from conftest import in_tree_env, profiles
+from oracles import random_ranking
 
 CRITERIA_CSV = str(bundled_fixtures_dir() / "table6_criteria.csv")
 
@@ -484,6 +486,33 @@ def test_console_entry_point_runs_in_subprocess():
     assert "overall: PASS" in result.stdout
 
 
+def test_two_main_calls_build_one_parser_tree(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    table, _ = write_toy_table(tmp_path)
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_main("correlate", str(table)) == run_main("correlate", str(table))
+    # the program parser and one parser per subcommand, built by the first call alone
+    assert len(built) == 7 and built[0] == "majorityrank"
+
+
+def test_main_reaches_a_handler_rebound_after_its_first_call(tmp_path, monkeypatch):
+    # the benchmark tracer wraps cli.cmd_* in place, after the first main call has built the parser
+    table, _ = write_toy_table(tmp_path)
+    assert run_main("correlate", str(table))[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_cip", lambda args: seen.append(args) or 0)
+    assert run_main("cip", "indicators.csv", "--scheme", "competition") == (0, "")
+    assert [(args.indicators_csv, args.scheme) for args in seen] == [("indicators.csv", COMPETITION)]
+    assert not any(callable(value) for value in vars(seen[0]).values())
+
+
 # sha256 of the stdout of every study run; a rank output's labels, not only its weak order, are pinned
 STUDY_DIGESTS = {
     ("rank", "--method", "copeland1", "--scheme", "dense"):
@@ -705,3 +734,80 @@ def test_fuzzed_inputs_exit_cleanly_and_name_the_mutated_file(tmp_path, capsys, 
         assert code != 2 or str(path) in error, (case, error)
         codes.append(code)
     assert 0 in codes and 2 in codes, codes  # the mutations both spare and break the inputs
+
+
+def write_rows(path, rows) -> str:
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    return str(path)
+
+
+def permute(rows, row_order=None, column_order=None):
+    """A ranks table (header first, country column first) with its data rows or criterion columns reordered."""
+    header, *data = rows
+    row_order = range(len(data)) if row_order is None else row_order
+    columns = [0, *(1 + c for c in (range(len(header) - 1) if column_order is None else column_order))]
+    return [[row[c] for c in columns] for row in (header, *(data[r] for r in row_order))]
+
+
+def assert_cli_is_neutral(tmp_path, rows, rng, weights=(), candidates=None):
+    """Permuting a ranks table's data rows permutes every ``rank`` output, compared by country, and leaves
+    ``correlate``, ``metarank`` and ``analyze``'s cycles.csv byte-identical; permuting its criterion
+    columns changes no ``rank`` output."""
+    order = rng.sample(range(len(rows) - 1), len(rows) - 1)
+    columns = rng.sample(range(len(rows[0]) - 1), len(rows[0]) - 1)
+    tables = {
+        "given": write_rows(tmp_path / "given.csv", rows),
+        "rows": write_rows(tmp_path / "rows.csv", permute(rows, order)),
+        "columns": write_rows(tmp_path / "columns.csv", permute(rows, column_order=columns)),
+    }
+    extra = {"given": [], "rows": []}
+    if candidates is not None:
+        extra = {"given": ["--candidates", write_rows(tmp_path / "candidates.csv", candidates)],
+                 "rows": ["--candidates", write_rows(tmp_path / "candidates-rows.csv", permute(candidates, order))]}
+    for method in METHODS:
+        for scheme in SCHEMES:
+            outputs = {}
+            for name, table in tables.items():
+                code, out = run_main("rank", table, *weights, "--method", method, "--scheme", scheme)
+                assert code == 0, (method, scheme, name)
+                outputs[name] = list(csv.reader(stdio.StringIO(out)))
+            header, *given = outputs["given"]
+            assert outputs["rows"] == [header, *(given[r] for r in order)], (method, scheme)
+            assert outputs["columns"] == outputs["given"], (method, scheme)
+    for measure in cli.MEASURE_FLAGS:
+        correlated = [run_main("correlate", tables[name], "--measure", measure) for name in ("given", "rows")]
+        assert correlated[0][0] == 0 and correlated[1] == correlated[0], measure
+        ranked = [run_main("metarank", tables[name], *weights, *extra[name], "--measure", measure)
+                  for name in ("given", "rows")]
+        assert ranked[0][0] == 0 and ranked[1] == ranked[0], measure
+    cycles = []
+    for name in ("given", "rows"):
+        assert run_main("analyze", tables[name], *weights, "--output", str(tmp_path / name)) == (0, "")
+        cycles.append((tmp_path / name / "cycles.csv").read_bytes())
+    assert cycles[1] == cycles[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cli_is_neutral_on_random_tied_tables(tmp_path, seed):
+    rng = random.Random(3100 + seed)
+    alternatives, n = AlternativeSet(tuple(f"x{i}" for i in range(rng.randint(4, 14)))), rng.randint(3, 5)
+    columns = []
+    while len(columns) < n:
+        ranking = random_ranking(rng, alternatives, max_positions=5)
+        if len(set(ranking.ranks.values())) > 1:  # tau-b is undefined for a criterion that ties every row
+            columns.append(ranking.ranks)
+    rows = [["country", *(f"c{c}" for c in range(n))], *([name, *(ranks[name] for ranks in columns)]
+                                                         for name in alternatives)]
+    weights = tmp_path / "w.cfg"
+    weights.write_text("".join(f"c{c} = {rng.randint(1, 3)}\n" for c in range(n)), encoding="utf-8")
+    assert_cli_is_neutral(tmp_path, rows, rng, weights=("--weights", str(weights)))
+
+
+def test_cli_is_neutral_on_the_study(tmp_path):
+    def read(name):
+        with (bundled_fixtures_dir() / name).open(encoding="utf-8", newline="") as handle:
+            return list(csv.reader(handle))
+
+    assert_cli_is_neutral(tmp_path, read("table6_criteria.csv"), random.Random(31),
+                          candidates=read("table6_aggregates.csv"))

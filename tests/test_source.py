@@ -88,3 +88,13 @@ def test_import_loads_only_the_standard_library_and_numpy():
     added = set(result.stdout.split())
     assert "majorityrank" in added
     assert added - sys.stdlib_module_names <= {"numpy", "majorityrank"}
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built on the first main call; one built at import would cost every process its set-up
+    probe = ("import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+             "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+             "import majorityrank.cli; print(len(built))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=in_tree_env(),
+                            timeout=60, check=True)
+    assert result.stdout.split() == ["0"]
