@@ -110,7 +110,7 @@ def cmd_metarank(args: argparse.Namespace) -> int:
     measure = MEASURE_FLAGS[args.measure]
     with _in_table(tables, args.ranks_csv):
         comparison = rankings_majority(candidates, list(profile.criteria), measure)
-    weak_order = closest_weak_order(comparison)
+        weak_order = closest_weak_order(comparison)
     if args.emit_dot:
         with Path(args.emit_dot).open("w", encoding="utf-8") as handle:
             _write_dot(handle, comparison)

@@ -28,14 +28,16 @@ The program visits only the subsets that respect the digraph's
 condensation: no optimal order inverts an arc between two strongly
 connected components, because ordering the components topologically,
 each one optimally, inverts no such arc and attains every component's own
-minimum inside it (proof in ``_order_dp``).  A ``MetaComparison`` caches
+minimum inside it (proof in ``_order_dp``).  It passes down from the full
+set to fill each subset's tables, then up from the empty set to keep the
+placements on optimal orders.  A ``MetaComparison`` caches the closure,
 its fixed pairs and the program's tables, which every query reads.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,15 +89,21 @@ class MetaComparison:
         return majority
 
     @cached_property
-    def _dp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-        """``_order_dp`` of the read-only majority digraph, run at most once."""
-        return _order_dp(self.majority)
+    def _closure(self) -> np.ndarray:
+        """Read-only transitive closure of the majority digraph."""
+        closure = _transitive_closure(self.majority)
+        closure.setflags(write=False)
+        return closure
+
+    @cached_property
+    def _dp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``_order_dp`` of the majority digraph, run at most once."""
+        return _order_dp(self.majority, self._closure)
 
     @cached_property
     def _fixed(self) -> np.ndarray:
         """Strict partial order of the pairs ordered identically in every optimal order."""
-        adj = self.majority
-        closure = _transitive_closure(adj)
+        adj, closure = self.majority, self._closure
         on_cycle = closure.diagonal()
         if not on_cycle.any():
             return closure
@@ -110,7 +118,7 @@ class MetaComparison:
                 f"majority digraph over {len(adj)} candidates is cyclic (e.g. {' > '.join(names)}); "
                 f"exact search handles at most {SUBSET_SOLVER_LIMIT}"
             )
-        realized = _realized_pairs(self)
+        realized = self._dp[3]
         return realized & ~realized.T
 
 
@@ -175,7 +183,7 @@ def _transitive_closure(adj: np.ndarray) -> np.ndarray:
     return closure
 
 
-def _order_dp(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+def _order_dp(adj: np.ndarray, closure: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimum-inversion linear orders against a digraph, by subset DP.
 
     A state is the bitmask S of still-unplaced candidates; placing x first
@@ -191,75 +199,63 @@ def _order_dp(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list
     lemma holds in each state too: x may go first in S only if no member
     of S beats x across an SCC boundary.
 
-    The states are enumerated from the full set down, layer by layer, and
-    the tables are filled forward in popcount order, a block of states of
-    one popcount at a time, each block at once over states x candidates:
-    ``cost[S]`` is the fewest inversions of any order of S, ``count[S]``
-    the number of orders of S reaching it, and ``choice[S]`` the mask of
-    candidates that may go first.  The tables are indexed by state; the
-    entries of states never visited stay 0.  Also returns the blocks, in
-    the order they were filled.
+    The forward pass fills the states from the full set down, pulling each
+    S from its parents S | x: ``cost[S]`` is the fewest inversions of any
+    prefix that leaves S unplaced, ``count[S]`` the number of such prefixes
+    (at most (n - |S|)! <= 20! < 2**63; 0 at the states never visited), and
+    ``entry[S]`` the mask of the x whose placement first in S | x reaches S
+    at that cost, so ``cost[0]`` is the minimum distance and ``count[0]``
+    the number of optimal orders.  The backward pass climbs from the empty
+    state, clears ``entry`` where no optimal order passes, and collects
+    ``realized[u, v]``: some optimal order places u before v.  Then x may go
+    first in S on an optimal order iff ``entry[S ^ 1 << x]`` holds x, all
+    that a table of first choices would say.  Each pass marks a layer's
+    states in one boolean table and works them in blocks of at most
+    ``_DP_BLOCK`` states, at once over states x candidates.
     """
     n = len(adj)
     if n > SUBSET_SOLVER_LIMIT:
         raise SizeLimitError(f"exact order search is capped at {SUBSET_SOLVER_LIMIT} candidates, got {n}")
-    # count[S] <= |S|! and 20! < 2**63 <= 21!, so int64 counts are exact up to the cap
     bits = np.int32(1) << np.arange(n, dtype=np.int32)
-    closure = _transitive_closure(adj)
     cross = adj & ~(closure & closure.T)  # the arcs between SCCs
     cross_pred = np.bitwise_or.reduce(np.where(cross, bits[:, None], 0), axis=0)  # who beats x across SCCs
-
-    def movable(block: np.ndarray) -> np.ndarray:
-        """movable[s, x]: x may go first in state block[s] (by the lemma)."""
-        return ((block[:, None] & bits) != 0) & ((block[:, None] & cross_pred) == 0)
-
-    layers = [[np.array([(1 << n) - 1], dtype=np.int32)]]  # blocks of the visited states by popcount, fullest first
-    for _ in range(n - 1):
-        children = np.concatenate([(b[:, None] ^ bits)[movable(b)] for b in layers[-1]])
-        children.sort()  # then drop repeats: numpy 2's hashing np.unique is several times slower here
-        layer = children[np.append(True, children[1:] != children[:-1])]
-        layers.append(np.array_split(layer, -(-len(layer) // _DP_BLOCK)))
-    blocks = [block for layer in reversed(layers) for block in layer]
     beaten_by = adj.astype(np.float32)
-    cost = np.zeros(1 << n, dtype=np.int32)
+    full = (1 << n) - 1
+    cost = np.full(1 << n, n * n, dtype=np.int32)  # n * n, above every order's inversions, until filled
     count = np.zeros(1 << n, dtype=np.int64)
-    choice = np.zeros(1 << n, dtype=np.int32)
-    count[0] = 1
-    for block in blocks:
+    entry = np.zeros(1 << n, dtype=np.int32)
+    marked = np.zeros(1 << n, dtype=bool)  # the next layer's states
+    reached = np.zeros(1 << n, dtype=bool)  # the states that optimal orders pass through
+
+    def layer_blocks(layers: int) -> Iterator[np.ndarray]:
+        """Per layer, yield the marked states in blocks, then unmark them and the marks blocks left on themselves."""
+        for _ in range(layers):
+            layer = np.flatnonzero(marked)
+            yield from np.split(layer, range(_DP_BLOCK, len(layer), _DP_BLOCK))
+            marked[layer] = False
+
+    cost[full], count[full] = 0, 1
+    marked[full ^ bits[cross_pred == 0]] = True
+    for block in layer_blocks(n):
         inside = (block[:, None] & bits) != 0
-        rest = block[:, None] ^ bits
+        blocked = (block[:, None] & cross_pred) != 0  # x may not go first in S | x, by the lemma
+        parent = block[:, None] | bits  # S itself for x in S, not filled yet
         # inside @ beaten_by counts, per candidate x, the members of S that beat x (small exact integers)
-        value = (inside @ beaten_by).astype(np.int32) + cost[rest]
-        value[~movable(block)] = np.iinfo(np.int32).max
-        best = value.min(axis=1)
+        value = np.where(blocked, n * n, (inside @ beaten_by).astype(np.int32) + cost[parent])
+        cost[block] = best = value.min(axis=1)
         optimal = value == best[:, None]
-        cost[block] = best
-        count[block] = np.where(optimal, count[rest], 0).sum(axis=1)
-        choice[block] = np.where(optimal, bits, 0).sum(axis=1)
-    return cost, count, choice, blocks
-
-
-def _realized_pairs(mc: MetaComparison) -> np.ndarray:
-    """realized[u, v] is True iff some optimal order places u before v.
-
-    One backward pass over the comparison's cached DP tables marks the
-    states that optimal orders pass through; u precedes v in one of them
-    iff u may go first in a marked state that still holds v.
-    """
-    n = len(mc.candidates)
-    _, _, choice, blocks = mc._dp
-    bits = np.int32(1) << np.arange(n, dtype=np.int32)
-    reached = np.zeros(1 << n, dtype=bool)
-    reached[-1] = True
-    first_in = np.zeros(n, dtype=np.int32)  # first_in[u]: union of marked states where u may go first
-    for block in reversed(blocks):
-        marked = block[reached[block]]
-        may_go_first = (choice[marked][:, None] & bits) != 0
-        reached[(marked[:, None] ^ bits)[may_go_first]] = True
-        first_in |= np.bitwise_or.reduce(np.where(may_go_first, marked[:, None], 0), axis=0)
-    realized = (first_in[:, None] & bits) != 0
-    np.fill_diagonal(realized, False)
-    return realized
+        count[block] = np.einsum("ij,ij->i", count[parent], optimal)  # the optimal parents' counts, summed
+        entry[block] = optimal @ bits
+        marked[block[:, None] ^ bits * (inside & ~blocked)] = True  # S itself for a move not made: one scatter
+    first_in = np.zeros(n, dtype=np.int32)  # first_in[u]: union of the states u's optimal placements leave
+    marked[0] = True
+    for block in layer_blocks(n + 1):
+        reached[block] = True
+        first = entry[block][:, None] & bits  # bit x where x goes first in S | x on an optimal order
+        first_in |= np.bitwise_or.reduce(np.where(first != 0, block[:, None], 0), axis=0)
+        marked[block[:, None] | first] = True
+    entry *= reached
+    return cost, count, entry, (first_in[:, None] & bits) != 0
 
 
 def closest_weak_order(mc: MetaComparison) -> Ranking:
@@ -296,21 +292,21 @@ def closest_weak_order(mc: MetaComparison) -> Ranking:
 def optimal_order_count(mc: MetaComparison) -> int:
     """Number of linear orders at minimal Kendall distance from the majority digraph."""
     _, count, _, _ = mc._dp
-    return int(count[-1])
+    return int(count[0])
 
 
 def optimal_linear_orders(mc: MetaComparison, cap: int = 10 ** 6) -> list[tuple[str, ...]]:
     """All minimum-distance linear orders, best candidate first (capped enumeration)."""
-    _, count, choice, _ = mc._dp
-    if count[-1] > cap:
+    _, count, entry, _ = mc._dp
+    if count[0] > cap:
         raise SizeLimitError(f"more than {cap} optimal orders")
-    orders: list[tuple[tuple[int, ...], int]] = [((), len(choice) - 1)]
+    orders: list[tuple[tuple[int, ...], int]] = [((), len(entry) - 1)]
     for _ in mc.candidates:
         orders = [
-            (prefix + (x,), state & ~(1 << x))
+            (prefix + (x,), state ^ 1 << x)
             for prefix, state in orders
             for x in range(len(mc.candidates))
-            if choice[state] >> x & 1
+            if state >> x & 1 and entry[state ^ 1 << x] >> x & 1
         ]
     return [tuple(mc.candidates[i] for i in prefix) for prefix, _ in orders]
 
@@ -318,4 +314,4 @@ def optimal_linear_orders(mc: MetaComparison, cap: int = 10 ** 6) -> list[tuple[
 def minimum_distance(mc: MetaComparison) -> int:
     """Minimal number of majority pairs any candidate linear order must invert."""
     cost, _, _, _ = mc._dp
-    return int(cost[-1])
+    return int(cost[0])

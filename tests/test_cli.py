@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from majorityrank import COMPETITION, DENSE, AlternativeSet, Ranking, build_majority, bundled_fixtures_dir
 from majorityrank import io as mio
-from majorityrank import cli, correlation, majority, solutions
+from majorityrank import cli, correlation, majority, metarank, solutions
 from majorityrank.cli import METHODS, main
 from majorityrank.core import SCHEMES, from_ranks
 from majorityrank.errors import DegenerateRankingError, SingletonLeagueError, SizeLimitError
@@ -666,18 +666,26 @@ TWO_CRITERIA = "country,A,B\na,1,2\nb,2,1\nc,3,3\n"
     (["rank", "t.csv", "--weights", "w.cfg", "--method", "markovian"],
      {"t.csv": "country,A,B\n" + "".join(f"c{i},1,1\n" for i in range(2049))}, "t.csv",
      "the exact stationary solve is capped at 2048 league members, got 2049"),
+    (["metarank", "t.csv", "--weights", "w.cfg", "--emit-dot", "m.dot"],
+     {"t.csv": "country,K0,K1,K2,K3,K4\nc0,2,1,2,3,1\nc1,1,2,1,2,2\nc2,3,2,2,1,1\n",
+      "w.cfg": "".join(f"K{c} = 1\n" for c in range(5))}, "t.csv",
+     "majority digraph over 5 candidates is cyclic (e.g. K0 > K1 > K3 > K4 > K0); exact search handles at most 2"),
 ], ids=["rank-past-float-range", "one-ranking", "one-row-correlate", "one-row-metarank", "tied-column-correlate",
         "tied-candidate-column", "tied-criterion-column", "cip-index-overflow", "census-cap-correlate",
-        "census-cap-metarank", "markov-league-cap"])
+        "census-cap-metarank", "markov-league-cap", "cyclic-meta-cap"])
 def test_errors_the_library_finds_name_the_file_and_column(tmp_path, capsys, monkeypatch, argv, tables, at_fault,
                                                            problem):
-    # a census cap of 3 alternatives, which only the census-cap rows' four-row tables exceed
+    # a census cap of 3 alternatives, which only the census-cap rows' four-row tables exceed, and a subset
+    # solver cap of 2 candidates, which only the cyclic-meta-cap row's five criteria exceed
     monkeypatch.setattr(correlation, "_CENSUS_MAX_SIZE", 3)
-    for name, text in {"w.cfg": "A = 1\nB = 1\n", **tables}.items():
+    monkeypatch.setattr(metarank, "SUBSET_SOLVER_LIMIT", 2)
+    inputs = {"w.cfg": "A = 1\nB = 1\n", **tables}
+    for name, text in inputs.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     argv = [str(tmp_path / arg) if "." in arg else arg for arg in argv]
     assert run_main(*argv) == (2, "")
     assert capsys.readouterr().err == f"error: {tmp_path / at_fault}: {problem}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(inputs)  # no output file, no --emit-dot
 
 
 FUZZ_CASES = 30  # seeded mutations per command

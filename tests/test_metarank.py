@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from majorityrank import (
     MetaComparison,
     Ranking,
     SizeLimitError,
+    bundled_fixtures_dir,
     closest_weak_order,
     correlation_vector,
     from_scores,
@@ -27,8 +29,8 @@ from majorityrank import (
 )
 from conftest import order_ranking
 from majorityrank import correlation, metarank
+from majorityrank import io as mio
 from majorityrank.correlation import MEASURES
-from majorityrank.metarank import _order_dp, _realized_pairs
 from oracles import brute_minimum, naive_meta_wins, random_ranking
 
 
@@ -354,7 +356,7 @@ def assert_solver_matches_exhaustive_search(names, edges) -> int:
     assert optimal_order_count(comparison) == len(expected_orders)
     assert optimal_linear_orders(comparison) == expected_orders
     realized = {(a, b) for order in expected_orders for k, a in enumerate(order) for b in order[k + 1:]}
-    dp_realized = _realized_pairs(comparison)
+    _, _, _, dp_realized = comparison._dp
     assert {(names[i], names[j]) for i, j in zip(*np.nonzero(dp_realized))} == realized
     # the weak order: blocks are the incomparability components of the
     # pairs fixed in every optimal order, ranked by competition numbering
@@ -408,7 +410,7 @@ def test_subset_solver_matches_exhaustive_search_on_planted_components():
                 elif rng.random() < 0.8:
                     edges.append((a, b) if block[a] < block[b] else (b, a))
         cyclic += assert_solver_matches_exhaustive_search(names, edges) > 0
-        visited = sum(map(len, _order_dp(make_comparison(names, edges).majority)[3]))
+        visited = np.count_nonzero(make_comparison(names, edges)._dp[1]) - 1  # the filled states but the empty one
         restricted += visited < 2 ** n - 1
     assert cyclic > 15 and restricted > 100
 
@@ -417,21 +419,29 @@ def test_subset_solver_visits_only_states_of_the_condensation():
     # a chain fixes every order: one state per popcount, not 2**20 - 1
     names = [f"r{i}" for i in range(20)]
     chain = make_comparison(names, list(zip(names, names[1:])))
-    cost, count, _, blocks = _order_dp(chain.majority)
-    assert sum(map(len, blocks)) == 20
-    assert cost[-1] == 0 and count[-1] == 1
+    cost, count, _, _ = chain._dp
+    assert np.count_nonzero(count) - 1 == 20
+    assert cost[0] == 0 and count[0] == 1
 
 
 def test_edgeless_twenty_candidates_count_every_order():
     # every one of the 20! orders is optimal: the largest count the int64 DP holds
     comparison = make_comparison([f"r{i}" for i in range(20)], [])
-    assert optimal_order_count(comparison) == math.factorial(20)
+    tracemalloc.start()
+    try:
+        assert optimal_order_count(comparison) == math.factorial(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 18 MiB of tables over the 2**20 states, plus one layer and one block's temporaries: unblocked
+    # temporaries, or a layer's children sorted and de-duplicated, take more
+    assert peak < 23 * 2 ** 20
     assert minimum_distance(comparison) == 0
     assert set(closest_weak_order(comparison).ranks.values()) == {1}
 
 
 def test_int64_order_counts_are_exact_up_to_the_candidate_cap():
-    # count[S] <= |S|!, so the cap alone keeps every DP count below 2**63
+    # count[S] <= (n - |S|)!, so the cap alone keeps every DP count below 2**63
     assert math.factorial(metarank.SUBSET_SOLVER_LIMIT) < 2 ** 63 <= math.factorial(metarank.SUBSET_SOLVER_LIMIT + 1)
 
 
@@ -489,21 +499,65 @@ def test_acyclic_digraph_above_the_cap():
             query(comparison)
 
 
-def counted_order_dp(monkeypatch) -> list[int]:
-    """Replace metarank._order_dp by a wrapper that records each call's digraph size."""
+def assert_meta_ranking_is_neutral(candidates, criteria, rng) -> int:
+    """Permuting the candidates permutes wins, the weak order (compared by name) and the realized pairs, and
+    keeps the optimal-order count and the minimum distance; permuting the criteria changes nothing.  Returns
+    the number of cyclic comparisons, at most one per measure."""
+    names = list(candidates)
+    order = rng.sample(range(len(names)), len(names))
+    shuffled = {names[i]: candidates[names[i]] for i in order}
+    cyclic = 0
+    for measure in MEASURES:
+        given = rankings_majority(candidates, criteria, measure)
+        permuted = rankings_majority(shuffled, criteria, measure)
+        reordered = rankings_majority(candidates, rng.sample(criteria, len(criteria)), measure)
+        assert permuted.candidates == tuple(shuffled)
+        assert np.array_equal(permuted.wins, given.wins[np.ix_(order, order)])
+        assert np.array_equal(reordered.wins, given.wins)
+        for comparison in (permuted, reordered):
+            assert closest_weak_order(comparison).ranks == closest_weak_order(given).ranks
+            assert optimal_order_count(comparison) == optimal_order_count(given)
+            assert minimum_distance(comparison) == minimum_distance(given)
+        assert np.array_equal(permuted._dp[3], given._dp[3][np.ix_(order, order)])  # the realized pairs
+        cyclic += minimum_distance(given) > 0
+    return cyclic
+
+
+def test_meta_ranking_is_neutral_on_random_tied_profiles():
+    rng = random.Random(3200)
+    cyclic = 0
+    for _ in range(40):
+        alternatives = AlternativeSet(tuple(f"a{i}" for i in range(rng.randint(4, 14))))
+        rankings = [nondegenerate_ranking(rng, alternatives) for _ in range(rng.randint(6, 13))]
+        criteria = [Criterion(f"c{i}", rng.randint(1, 3), ranking) for i, ranking in enumerate(rankings[:5])]
+        candidates = {c.name: c.ranking for c in criteria} | {f"x{i}": r for i, r in enumerate(rankings[5:])}
+        cyclic += assert_meta_ranking_is_neutral(candidates, criteria, rng)
+    assert cyclic > 20
+
+
+def test_meta_ranking_is_neutral_on_the_study():
+    criteria_csv = bundled_fixtures_dir() / "table6_criteria.csv"
+    alternatives, candidates, profile = mio.load_profile(criteria_csv)
+    candidates |= mio.load_aligned_ranks(bundled_fixtures_dir() / "table6_aggregates.csv", criteria_csv, alternatives)
+    assert assert_meta_ranking_is_neutral(candidates, list(profile.criteria), random.Random(32)) == 0  # acyclic
+
+
+def counted_calls(monkeypatch, name) -> list[int]:
+    """Replace the function ``metarank.<name>`` by a wrapper that records each call's digraph size."""
     calls = []
 
-    def counted(adj):
+    def counted(adj, *args):
         calls.append(len(adj))
-        return order_dp(adj)
+        return function(adj, *args)
 
-    order_dp = metarank._order_dp
-    monkeypatch.setattr(metarank, "_order_dp", counted)
+    function = getattr(metarank, name)
+    monkeypatch.setattr(metarank, name, counted)
     return calls
 
 
 def test_one_subset_dp_per_comparison(monkeypatch):
-    calls = counted_order_dp(monkeypatch)
+    # and one transitive closure, which the fixed pairs and the DP share
+    calls, closures = counted_calls(monkeypatch, "_order_dp"), counted_calls(monkeypatch, "_transitive_closure")
     comparison = make_comparison(
         ["a", "b", "c", "d"],
         [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("b", "d"), ("c", "d")],
@@ -513,11 +567,17 @@ def test_one_subset_dp_per_comparison(monkeypatch):
         assert optimal_order_count(comparison) == 3
         assert len(optimal_linear_orders(comparison)) == 3
         assert minimum_distance(comparison) == 1
-    assert calls == [4]
+    assert calls == closures == [4]
 
 
 def test_reproduce_runs_the_subset_dp_once(monkeypatch):
     # both study meta digraphs are acyclic: only the coinciding order count needs the DP
-    calls = counted_order_dp(monkeypatch)
+    calls = counted_calls(monkeypatch, "_order_dp")
     assert run_reproduce().passed
     assert calls == [15]
+
+
+def test_reproduce_computes_one_closure_per_measure(monkeypatch):
+    calls = counted_calls(monkeypatch, "_transitive_closure")
+    assert run_reproduce().passed
+    assert calls == [15, 15]
