@@ -27,13 +27,13 @@ because every step's Gram entry is an integer below 2**24 (``_sign_gram``),
 and the joint keys stay below m**2 in int64 (``_joint_ties``); the census
 is exact for m <= 77,936 (``_census``).
 
-Which rankings a census refuses is decided here alone.  The front door
-``_named_census`` rejects a repeated name and an unknown measure; ``_census``
-needs one alternative set of 2 <= m <= 77,936 and, for tau-b, no ranking
-that ties every pair (all its dense levels 0, checked before any Gram work;
-a lone candidate of ``rankings_majority`` compares nothing and is exempt).
-Each error names the first ranking at fault, candidates before criteria, in
-its text and as ``InputError.ranking`` (r1 and r2 for the two-ranking helpers).
+A census holds names and counts and no measure; each measure reads it.  What
+is refused is decided here alone.  ``_named_census`` rejects a repeated name
+and an unknown measure before any census work; ``_census`` refuses what no
+measure reads, mixed alternative sets or m outside 2..77,936; the tau-b read
+refuses a ranking that ties every pair, n1 = N on ``ties_first``'s diagonal
+(O(R)).  Each error names the first ranking at fault, candidates before
+criteria, in its text and as ``InputError.ranking`` (r1/r2 for two rankings).
 """
 
 from __future__ import annotations
@@ -142,8 +142,27 @@ def _joint_ties(levels: np.ndarray) -> np.ndarray:
     return ties
 
 
-def _census(names: Sequence[str], rankings: Sequence[Ranking], tau_b: bool = False) -> tuple[np.ndarray, ...]:
-    """Pair census of every two of R named rankings: six R x R int64 arrays in ``PairStats`` field order.
+@dataclass(frozen=True)
+class _PairCensus:
+    """Pair census of every two of R named rankings: their names and six R x R int64 arrays in ``PairStats`` order."""
+
+    names: tuple[str, ...]
+    counts: tuple[np.ndarray, ...]
+
+    def values(self, measure: str) -> np.ndarray:
+        """The measure's value in every cell.  Under tau-b, DegenerateRankingError names the first flat ranking."""
+        total, concordant, discordant, ties_first, ties_second, ties_both = self.counts
+        if measure == COINCIDING:
+            return 100.0 * (concordant + ties_both) / total
+        flat = ties_first.diagonal() == total.diagonal()  # a ranking ties every pair exactly when its n1 is N
+        if flat.any():
+            name = self.names[int(np.argmax(flat))]
+            raise DegenerateRankingError(f"tau-b is undefined: ranking {name!r} ties every pair", name)
+        return (concordant - discordant) / np.sqrt(((total - ties_first) * (total - ties_second)).astype(np.float64))
+
+
+def _census(names: Sequence[str], rankings: Sequence[Ranking]) -> _PairCensus:
+    """Pair census of every two of R named rankings, in the order given.
 
     Each ranking is relabelled by its dense levels 0..L-1, below m however
     large the ranks.  Only the U distinct level rows (one per weak order)
@@ -153,7 +172,6 @@ def _census(names: Sequence[str], rankings: Sequence[Ranking], tau_b: bool = Fal
     Exactness bounds: those of ``_sign_gram`` and ``_joint_ties``; the
     tau-b normaliser is at most N**2, which int64 holds for
     m <= ``_CENSUS_MAX_SIZE`` (77,936), above which SizeLimitError is raised.
-    With ``tau_b``, a ranking that ties every pair raises DegenerateRankingError.
     """
     first = rankings[0].alternatives.items
     for name, ranking in zip(names, rankings):
@@ -166,10 +184,6 @@ def _census(names: Sequence[str], rankings: Sequence[Ranking], tau_b: bool = Fal
         raise SizeLimitError(f"the pair census supports at most {_CENSUS_MAX_SIZE} alternatives, got {m} in ranking "
                              f"{name!r}", name)
     levels = _levels(np.array([ranking.rank_vector() for ranking in rankings]))
-    flat = ~levels.any(axis=1)  # a ranking ties every pair exactly when all its levels are 0
-    if tau_b and flat.any():
-        name = names[int(np.argmax(flat))]
-        raise DegenerateRankingError(f"tau-b is undefined: ranking {name!r} ties every pair", name)
     # rankings of one weak order share their levels and every count: census each order once
     index: dict[bytes, int] = {}
     inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in levels])
@@ -180,19 +194,18 @@ def _census(names: Sequence[str], rankings: Sequence[Ranking], tau_b: bool = Fal
     tied = tie_gram.diagonal()  # pairs each ranking ties
     untied = total - tied[:, None] - tied + tie_gram
     ties_first = tied.repeat(len(tied)).reshape(tie_gram.shape)
-    return (
+    return _PairCensus(tuple(names), (
         np.full(tie_gram.shape, total, dtype=np.int64),
         (untied + sign_gram) // 2,
         (untied - sign_gram) // 2,
         ties_first,
         ties_first.T,
         tie_gram,
-    )
+    ))
 
 
-def _named_census(rankings: NamedRankings, measure: str, criteria: Sequence[Criterion] = (),
-                  tau_b: bool = True) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
-    """Names and ``_census`` of ``rankings`` then criteria (tau-b held if ``tau_b``), after name and measure checks."""
+def _named_census(rankings: NamedRankings, measure: str, criteria: Sequence[Criterion] = ()) -> _PairCensus:
+    """``_census`` of ``rankings`` then criteria, after the name and measure checks."""
     pairs = list(rankings.items()) if isinstance(rankings, Mapping) else list(rankings)
     names = tuple(name for name, _ in pairs)
     if len(set(names)) != len(names):
@@ -200,21 +213,12 @@ def _named_census(rankings: NamedRankings, measure: str, criteria: Sequence[Crit
         raise InputError(f"ranking names must be unique: {name!r} is repeated", name)
     if measure not in MEASURES:
         raise InputError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return names, _census([*names, *(c.name for c in criteria)],
-                          [*(r for _, r in pairs), *(c.ranking for c in criteria)], tau_b and measure == TAU_B)
-
-
-def _measure_values(census: Sequence[np.ndarray], measure: str) -> np.ndarray:
-    """The measure's value in every cell of census count arrays whose rankings each order some pair."""
-    total, concordant, discordant, ties_first, ties_second, ties_both = census
-    if measure == TAU_B:
-        return (concordant - discordant) / np.sqrt(((total - ties_first) * (total - ties_second)).astype(np.float64))
-    return 100.0 * (concordant + ties_both) / total
+    return _census([*names, *(c.name for c in criteria)], [*(r for _, r in pairs), *(c.ranking for c in criteria)])
 
 
 def pair_stats(r1: Ranking, r2: Ranking) -> PairStats:
     """Count concordant, inverted and tied pairs of two rankings (the census of two)."""
-    return PairStats(*(int(counts[0, 1]) for counts in _census(("r1", "r2"), (r1, r2))))
+    return PairStats(*(int(counts[0, 1]) for counts in _census(("r1", "r2"), (r1, r2)).counts))
 
 
 def kendall_tau_b(r1: Ranking, r2: Ranking) -> float:
@@ -224,12 +228,12 @@ def kendall_tau_b(r1: Ranking, r2: Ranking) -> float:
         DegenerateRankingError: if either ranking ties every pair, which
             zeroes the normaliser and leaves the value undefined (named r1 or r2).
     """
-    return float(_measure_values(_census(("r1", "r2"), (r1, r2), tau_b=True), TAU_B)[0, 1])
+    return float(_census(("r1", "r2"), (r1, r2)).values(TAU_B)[0, 1])
 
 
 def coinciding_share(r1: Ranking, r2: Ranking) -> float:
     """Percentage of pairs ordered identically (mirrored ties included)."""
-    return float(_measure_values(_census(("r1", "r2"), (r1, r2)), COINCIDING)[0, 1])
+    return float(_census(("r1", "r2"), (r1, r2)).values(COINCIDING)[0, 1])
 
 
 _MEASURE_DIAGONAL = {TAU_B: 1.0, COINCIDING: 100.0}
@@ -256,12 +260,12 @@ def correlation_matrix(rankings: NamedRankings, measure: str = TAU_B) -> Correla
     100 for the coinciding share).
 
     Raises:
-        InputError: fewer than two rankings, or what the census refuses, naming the ranking at fault
-            (module docstring): under tau-b, a ranking that ties every pair.
+        InputError: fewer than two rankings, or what the census or the tau-b read refuses, naming the
+            ranking at fault (module docstring): under tau-b, a ranking that ties every pair.
     """
     if len(rankings) < 2:
         raise InputError("a correlation matrix needs at least two rankings")
-    labels, census = _named_census(rankings, measure)
-    values = _measure_values(census, measure)
+    census = _named_census(rankings, measure)
+    values = census.values(measure)
     np.fill_diagonal(values, _MEASURE_DIAGONAL[measure])
-    return CorrelationMatrix(labels=labels, values=values, measure=measure)
+    return CorrelationMatrix(labels=census.names, values=values, measure=measure)

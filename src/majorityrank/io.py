@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import sys
 import time
 import warnings
@@ -44,7 +45,7 @@ import numpy as np
 from .cip import INDICATORS, IndicatorRecord, cip_index
 from .copeland import copeland_ranking
 from .core import DENSE, MAX_RANK, MAX_TOTAL_WEIGHT, AlternativeSet, Criterion, Profile, Ranking
-from .correlation import COINCIDING, TAU_B, correlation_matrix, kendall_tau_b
+from .correlation import COINCIDING, TAU_B, _census
 from .errors import InputError
 from .majority import _CYCLE_LENGTHS, build_majority, cycle_counts
 from .markovian import markovian_ranking
@@ -81,10 +82,10 @@ def bundled_fixtures_dir() -> Path:
 
 
 def _read_text(path: Path) -> str:
-    """The whole file decoded as UTF-8, or an InputError naming the line that is not."""
+    """The whole file decoded as UTF-8, less one leading byte-order mark, or an InputError naming the line that is not."""
     data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")  # 'utf-8-sig' would report a bad byte 3 bytes early
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}: line {line} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
@@ -136,44 +137,39 @@ class WeightsConfig:
 def load_weights(path: str | Path) -> WeightsConfig:
     """Parse a ``name = weight`` config file.
 
-    A line whose first non-blank character is '#' is a comment, and so is a
-    '#' and what follows it in a weight; a criterion name may contain '#'.
-    A weight is ASCII text without '_' (so an optional sign and digits), and
-    the weights may total at most ``MAX_TOTAL_WEIGHT``.
+    A line whose first non-blank character is '#' is a comment, and so is a '#' and what follows it in a
+    weight.  A weight is ASCII text without '_' (so an optional sign and digits), and the weights may total at
+    most ``MAX_TOTAL_WEIGHT``.  A criterion name may contain '#' and '=': a line splits at the first '=' whose
+    right-hand side, cut at its first '#', is a weight, else at its first '=' (and its weight is refused).
     """
     path = Path(path)
-    names: list[str] = []
     weights: dict[str, int] = {}
     total = 0
     for line_number, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        cuts = [(line[:k].strip(), line[k + 1:].split("#", 1)[0].strip()) for k, c in enumerate(line) if c == "="]
+        if not cuts:
             raise InputError(f"{path}: line {line_number}: expected 'name = weight'")
-        name, _, value = line.partition("=")
-        name = name.strip()
-        value = value.split("#", 1)[0].strip()
+        weighed = [cut for cut in cuts if re.fullmatch("[+-]?[0-9]+", cut[1])]  # int() also reads '1_0' and non-ASCII digits
+        name, value = (weighed or cuts)[0]
         if not name:
             raise InputError(f"{path}: line {line_number}: empty criterion name")
         if name in weights:
             raise InputError(f"{path}: line {line_number}: duplicate criterion {name!r}")
-        try:
-            if not value.isascii() or "_" in value:  # int() also reads '1_0' and non-ASCII digits
-                raise ValueError(value)
-            weight = int(value)
-        except ValueError:
-            raise InputError(f"{path}: line {line_number}: weight {value!r} is not an integer") from None
+        if not weighed:
+            raise InputError(f"{path}: line {line_number}: weight {value!r} is not an integer")
+        weight = int(value)
         if weight < 1:
             raise InputError(f"{path}: line {line_number}: weight must be positive, got {weight}")
         total += weight
         if total > MAX_TOTAL_WEIGHT:
             raise InputError(f"{path}: line {line_number}: total weight {total} exceeds {MAX_TOTAL_WEIGHT}")
-        names.append(name)
         weights[name] = weight
-    if not names:
+    if not weights:
         raise InputError(f"{path}: no weights found")
-    return WeightsConfig(names=tuple(names), weights=weights)
+    return WeightsConfig(names=tuple(weights), weights=weights)
 
 
 def build_profile(
@@ -551,11 +547,16 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     counts = cycle_counts(structure)
     checks = [_count_check(f"cycle count k={k}", expected, counts[k]) for k, expected in reference_cycles.items()]
 
-    # aggregate rankings against the published columns
+    # aggregate rankings against the published columns; one census of the candidates, then the published
+    # aggregate columns, serves every correlation check
     computed_aggregates = {column: rank(structure, DENSE) for column, rank in AGGREGATES.values() if column}
-    for name, computed in computed_aggregates.items():
+    candidates: dict[str, Ranking] = {**criteria_rankings, "CIP": published_aggregates["CIP"], **computed_aggregates}
+    names = [*candidates, *AGGREGATE_METHODS]
+    census = _census(names, [*candidates.values(), *(published_aggregates[name] for name in AGGREGATE_METHODS)])
+    values = {measure: census.values(measure) for measure in (TAU_B, COINCIDING)}
+    for column, (name, computed) in enumerate(computed_aggregates.items(), start=len(candidates)):
         published = published_aggregates[name]
-        tau = kendall_tau_b(computed, published)
+        tau = float(values[TAU_B][names.index(name), column])
         checks.append(_bound_check(f"{name} vs published (tau-b >= 0.99)", tau, ">=0.990"))
         checks.append(_count_check(f"{name} distinct positions (+/-2)", published.distinct_positions(),
                                    computed.distinct_positions(), slack=2))
@@ -569,16 +570,11 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
         ))
 
     # correlation matrices: criteria block at the tight tolerance, full matrix looser
-    candidates: dict[str, Ranking] = dict(criteria_rankings)
-    candidates["CIP"] = published_aggregates["CIP"]
-    candidates.update(computed_aggregates)
-    tolerance = {TAU_B: (0.001, 0.005), COINCIDING: (0.01, 0.05)}
-    for measure in (TAU_B, COINCIDING):
+    n_criteria = len(criteria_rankings)
+    for measure, (tight, loose) in ((TAU_B, (0.001, 0.005)), (COINCIDING, (0.01, 0.05))):
         labels, reference = reference_matrices[measure]
-        matrix = correlation_matrix([(name, candidates[name]) for name in labels], measure)
-        n_criteria = len(criteria_rankings)
-        deviation = np.abs(matrix.values - reference)
-        tight, loose = tolerance[measure]
+        index = [names.index(label) for label in labels]
+        deviation = np.abs(values[measure][index][:, index] - reference)
         checks.append(_bound_check(f"{measure} criteria block (+/-{tight})",
                                    float(deviation[:n_criteria, :n_criteria].max()), f"<={tight}"))
         checks.append(_bound_check(f"{measure} full matrix (+/-{loose})", float(deviation.max()), f"<={loose}"))

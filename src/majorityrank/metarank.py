@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import COMPETITION, AlternativeSet, Criterion, Ranking, _levels, _total_weight, from_ranks
-from .correlation import COINCIDING, TAU_B, NamedRankings, _measure_values, _named_census
+from .correlation import COINCIDING, TAU_B, NamedRankings, _named_census
 from .errors import InputError, SizeLimitError
 
 SUBSET_SOLVER_LIMIT = 20
@@ -129,9 +129,8 @@ def correlation_vector(
     name: str = "candidate",
 ) -> CorrelationVector:
     """Correlate one ranking, named ``name`` in errors, with every criterion ranking."""
-    _, counts = _named_census([(name, ranking)], measure, criteria)
-    values = _measure_values([row[0, 1:] for row in counts], measure)
-    components = tuple(zip((c.name for c in criteria), values.tolist()))
+    census = _named_census([(name, ranking)], measure, criteria)
+    components = tuple(zip(census.names[1:], census.values(measure)[0, 1:].tolist()))
     return CorrelationVector(ranking_name=name, components=components)
 
 
@@ -146,18 +145,19 @@ def rankings_majority(
     criterion contributes its vote weight to the side it strictly favours.
 
     Raises:
-        InputError: no criterion or no candidate, or what the census refuses,
-            naming the ranking at fault (``correlation``'s module docstring):
-            under tau-b a candidate or criterion that ties every pair.
+        InputError: no criterion or no candidate, what the census refuses, or (as DegenerateRankingError) under
+            tau-b with two or more candidates a candidate or criterion that ties every pair, naming the first
+            ranking at fault, candidates before criteria (``correlation``'s module docstring).
     """
     if not criteria:
         raise InputError("a meta-comparison needs at least one criterion")
     if not candidates:
         raise InputError("a meta-comparison needs at least one candidate")
     _total_weight(criteria)
-    names, counts = _named_census(candidates, measure, criteria, tau_b=len(candidates) > 1)
-    n = len(names)
-    total, concordant, discordant, ties_first, _, ties_both = (c[:n, n:] for c in counts)
+    census, n = _named_census(candidates, measure, criteria), len(candidates)
+    if measure == TAU_B and n > 1:
+        census.values(TAU_B)  # the tau-b read's refusal; a lone candidate is compared with none
+    total, concordant, discordant, ties_first, _, ties_both = (c[:n, n:] for c in census.counts)
     if measure == COINCIDING:
         keys = concordant + ties_both
     else:
@@ -169,7 +169,7 @@ def rankings_majority(
     levels = _levels(keys.T).T  # each criterion's keys as int levels: comparisons of ints, in key order
     weights = np.array([c.weight for c in criteria], dtype=np.int64)
     wins = (levels[:, None, :] > levels[None, :, :]).astype(np.int64) @ weights
-    return MetaComparison(candidates=names, wins=wins, measure=measure)
+    return MetaComparison(candidates=census.names[:n], wins=wins, measure=measure)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,16 @@ def test_rank_weights_a_criterion_named_with_hash(tmp_path):
     assert list(csv.reader(stdio.StringIO(out))) == [["country", "rank"], ["a", "2"], ["b", "1"]]
 
 
+def test_rank_weights_a_criterion_named_with_equals(tmp_path):
+    table = tmp_path / "e.csv"
+    table.write_text("country,a=b\na,2\nb,1\n", encoding="utf-8")
+    weights = tmp_path / "e.cfg"
+    weights.write_text("a=b = 1  # w=2\n", encoding="utf-8")
+    code, out = run_main("rank", str(table), "--weights", str(weights), "--method", "copeland1")
+    assert code == 0
+    assert list(csv.reader(stdio.StringIO(out))) == [["country", "rank"], ["a", "2"], ["b", "1"]]
+
+
 def test_rank_bundled_copeland2_positions(tmp_path):
     out_path = tmp_path / "ranking.csv"
     code, _ = run_main("rank", CRITERIA_CSV, "--method", "copeland2", "--output", str(out_path))

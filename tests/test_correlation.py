@@ -13,7 +13,10 @@ from majorityrank import (
     Criterion,
     DegenerateRankingError,
     InputError,
+    Profile,
     Ranking,
+    build_majority,
+    bundled_fixtures_dir,
     coinciding_share,
     correlation_matrix,
     correlation_vector,
@@ -24,6 +27,7 @@ from majorityrank import (
 )
 from conftest import order_ranking
 from majorityrank import correlation
+from majorityrank import io as mio
 from majorityrank.core import COMPETITION, from_ranks
 from majorityrank.correlation import _CENSUS_MAX_SIZE, _CENSUS_STEP, MEASURES, _census
 from oracles import naive_pair_stats, random_ranking
@@ -136,7 +140,7 @@ def assert_census_matches_naive_loops(rankings):
     """The census equals the pair loops, and every off-diagonal matrix value is the scalar formula on them."""
     expected = naive_census(rankings)
     named = [(f"r{i}", ranking) for i, ranking in enumerate(rankings)]
-    census = _census([name for name, _ in named], rankings)
+    census = _census([name for name, _ in named], rankings).counts
     for (r, q), counts in expected.items():
         assert tuple(int(c[r, q]) for c in census) == counts, (r, q)
     if len(rankings) < 2:
@@ -203,7 +207,7 @@ def test_census_tie_count_over_several_chunks_of_pairs():
     rng = random.Random(59)
     names = AlternativeSet(tuple(f"c{i}" for i in range(700)))
     rankings = [random_ranking(rng, names, (2, 3, 9, 40, 700)[i % 5]) for i in range(14)]
-    census = _census([f"r{i}" for i in range(len(rankings))], rankings)
+    census = _census([f"r{i}" for i in range(len(rankings))], rankings).counts
     for r, q in combinations_with_replacement(range(len(rankings)), 2):
         assert tuple(int(c[r, q]) for c in census) == dense_pair_stats(rankings[r], rankings[q]), (r, q)
 
@@ -370,3 +374,77 @@ def test_unknown_measure_is_rejected_before_any_census_work(monkeypatch, make):
         make()
     assert str(excinfo.value) == "unknown measure 'kendall'; expected one of ('tau_b', 'coinciding')"
     assert excinfo.value.ranking is None
+
+
+def reversed_ranking(ranking):
+    """The ranking read bottom up: every ordered pair inverted, every tie kept."""
+    ranks = ranking.rank_vector()
+    return Ranking(ranking.alternatives, ranks.max() + 1 - ranks)
+
+
+def assert_census_relations(names, rankings, weights, rng):
+    """The census's metamorphic relations, with the tau-b read's refusal checked on each census it reads."""
+    census = _census(names, rankings)
+    counts, size, m = np.array(census.counts), len(rankings), len(rankings[0].alternatives)
+    flat = [name for name, ranking in zip(names, rankings) if ranking.distinct_positions() == 1]
+
+    def assert_tau_b(census, expected):
+        if not flat:
+            assert np.array_equal(census.values("tau_b"), expected)
+            return
+        with pytest.raises(DegenerateRankingError) as excinfo:
+            census.values("tau_b")
+        assert excinfo.value.ranking == next(name for name in census.names if name in flat)
+
+    tau = None if flat else census.values("tau_b")
+    assert_tau_b(census, tau)
+    flipped = [reversed_ranking(ranking) for ranking in rankings]
+    # reversing every ranking changes no count
+    assert np.array_equal(np.array(_census(names, flipped).counts), counts)
+    # reversing one ranking swaps N+ and N- with every other ranking and keeps every tie count: tau-b negates
+    k = rng.randrange(size)
+    one = _census(names, [*rankings[:k], flipped[k], *rankings[k + 1:]])
+    swap = np.zeros((size, size), dtype=bool)
+    swap[k], swap[:, k], swap[k, k] = True, True, False
+    expected = counts.copy()
+    expected[1][swap], expected[2][swap] = counts[2][swap], counts[1][swap]
+    assert np.array_equal(np.array(one.counts), expected)
+    assert_tau_b(one, None if flat else np.where(swap, -tau, tau))
+    # one permutation of the alternatives, applied to every ranking, changes no count
+    moved = np.array(rng.sample(range(m), m))
+    assert np.array_equal(np.array(_census(names, [Ranking(r.alternatives, r.rank_vector()[moved])
+                                                   for r in rankings]).counts), counts)
+    # permuting the rankings permutes every count array and the names
+    order = rng.sample(range(size), size)
+    permuted = _census([names[i] for i in order], [rankings[i] for i in order])
+    assert permuted.names == tuple(names[i] for i in order)
+    assert np.array_equal(np.array(permuted.counts), counts[:, order][:, :, order])
+    assert_tau_b(permuted, None if flat else tau[order][:, order])
+    # reversing every criterion transposes the majority's beats
+    alternatives = rankings[0].alternatives
+    criteria = [Criterion(name, weight, ranking) for name, weight, ranking in zip(names, weights, rankings)]
+    reversed_criteria = [Criterion(c.name, c.weight, reversed_ranking(c.ranking)) for c in criteria]
+    assert np.array_equal(build_majority(Profile(alternatives, reversed_criteria)).beats,
+                          build_majority(Profile(alternatives, criteria)).beats.T)
+
+
+def test_census_relations_on_random_tied_rankings():
+    rng = random.Random(3300)
+    refused = 0
+    for _ in range(60):
+        alternatives = AlternativeSet(tuple(f"a{i}" for i in range(rng.randint(2, 14))))
+        size = rng.randint(2, 7)
+        rankings = [random_ranking(rng, alternatives, 1 if rng.random() < 0.25 else rng.randint(2, 5))
+                    for _ in range(size)]
+        names = [f"r{i}" for i in range(size)]
+        assert_census_relations(names, rankings, [rng.randint(1, 3) for _ in range(size)], rng)
+        refused += sum(ranking.distinct_positions() == 1 for ranking in rankings) > 1
+    assert refused > 5  # several sets hold two fully tied rankings, so a refusal must pick the first
+
+
+def test_census_relations_on_the_study():
+    criteria_csv = bundled_fixtures_dir() / "table6_criteria.csv"
+    alternatives, rankings, profile = mio.load_profile(criteria_csv)
+    rankings |= mio.load_aligned_ranks(bundled_fixtures_dir() / "table6_aggregates.csv", criteria_csv, alternatives)
+    weights = [c.weight for c in profile.criteria] + [1] * (len(rankings) - len(profile.criteria))
+    assert_census_relations(list(rankings), list(rankings.values()), weights, random.Random(33))

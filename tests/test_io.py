@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import shutil
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from majorityrank import (
     run_reproduce,
     save_ranking,
 )
+from majorityrank import correlation
 from majorityrank import io as mio
 from majorityrank.cli import _MEASURE_DECIMALS
 from majorityrank.io import FIXTURE_FILES
@@ -271,6 +273,22 @@ def test_weights_reject_non_decimal_text(tmp_path, weight):
     assert str(excinfo.value) == f"{path}: line 2: weight {weight!r} is not an integer"
 
 
+@pytest.mark.parametrize("line, weights", [
+    ("a = 2 # w=3", {"a": 2}),
+    ("a=b = 2", {"a=b": 2}),
+    ("a = b = 3  # a name may hold ' = '", {"a = b": 3}),
+], ids=["equals-in-comment", "equals-in-name", "spaced-equals-in-name"])
+def test_weights_split_at_the_first_equals_sign_whose_weight_reads(tmp_path, line, weights):
+    assert dict(load_weights(write(tmp_path, "w.cfg", f"{line}\n")).weights) == weights
+
+
+def test_weight_that_no_equals_sign_reads_is_refused_from_the_first(tmp_path):
+    path = write(tmp_path, "w.cfg", "c = 1\na=b = 1_0\n")
+    with pytest.raises(InputError) as excinfo:
+        load_weights(path)
+    assert str(excinfo.value) == f"{path}: line 2: weight 'b = 1_0' is not an integer"
+
+
 def test_weights_total_is_bounded(tmp_path):
     path = write(tmp_path, "w.cfg", f"# huge\na = {2 ** 62}\nb = {2 ** 62 - 1}\nc = 1\n")
     with pytest.raises(InputError) as excinfo:
@@ -305,6 +323,22 @@ def test_reproduce_passes_on_bundled_fixtures():
     text = report.format_text()
     assert "overall: PASS" in text
     assert "FAIL" not in text.replace("PASS/FAIL", "")
+
+
+def test_reproduce_takes_three_censuses(monkeypatch):
+    # one census of the 15 candidates and the six published aggregate columns serves every correlation
+    # check; each meta-comparison takes one of the 15 candidates and the eight criteria
+    sizes = []
+    census = correlation._census
+
+    def counted(names, rankings):
+        sizes.append(len(names))
+        return census(names, rankings)
+
+    monkeypatch.setattr(correlation, "_census", counted)
+    monkeypatch.setattr(mio, "_census", counted)
+    assert run_reproduce().passed
+    assert sizes == [21, 23, 23]
 
 
 def test_reproduce_missing_fixture_dir(tmp_path):
@@ -371,3 +405,43 @@ def test_loaders_reject_tables_without_the_columns_or_rows_they_need(tmp_path, n
     with pytest.raises(InputError) as excinfo:
         load(path)
     assert str(excinfo.value) == f"{path}: {problem}"
+
+
+BYTE_ORDER_MARK = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_weights, (bundled_fixtures_dir() / "weights.cfg").read_bytes()),
+    (load_ranks, (bundled_fixtures_dir() / "table6_criteria.csv").read_bytes()),
+    (load_indicators, (INDICATOR_HEADER + "A,1,1,0.1,0.1,0.1,0.1,0.1,0.1\n").encode()),
+    (mio._load_reference_meta, (bundled_fixtures_dir() / "table5_meta.csv").read_bytes()),
+], ids=["weights", "ranks", "indicators", "meta"])
+def test_files_saved_with_a_byte_order_mark_load_as_without_it(tmp_path, load, text):
+    # editors save "UTF-8 with BOM" files; the mark is no part of the first name, header or label
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text)
+    marked.write_bytes(BYTE_ORDER_MARK + text)
+    assert load(marked) == load(plain)
+
+
+def test_reproduce_reads_a_meta_table_saved_with_a_byte_order_mark(tmp_path):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(bundled_fixtures_dir(), fixtures)
+    meta = fixtures / "table5_meta.csv"
+    meta.write_bytes(BYTE_ORDER_MARK + meta.read_bytes())
+    assert run_reproduce(fixtures).checks == run_reproduce().checks
+
+
+def test_bad_byte_behind_a_byte_order_mark_is_named_on_its_line(tmp_path):
+    # the bad byte starts line 2; the error names that line, as without the mark, and the byte's offset in the
+    # file, which counts the mark's 3 bytes (decoding with 'utf-8-sig' would name byte 6 on line 1)
+    text = b"a = 1\n\xff = 2\n"
+    errors = []
+    for name, data in (("plain.cfg", text), ("marked.cfg", BYTE_ORDER_MARK + text)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(InputError) as excinfo:
+            load_weights(path)
+        errors.append(str(excinfo.value).removeprefix(f"{path}: "))
+    assert errors == ["line 2 is not UTF-8 text (byte 6: invalid start byte)",
+                      "line 2 is not UTF-8 text (byte 9: invalid start byte)"]

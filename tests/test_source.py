@@ -78,6 +78,19 @@ def test_cli_rederives_no_census_precondition():
     assert not hasattr(cli, "_check_census")
 
 
+def test_no_census_reader_takes_a_tau_b_switch():
+    # the census holds counts and no measure; each measure is a read of it, so no function is told the measure
+    # by a flag
+    found = [
+        f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}"
+        for path in SOURCES if path.name in ("correlation.py", "metarank.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda)
+        and "tau_b" in {arg.arg for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
+    ]
+    assert found == []
+
+
 def test_import_loads_only_the_standard_library_and_numpy():
     # a fresh interpreter's set-up pays for every module the import pulls in; scipy or hypothesis there would
     # cost every command its load time
