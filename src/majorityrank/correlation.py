@@ -27,13 +27,23 @@ because every step's Gram entry is an integer below 2**24 (``_sign_gram``),
 and the joint keys stay below m**2 in int64 (``_joint_ties``); the census
 is exact for m <= 77,936 (``_census``).
 
-A census holds names and counts and no measure; each measure reads it.  What
-is refused is decided here alone.  ``_named_census`` rejects a repeated name
-and an unknown measure before any census work; ``_census`` refuses what no
-measure reads, mixed alternative sets or m outside 2..77,936; the tau-b read
-refuses a ranking that ties every pair, n1 = N on ``ties_first``'s diagonal
-(O(R)).  Each error names the first ranking at fault, candidates before
-criteria, in its text and as ``InputError.ranking`` (r1/r2 for two rankings).
+A census holds names and counts and no measure; each measure reads it, and
+so do the meta-comparison's wins (``_PairCensus.wins``), by exact keys: a
+tie is exact equality of the measure values.  The key is N+ + N0 for the
+coinciding share and, for tau_b = a/sqrt(d) with a = N+ - N- and
+d = (N - n1)(N - n2), the Python integer a|a| * L/(N - n1), with L the least
+common multiple of the candidates' N - n1.  Within one criterion's column
+N - n2 is constant, so that key is a|a|/d times the positive constant
+L (N - n2), and it orders and ties exactly as tau-b does because t -> t|t|
+is strictly increasing.  Each criterion's keys are ranked to int levels
+once, by ``core``'s relabelling, and the comparisons read those.
+
+What is refused is decided here alone.  ``_named_census`` rejects a repeated
+name and an unknown measure before any census work; ``_census`` refuses what
+no measure reads, mixed alternative sets or m outside 2..77,936; the tau-b
+read refuses a ranking that ties every pair, n1 = N on ``ties_first``'s
+diagonal (O(R)).  Each error names the first ranking at fault, candidates
+before criteria, in its text and as ``InputError.ranking`` (r1/r2 of a pair).
 """
 
 from __future__ import annotations
@@ -160,6 +170,19 @@ class _PairCensus:
             raise DegenerateRankingError(f"tau-b is undefined: ranking {name!r} ties every pair", name)
         return (concordant - discordant) / np.sqrt(((total - ties_first) * (total - ties_second)).astype(np.float64))
 
+    def wins(self, n: int, criteria: slice, weights: Sequence[int], measure: str) -> np.ndarray:
+        """wins[i, j] for i, j < n: the weight of the criteria (columns ``criteria``) that favour ranking i over j."""
+        total, concordant, discordant, ties_first, _, ties_both = (counts[:n, criteria] for counts in self.counts)
+        if measure == COINCIDING:
+            keys = concordant + ties_both
+        else:
+            # the key a|a| * L/(N - n1); N - n1 = 0 only for a lone candidate, compared with none
+            untied = np.maximum(total[:, 0] - ties_first[:, 0], 1).tolist()
+            score = (concordant - discordant).astype(object)
+            keys = score * abs(score) * (math.lcm(*untied) // np.array(untied, dtype=object))[:, None]
+        levels = _levels(keys.T).T  # each criterion's keys as int levels: comparisons of ints, in key order
+        return (levels[:, None, :] > levels[None, :, :]).astype(np.int64) @ np.array(weights, dtype=np.int64)
+
 
 def _census(names: Sequence[str], rankings: Sequence[Ranking]) -> _PairCensus:
     """Pair census of every two of R named rankings, in the order given.
@@ -236,9 +259,6 @@ def coinciding_share(r1: Ranking, r2: Ranking) -> float:
     return float(_census(("r1", "r2"), (r1, r2)).values(COINCIDING)[0, 1])
 
 
-_MEASURE_DIAGONAL = {TAU_B: 1.0, COINCIDING: 100.0}
-
-
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Symmetric matrix of pairwise correlation values for named rankings."""
@@ -256,8 +276,8 @@ class CorrelationMatrix:
 def correlation_matrix(rankings: NamedRankings, measure: str = TAU_B) -> CorrelationMatrix:
     """All pairwise correlations of two or more rankings over one alternative set.
 
-    The diagonal is set to the measure's self-correlation (1 for tau-b,
-    100 for the coinciding share).
+    The census reads the diagonal exactly as each ranking's self-correlation: N+ = N - n1 = x and N- = 0 give
+    tau-b x / sqrt(x**2), exactly 1.0 since x < 2**32, and N+ + N0 = N gives the share 100 N / N = 100.0.
 
     Raises:
         InputError: fewer than two rankings, or what the census or the tau-b read refuses, naming the
@@ -266,6 +286,4 @@ def correlation_matrix(rankings: NamedRankings, measure: str = TAU_B) -> Correla
     if len(rankings) < 2:
         raise InputError("a correlation matrix needs at least two rankings")
     census = _named_census(rankings, measure)
-    values = census.values(measure)
-    np.fill_diagonal(values, _MEASURE_DIAGONAL[measure])
-    return CorrelationMatrix(labels=census.names, values=values, measure=measure)
+    return CorrelationMatrix(labels=census.names, values=census.values(measure), measure=measure)

@@ -46,10 +46,10 @@ from .cip import INDICATORS, IndicatorRecord, cip_index
 from .copeland import copeland_ranking
 from .core import DENSE, MAX_RANK, MAX_TOTAL_WEIGHT, AlternativeSet, Criterion, Profile, Ranking
 from .correlation import COINCIDING, TAU_B, _census
-from .errors import InputError
+from .errors import DegenerateRankingError, InputError
 from .majority import _CYCLE_LENGTHS, build_majority, cycle_counts
 from .markovian import markovian_ranking
-from .metarank import closest_weak_order, optimal_order_count, rankings_majority
+from .metarank import MetaComparison, closest_weak_order, optimal_order_count
 from .solutions import MES, UC, WTC, sort_by_solution
 
 FIXTURE_FILES = (
@@ -528,9 +528,15 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     reference_cycles = _load_reference_cycles(_fixture(fixtures, "table1_cycles.csv"))
     aggregates_path = _fixture(fixtures, "table6_aggregates.csv")
     published_aggregates = load_aligned_ranks(aggregates_path, criteria_path, alternatives)
-    for name in ("CIP", *AGGREGATE_METHODS):
-        if name not in published_aggregates:
-            raise InputError(f"{aggregates_path}: no {name} column (row 1)")
+    # refuse, led by its file, a criterion or published column the checks read that is missing or ties every row
+    aggregates = {name: published_aggregates.get(name) for name in ("CIP", *AGGREGATE_METHODS)}
+    for path, columns in ((criteria_path, criteria_rankings), (aggregates_path, aggregates)):
+        for name, ranking in columns.items():
+            if ranking is None:
+                raise InputError(f"{path}: no {name} column (row 1)")
+            if ranking.distinct_positions() == 1 < len(alternatives):
+                raise DegenerateRankingError(f"{path}: tau-b is undefined: column {name!r} ties every row (col {name})",
+                                             name)
     candidate_names = {*criteria_rankings, "CIP", *AGGREGATE_METHODS}
     reference_matrices = {}
     for measure, filename in ((TAU_B, "table3_taub.csv"), (COINCIDING, "table3_r.csv")):
@@ -548,7 +554,7 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     checks = [_count_check(f"cycle count k={k}", expected, counts[k]) for k, expected in reference_cycles.items()]
 
     # aggregate rankings against the published columns; one census of the candidates, then the published
-    # aggregate columns, serves every correlation check
+    # aggregate columns, serves every correlation check and both meta-comparisons
     computed_aggregates = {column: rank(structure, DENSE) for column, rank in AGGREGATES.values() if column}
     candidates: dict[str, Ranking] = {**criteria_rankings, "CIP": published_aggregates["CIP"], **computed_aggregates}
     names = [*candidates, *AGGREGATE_METHODS]
@@ -587,14 +593,11 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
             "candidates under rotated labels; data_column records the candidate each row's "
             "ranks actually belong to, and the checks compare through that mapping."
         )
-    criteria = list(profile.criteria)
+    n, weights = len(candidates), [criterion.weight for criterion in profile.criteria]  # the criteria lead the census
     for measure, pick in ((TAU_B, 0), (COINCIDING, 1)):
-        comparison = rankings_majority(candidates, criteria, measure)
+        comparison = MetaComparison(census.names[:n], census.wins(n, slice(n_criteria), weights, measure), measure)
         weak_order = closest_weak_order(comparison)
-        expected_map = {
-            data_column: (tau_rank, r_rank)[pick]
-            for label, (tau_rank, r_rank, data_column) in reference_meta.items()
-        }
+        expected_map = {data_column: ranks[pick] for *ranks, data_column in reference_meta.values()}
         computed_map = {name: weak_order.ranks[name] for name in weak_order.alternatives}
         mismatches = sorted(name for name in expected_map if expected_map[name] != computed_map[name])
         checks.append(CheckResult(

@@ -4,17 +4,8 @@ Every candidate ranking is scored against each criterion ranking by a
 correlation measure, giving it a correlation vector.  Candidate R1 beats
 R2 when the criteria that correlate strictly better with R1 outweigh (by
 vote weight) those favouring R2; equal components vote for neither side.
-Components are compared by exact keys from one pair census of all
-candidates and criteria, so a tie means exact equality of the measure
-values, never floating-point coincidence: N+ + N0 for the coinciding
-share and, for tau_b = a/sqrt(d) with a = N+ - N- and d = (N - n1)(N - n2),
-the Python integer a|a| * L/(N - n1), with L the least common multiple of
-the candidates' N - n1.  Within one criterion's column N - n2 is constant,
-so that key is a|a|/d times the positive constant L (N - n2), and it orders
-and ties exactly as tau-b does because t -> t|t| is strictly increasing.
-Each criterion's keys are ranked once to int levels by ``core``'s
-relabelling (n log n exact comparisons per criterion), and the pairwise
-comparisons use those levels.
+The wins are one read of a pair census of the candidates and criteria, by
+exact keys (``correlation``'s module docstring).
 
 The resulting majority digraph is generally only a partial order, and is
 condensed into a weak order over the candidates: pairs whose relative
@@ -36,15 +27,14 @@ its fixed pairs and the program's tables, which every query reads.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import COMPETITION, AlternativeSet, Criterion, Ranking, _levels, _total_weight, from_ranks
-from .correlation import COINCIDING, TAU_B, NamedRankings, _named_census
+from .core import COMPETITION, AlternativeSet, Criterion, Ranking, _total_weight, from_ranks
+from .correlation import TAU_B, NamedRankings, _named_census
 from .errors import InputError, SizeLimitError
 
 SUBSET_SOLVER_LIMIT = 20
@@ -157,19 +147,7 @@ def rankings_majority(
     census, n = _named_census(candidates, measure, criteria), len(candidates)
     if measure == TAU_B and n > 1:
         census.values(TAU_B)  # the tau-b read's refusal; a lone candidate is compared with none
-    total, concordant, discordant, ties_first, _, ties_both = (c[:n, n:] for c in census.counts)
-    if measure == COINCIDING:
-        keys = concordant + ties_both
-    else:
-        # the exact key a|a| * L/(N - n1) (module docstring); N - n1 = 0 only for a lone candidate
-        untied = np.maximum(total[:, 0] - ties_first[:, 0], 1).tolist()
-        lcm = math.lcm(*untied)
-        score = (concordant - discordant).astype(object)
-        keys = score * abs(score) * np.array([lcm // u for u in untied], dtype=object)[:, None]
-    levels = _levels(keys.T).T  # each criterion's keys as int levels: comparisons of ints, in key order
-    weights = np.array([c.weight for c in criteria], dtype=np.int64)
-    wins = (levels[:, None, :] > levels[None, :, :]).astype(np.int64) @ weights
-    return MetaComparison(candidates=census.names[:n], wins=wins, measure=measure)
+    return MetaComparison(census.names[:n], census.wins(n, slice(n, None), [c.weight for c in criteria], measure), measure)
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,42 @@ def test_reproduce_checks_label_sets_before_computing(tmp_path, capsys, monkeypa
     assert error.startswith(f"error: {path}: ") and problem in error
 
 
+@pytest.mark.parametrize("filename, column", [("table6_aggregates.csv", "Copeland1"), ("table6_criteria.csv", "MXpc")],
+                         ids=["tied-aggregate-column", "tied-criteria-column"])
+def test_reproduce_names_the_file_of_a_fully_tied_column(tmp_path, capsys, monkeypatch, filename, column):
+    # tau-b is undefined on a column that ties every row: refused with its file while the references are checked
+    def refuse(profile):
+        raise AssertionError("the majority structure was built before the tied column was refused")
+
+    monkeypatch.setattr("majorityrank.io.build_majority", refuse)
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(bundled_fixtures_dir(), fixtures)
+    path = fixtures / filename
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    at = rows[0].index(column)
+    for row in rows[1:]:
+        row[at] = "1"
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    code, out = run_main("reproduce", str(fixtures))
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == (
+        f"error: {path}: tau-b is undefined: column {column!r} ties every row (col {column})\n")
+
+
+def test_reproduce_keeps_the_census_refusal_of_a_one_row_table(tmp_path, capsys):
+    # one row ties every column trivially: too few alternatives is the refusal, not a tied column
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(bundled_fixtures_dir(), fixtures)
+    for filename in ("table6_criteria.csv", "table6_aggregates.csv"):
+        path = fixtures / filename
+        path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:2]), encoding="utf-8")
+    with pytest.warns(UserWarning, match="not densely numbered"):
+        assert run_main("reproduce", str(fixtures)) == (2, "")
+    assert capsys.readouterr().err == "error: correlation needs at least two alternatives; ranking 'MVApc' has 1\n"
+
+
 @pytest.mark.parametrize("filename, edit, problem, where", [
     ("table1_cycles.csv", lambda text: "", "empty file", "(row 1)"),
     ("table1_cycles.csv", lambda text: text.replace("5,", "6,", 1), "cycle length 6 is not one of", "(row 4, col k)"),

@@ -29,7 +29,7 @@ from conftest import order_ranking
 from majorityrank import correlation
 from majorityrank import io as mio
 from majorityrank.core import COMPETITION, from_ranks
-from majorityrank.correlation import _CENSUS_MAX_SIZE, _CENSUS_STEP, MEASURES, _census
+from majorityrank.correlation import _CENSUS_MAX_SIZE, _CENSUS_STEP, COINCIDING, MEASURES, TAU_B, _census, _PairCensus
 from oracles import naive_pair_stats, random_ranking
 
 ABC = AlternativeSet(("a", "b", "c"))
@@ -309,6 +309,32 @@ def test_correlation_matrix_shape_and_diagonal():
         correlation_matrix({"one": r1}, "tau_b")
     with pytest.raises(InputError):
         correlation_matrix({"one": r1, "two": r2}, "pearson")
+
+
+def test_correlation_matrix_reads_an_exact_diagonal_on_random_tied_sets():
+    # nothing fills the diagonal: the census reads each ranking's self-correlation as exactly 1.0 and 100.0
+    rng = random.Random(3400)
+    for _ in range(60):
+        alternatives = AlternativeSet(tuple(f"a{i}" for i in range(rng.randint(2, 60))))
+        rankings = {f"r{i}": random_ranking(rng, alternatives, rng.randint(1, 8)) for i in range(rng.randint(2, 7))}
+        assert correlation_matrix(rankings, COINCIDING).values.diagonal().tolist() == [100.0] * len(rankings)
+        untied = {name: ranking for name, ranking in rankings.items() if ranking.distinct_positions() > 1}
+        if len(untied) > 1:
+            assert correlation_matrix(untied, TAU_B).values.diagonal().tolist() == [1.0] * len(untied)
+
+
+def test_census_reads_an_exact_diagonal_at_the_census_cap():
+    # a self-pair has N+ = N - n1 = x, N- = 0 and N0 = n1; at the cap x**2 passes 2**53, so float64 rounds it,
+    # yet its correctly rounded square root is x for every x < 2**32, and 100 N < 2**53 is exact
+    total = _CENSUS_MAX_SIZE * (_CENSUS_MAX_SIZE - 1) // 2
+    ties = np.random.default_rng(3400).integers(0, total, (100, 100))
+    ties[0, 0], ties[1, 1] = 0, total - 1  # x = N and x = 1
+    untied = total - ties
+    assert (untied ** 2 > 2 ** 53).mean() > 0.9
+    census = _PairCensus(tuple(f"r{i}" for i in range(100)),
+                         (np.full_like(ties, total), untied, np.zeros_like(ties), ties, ties, ties))
+    assert (census.values(TAU_B) == 1.0).all()
+    assert (census.values(COINCIDING) == 100.0).all()
 
 
 ONE = Ranking(AlternativeSet(("a",)), {"a": 1})

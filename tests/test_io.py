@@ -325,9 +325,9 @@ def test_reproduce_passes_on_bundled_fixtures():
     assert "FAIL" not in text.replace("PASS/FAIL", "")
 
 
-def test_reproduce_takes_three_censuses(monkeypatch):
+def test_reproduce_takes_one_census(monkeypatch):
     # one census of the 15 candidates and the six published aggregate columns serves every correlation
-    # check; each meta-comparison takes one of the 15 candidates and the eight criteria
+    # check and both meta-comparisons, whose eight criteria are its first columns
     sizes = []
     census = correlation._census
 
@@ -338,7 +338,7 @@ def test_reproduce_takes_three_censuses(monkeypatch):
     monkeypatch.setattr(correlation, "_census", counted)
     monkeypatch.setattr(mio, "_census", counted)
     assert run_reproduce().passed
-    assert sizes == [21, 23, 23]
+    assert sizes == [21]
 
 
 def test_reproduce_missing_fixture_dir(tmp_path):

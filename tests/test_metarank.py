@@ -13,13 +13,17 @@ from majorityrank import (
     DegenerateRankingError,
     InputError,
     MetaComparison,
+    Profile,
     Ranking,
     SizeLimitError,
+    build_majority,
     bundled_fixtures_dir,
     closest_weak_order,
     correlation_vector,
+    cycle_counts,
     from_scores,
     kendall_tau_b,
+    leagues,
     minimum_distance,
     optimal_linear_orders,
     optimal_order_count,
@@ -28,6 +32,7 @@ from majorityrank import (
     run_reproduce,
 )
 from conftest import order_ranking
+from majorityrank.core import SCHEMES
 from majorityrank import correlation, metarank
 from majorityrank import io as mio
 from majorityrank.correlation import MEASURES
@@ -540,6 +545,55 @@ def test_meta_ranking_is_neutral_on_the_study():
     alternatives, candidates, profile = mio.load_profile(criteria_csv)
     candidates |= mio.load_aligned_ranks(bundled_fixtures_dir() / "table6_aggregates.csv", criteria_csv, alternatives)
     assert assert_meta_ranking_is_neutral(candidates, list(profile.criteria), random.Random(32)) == 0  # acyclic
+
+
+def majority_outputs(profile, candidates):
+    """The profile's majority-level outputs (beats, cycle counts, leagues, every ``AGGREGATES`` method in both
+    schemes, the meta weak order under each measure), and the meta wins of ``candidates`` under each measure."""
+    structure = build_majority(profile)
+    outputs = {"beats": structure.beats.tolist(), "cycles": cycle_counts(structure), "leagues": leagues(structure)}
+    outputs |= {(method, scheme): rank(structure, scheme).ranks
+                for method, (_, rank) in mio.AGGREGATES.items() for scheme in SCHEMES}
+    wins = {}
+    for measure in MEASURES:
+        comparison = rankings_majority(candidates, list(profile.criteria), measure)
+        outputs[measure], wins[measure] = closest_weak_order(comparison).ranks, comparison.wins
+    return outputs, wins
+
+
+def assert_homogeneous_and_splitting(alternatives, criteria, candidates, rng) -> None:
+    """Multiplying every weight by c changes no output and scales the meta wins by c; a criterion of weight w
+    split into w unit-weight copies changes no output and no wins."""
+    outputs, wins = majority_outputs(Profile(alternatives, criteria), candidates)
+    for c in (2, 3):
+        scaled = [Criterion(criterion.name, c * criterion.weight, criterion.ranking) for criterion in criteria]
+        scaled_outputs, scaled_wins = majority_outputs(Profile(alternatives, scaled), candidates)
+        assert scaled_outputs == outputs
+        assert all(np.array_equal(scaled_wins[measure], c * wins[measure]) for measure in MEASURES)
+    at = max(range(len(criteria)), key=lambda i: (criteria[i].weight, rng.random()))  # a heaviest criterion
+    split = criteria[at]
+    copies = [Criterion(f"{split.name}#{k}", 1, split.ranking) for k in range(split.weight)]
+    split_outputs, split_wins = majority_outputs(Profile(alternatives, [*criteria[:at], *copies, *criteria[at + 1:]]),
+                                                 candidates)
+    assert split_outputs == outputs
+    assert all(np.array_equal(split_wins[measure], wins[measure]) for measure in MEASURES)
+
+
+def test_majority_outputs_are_homogeneous_and_split_on_random_tied_profiles():
+    rng = random.Random(3400)
+    for _ in range(40):
+        alternatives = AlternativeSet(tuple(f"a{i}" for i in range(rng.randint(4, 14))))
+        rankings = [nondegenerate_ranking(rng, alternatives) for _ in range(rng.randint(6, 13))]
+        criteria = [Criterion(f"c{i}", rng.randint(1, 3), ranking) for i, ranking in enumerate(rankings[:5])]
+        candidates = {c.name: c.ranking for c in criteria} | {f"x{i}": r for i, r in enumerate(rankings[5:])}
+        assert_homogeneous_and_splitting(alternatives, criteria, candidates, rng)
+
+
+def test_majority_outputs_are_homogeneous_and_split_on_the_study():
+    criteria_csv = bundled_fixtures_dir() / "table6_criteria.csv"
+    alternatives, candidates, profile = mio.load_profile(criteria_csv)
+    candidates |= mio.load_aligned_ranks(bundled_fixtures_dir() / "table6_aggregates.csv", criteria_csv, alternatives)
+    assert_homogeneous_and_splitting(alternatives, list(profile.criteria), candidates, random.Random(34))
 
 
 def counted_calls(monkeypatch, name) -> list[int]:

@@ -39,12 +39,19 @@ def test_no_open_mesh_gather_in_the_package():
 
 
 def test_metarank_keys_are_not_fractions():
-    # the exact tau-b keys are Python ints (metarank's module docstring): Fraction keys made ranking
-    # them about ten times slower
-    tree = ast.parse((Path(majorityrank.__file__).parent / "metarank.py").read_text(encoding="utf-8"))
+    # the meta-comparison's exact tau-b keys are Python ints, formed in correlation (its module docstring):
+    # Fraction keys made ranking them about ten times slower
+    tree = ast.parse((Path(majorityrank.__file__).parent / "correlation.py").read_text(encoding="utf-8"))
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "math" in modules and "fractions" not in modules
+
+
+def test_metarank_reads_no_census_counts():
+    # correlation alone knows the census's count layout and each measure's formula; metarank takes its wins
+    # from one read of the census
+    tree = ast.parse((Path(majorityrank.__file__).parent / "metarank.py").read_text(encoding="utf-8"))
+    assert "counts" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def test_majority_structure_holds_only_the_beats_matrix():
