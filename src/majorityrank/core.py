@@ -3,7 +3,10 @@
 A ranking maps every alternative to a positive integer rank, smaller being
 better, with ties allowed.  It is held as one read-only int64 rank vector
 in alternative-set order; the name mapping ``Ranking.ranks`` is built from
-it only when read.  Two numbering schemes are supported:
+it only when read.  That vector, a majority's ``beats`` and a
+meta-comparison's ``wins`` live in memory numpy cannot make writeable again
+(``_frozen``), so the caches built on them cannot go stale.  Two numbering
+schemes are supported:
 
 * ``dense`` - the ranks in use are exactly ``1..K`` (a tied block is
   followed by the next integer);
@@ -167,9 +170,12 @@ def _rank_vector(alternatives: AlternativeSet, ranks: Mapping[str, int] | np.nda
                 raise InputError(f"rank of {name!r} must be a positive integer, got {rank!r}")
             if rank > MAX_RANK:
                 raise InputError(f"rank of {name!r} must be at most {MAX_RANK}, got {rank!r}")
-    vector = np.array(ranks, dtype=np.int64)
-    vector.setflags(write=False)
-    return vector
+    return _frozen(np.asarray(ranks, dtype=np.int64))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``array`` over immutable bytes, so that ``setflags(write=True)`` raises ValueError."""
+    return np.ndarray(array.shape, array.dtype, array.tobytes())
 
 
 def from_scores(

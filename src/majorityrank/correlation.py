@@ -27,6 +27,18 @@ because every step's Gram entry is an integer below 2**24 (``_sign_gram``),
 and the joint keys stay below m**2 in int64 (``_joint_ties``); the census
 is exact for m <= 77,936 (``_census``).
 
+One census serves every later call on its rankings.  ``_census`` keeps its
+last census in one slot, ``_last_census``: the Grams over the weak orders
+and each ranking object's row in them.  A call on objects all held there,
+repeated, reordered or a subset, is one gather with no kernel work: both
+correlation matrices, both meta-comparisons and every correlation vector of
+one candidate set take one census.  The key is object identity, one dict
+lookup per ranking; rankings are immutable, and the entry holds its objects,
+so no id is reused while it lives.  A value key would hash every rank vector
+on each call and answer a pipeline rebuilt on equal inputs from a lookup: a
+ranking rebuilt with equal ranks is censused afresh.  Any other set replaces
+the entry in one assignment, so a concurrent reader sees a whole entry.
+
 A census holds names and counts and no measure; each measure reads it, and
 so do the meta-comparison's wins (``_PairCensus.wins``), by exact keys: a
 tie is exact equality of the measure values.  The key is N+ + N0 for the
@@ -63,6 +75,9 @@ MEASURES = (TAU_B, COINCIDING)
 _CENSUS_STEP = 1 << 16  # float32 cells per step of the census: 256 KiB
 # the largest m with (m (m - 1) / 2)**2 < 2**63
 _CENSUS_MAX_SIZE = (1 + math.isqrt(1 + 8 * math.isqrt(2 ** 63 - 1))) // 2
+# the last census: the weak-order slot of each ranking's id(), the sign and joint-tie Grams over the slots, and
+# the rankings themselves, held so that no id is reused while the entry lives
+_last_census: tuple = ({}, None, None, ())
 
 NamedRankings = Mapping[str, Ranking] | Sequence[tuple[str, Ranking]]
 
@@ -190,12 +205,14 @@ def _census(names: Sequence[str], rankings: Sequence[Ranking]) -> _PairCensus:
     Each ranking is relabelled by its dense levels 0..L-1, below m however
     large the ranks.  Only the U distinct level rows (one per weak order)
     are censused, by ``_sign_gram`` and ``_joint_ties``, and the counts are
-    expanded back to all R rankings.
+    expanded back to all R rankings by one gather at their slots, which
+    is all a call on the last census's objects does (``_last_census``).
 
     Exactness bounds: those of ``_sign_gram`` and ``_joint_ties``; the
     tau-b normaliser is at most N**2, which int64 holds for
     m <= ``_CENSUS_MAX_SIZE`` (77,936), above which SizeLimitError is raised.
     """
+    global _last_census
     first = rankings[0].alternatives.items
     for name, ranking in zip(names, rankings):
         if ranking.alternatives.items != first:
@@ -206,13 +223,19 @@ def _census(names: Sequence[str], rankings: Sequence[Ranking]) -> _PairCensus:
     if m > _CENSUS_MAX_SIZE:
         raise SizeLimitError(f"the pair census supports at most {_CENSUS_MAX_SIZE} alternatives, got {m} in ranking "
                              f"{name!r}", name)
-    levels = _levels(np.array([ranking.rank_vector() for ranking in rankings]))
-    # rankings of one weak order share their levels and every count: census each order once
-    index: dict[bytes, int] = {}
-    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in levels])
-    levels = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), m)
-    expand = (inverse[:, None], inverse)
-    sign_gram, tie_gram = _sign_gram(levels)[expand], _joint_ties(levels)[expand]
+    slots, sign_grams, tie_grams, _ = _last_census  # one read: a whole entry, whatever other threads store
+    try:
+        at = [slots[id(ranking)] for ranking in rankings]
+    except KeyError:
+        levels = _levels(np.array([ranking.rank_vector() for ranking in rankings]))
+        # rankings of one weak order share their levels and every count: census each order once
+        index: dict[bytes, int] = {}
+        at = [index.setdefault(row.tobytes(), len(index)) for row in levels]
+        levels = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), m)
+        slots, sign_grams, tie_grams = dict(zip(map(id, rankings), at)), _sign_gram(levels), _joint_ties(levels)
+        _last_census = (slots, sign_grams, tie_grams, tuple(rankings))
+    at = np.array(at)
+    sign_gram, tie_gram = sign_grams[at[:, None], at], tie_grams[at[:, None], at]
     total = m * (m - 1) // 2
     tied = tie_gram.diagonal()  # pairs each ranking ties
     untied = total - tied[:, None] - tied + tie_gram

@@ -556,6 +556,10 @@ def run_reproduce(fixtures_dir: str | Path | None = None) -> ReproReport:
     # aggregate rankings against the published columns; one census of the candidates, then the published
     # aggregate columns, serves every correlation check and both meta-comparisons
     computed_aggregates = {column: rank(structure, DENSE) for column, rank in AGGREGATES.values() if column}
+    for name, computed in computed_aggregates.items():  # no file holds these: refused led by the criteria they rank
+        if computed.distinct_positions() == 1 < len(alternatives):
+            raise DegenerateRankingError(f"{criteria_path}: the computed {name} ranking ties every country; tau-b is "
+                                         "undefined", name)
     candidates: dict[str, Ranking] = {**criteria_rankings, "CIP": published_aggregates["CIP"], **computed_aggregates}
     names = [*candidates, *AGGREGATE_METHODS]
     census = _census(names, [*candidates.values(), *(published_aggregates[name] for name in AGGREGATE_METHODS)])

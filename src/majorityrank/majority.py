@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import AlternativeSet, Profile
+from .core import AlternativeSet, Profile, _frozen
 from .errors import InputError, NumericalError, SizeLimitError
 
 # Closed k-walks on a loop-free asymmetric digraph cannot revisit a vertex
@@ -53,14 +53,13 @@ class MajorityStructure:
             valid = np.isin(array, (0, 1))  # NaN is neither
             if not valid.all():
                 raise InputError(f"majority matrix entries must be 0 or 1, got {array[~valid].tolist()[0]!r}")
-        beats = np.array(array, dtype=bool)
+        beats = _frozen(np.asarray(array, dtype=bool))
         if beats.shape != (m, m):
             raise InputError(f"matrices must be {m}x{m}")
         if beats.diagonal().any():
             raise InputError("majority matrix must have a zero diagonal")
         if (beats & beats.T).any():
             raise InputError("majority matrix must be asymmetric")
-        beats.setflags(write=False)
         object.__setattr__(self, "beats", beats)
 
     @cached_property

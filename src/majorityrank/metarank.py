@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import COMPETITION, AlternativeSet, Criterion, Ranking, _total_weight, from_ranks
+from .core import COMPETITION, AlternativeSet, Criterion, Ranking, _frozen, _total_weight, from_ranks
 from .correlation import TAU_B, NamedRankings, _named_census
 from .errors import InputError, SizeLimitError
 
@@ -64,11 +64,10 @@ class MetaComparison:
     def __post_init__(self) -> None:
         if not self.candidates:
             raise InputError("a meta-comparison needs at least one candidate")
-        wins = np.array(self.wins, dtype=np.int64)
+        wins = _frozen(np.asarray(self.wins, dtype=np.int64))
         n = len(self.candidates)
         if wins.shape != (n, n):
             raise InputError(f"the wins matrix must be {n}x{n}")
-        wins.setflags(write=False)
         object.__setattr__(self, "wins", wins)
 
     @cached_property

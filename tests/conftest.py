@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from majorityrank import AlternativeSet, Criterion, MajorityStructure, Profile, Ranking, build_majority, from_scores
+from majorityrank import correlation
 
 FIVE = ("x1", "x2", "x3", "x4", "x5")
 
@@ -25,6 +26,17 @@ def in_tree_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def forget_census() -> None:
+    """Empty the pair census's one-slot memo, so that the next census runs its kernel."""
+    correlation._last_census = ({}, None, None, ())
+
+
+@pytest.fixture(autouse=True)
+def no_census_memo():
+    """Every test starts with an empty census memo, whatever ran before it."""
+    forget_census()
 
 
 def order_ranking(alternatives: AlternativeSet, order) -> Ranking:

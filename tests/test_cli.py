@@ -444,6 +444,24 @@ def test_reproduce_names_the_file_of_a_fully_tied_column(tmp_path, capsys, monke
         f"error: {path}: tau-b is undefined: column {column!r} ties every row (col {column})\n")
 
 
+def test_reproduce_names_the_criteria_file_of_a_fully_tied_computed_aggregate(tmp_path, capsys):
+    # each equal-weight pair of criteria gets one column reversed: every pair of countries ties in the majority,
+    # so the computed Copeland1 ties every country while no file column does
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(bundled_fixtures_dir(), fixtures)
+    path = fixtures / "table6_criteria.csv"
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    for row in rows[1:]:
+        for first in (1, 3, 5, 7):  # MVApc/MXpc, MHVAsh/MVAsh, MHXsh/MXsh, ImWMVA/ImWMT
+            row[first + 1] = str(len(rows) - int(row[first]))
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    with pytest.warns(UserWarning, match="not densely numbered"):
+        assert run_main("reproduce", str(fixtures)) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {path}: the computed Copeland1 ranking ties every country; tau-b is undefined\n")
+
+
 def test_reproduce_keeps_the_census_refusal_of_a_one_row_table(tmp_path, capsys):
     # one row ties every column trivially: too few alternatives is the refusal, not a tied column
     fixtures = tmp_path / "fixtures"

@@ -250,6 +250,17 @@ def test_rank_vector_is_read_only():
         vector[0] = 3
 
 
+def test_arrays_under_caches_cannot_be_made_writeable(toy_profile):
+    # the census memo reads rank vectors, the cycle counts and ties read beats, the closure and the subset DP
+    # read wins: none of the three may be turned writeable again, or a cache would go stale
+    criteria = list(toy_profile.criteria)
+    comparison = rankings_majority({c.name: c.ranking for c in criteria}, criteria)
+    for array in (criteria[0].ranking.rank_vector(), build_majority(toy_profile).beats, comparison.wins):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+
+
 def test_from_ranks_rejects_a_missing_alternative_and_a_non_integer_rank():
     with pytest.raises(InputError, match="'c'"):
         from_ranks(ABC, {"a": 1, "b": 2})

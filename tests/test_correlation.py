@@ -1,6 +1,8 @@
 import math
 import random
-from itertools import combinations_with_replacement
+import sys
+import threading
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from majorityrank import (
     build_majority,
     bundled_fixtures_dir,
     coinciding_share,
+    copeland_ranking,
     correlation_matrix,
     correlation_vector,
     from_scores,
@@ -25,7 +28,7 @@ from majorityrank import (
     pair_stats,
     rankings_majority,
 )
-from conftest import order_ranking
+from conftest import forget_census, order_ranking
 from majorityrank import correlation
 from majorityrank import io as mio
 from majorityrank.core import COMPETITION, from_ranks
@@ -271,6 +274,7 @@ def test_census_matches_naive_loops_at_every_step_size(data):
     step = data.draw(st.sampled_from((1, 7, 16, 30, 64, 121)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(correlation, "_CENSUS_STEP", step)
+        forget_census()  # the kernel runs at this step, not the memo of another example's census
         assert_census_matches_naive_loops(rankings)
 
 
@@ -442,6 +446,7 @@ def assert_census_relations(names, rankings, weights, rng):
                                                    for r in rankings]).counts), counts)
     # permuting the rankings permutes every count array and the names
     order = rng.sample(range(size), size)
+    forget_census()  # the kernel counts the permuted set, not the memo's gather
     permuted = _census([names[i] for i in order], [rankings[i] for i in order])
     assert permuted.names == tuple(names[i] for i in order)
     assert np.array_equal(np.array(permuted.counts), counts[:, order][:, :, order])
@@ -474,3 +479,125 @@ def test_census_relations_on_the_study():
     rankings |= mio.load_aligned_ranks(bundled_fixtures_dir() / "table6_aggregates.csv", criteria_csv, alternatives)
     weights = [c.weight for c in profile.criteria] + [1] * (len(rankings) - len(profile.criteria))
     assert_census_relations(list(rankings), list(rankings.values()), weights, random.Random(33))
+
+
+def spy_on_census_kernels(monkeypatch) -> list[str]:
+    """Record the name of each census kernel run, ``_sign_gram`` or ``_joint_ties``."""
+    calls = []
+    for name in ("_sign_gram", "_joint_ties"):
+        def counted(levels, kernel=getattr(correlation, name), name=name):
+            calls.append(name)
+            return kernel(levels)
+
+        monkeypatch.setattr(correlation, name, counted)
+    return calls
+
+
+def study_shaped_criteria(m):
+    """Eight criteria correlated through one latent score, with the study's weights and ties from rounding."""
+    rng = np.random.default_rng(0)
+    alternatives = AlternativeSet(tuple(f"c{i}" for i in range(m)))
+    latent = rng.normal(0, 1, m)
+    scores = [dict(zip(alternatives, latent + rng.normal(0, 0.5, m))) for _ in range(8)]
+    return [Criterion(f"f{i}", weight, from_scores(alternatives, scores[i], decimals=1))
+            for i, weight in enumerate((2, 2, 1, 1, 1, 1, 2, 2))]
+
+
+def test_the_four_questions_of_one_candidate_set_take_one_census(monkeypatch):
+    # both correlation matrices, both meta-comparisons and each candidate's correlation vector
+    criteria = study_shaped_criteria(300)
+    structure = build_majority(Profile(criteria[0].ranking.alternatives, criteria))
+    candidates = {c.name: c.ranking for c in criteria} | {f"Copeland{v}": copeland_ranking(structure, v)
+                                                         for v in (1, 2, 3)}
+    questions = [*(lambda measure=measure: correlation_matrix(candidates, measure).values for measure in MEASURES),
+                 *(lambda measure=measure: rankings_majority(candidates, criteria, measure).wins for measure in MEASURES),
+                 *(lambda name=name, ranking=ranking: correlation_vector(ranking, criteria, name=name).components
+                   for name, ranking in candidates.items())]
+    calls = spy_on_census_kernels(monkeypatch)
+    answers = [question() for question in questions]
+    assert calls == ["_sign_gram", "_joint_ties"]
+    fresh = []
+    for question in questions:  # each question on its own censuses afresh
+        forget_census()
+        fresh.append(question())
+    assert calls[2:] == ["_sign_gram", "_joint_ties"] * (4 + len(candidates))
+    for answer, expected in zip(answers, fresh):
+        assert answer == expected if isinstance(answer, tuple) else np.array_equal(answer, expected)
+
+
+def test_census_hits_match_naive_loops_on_random_tied_sets(monkeypatch):
+    # after a census of a set, reordered subsets, repeated objects and a pair of its rankings read it
+    rng = random.Random(3500)
+    calls = spy_on_census_kernels(monkeypatch)
+    for _ in range(40):
+        alternatives = AlternativeSet(tuple(f"a{i}" for i in range(rng.randint(2, 14))))
+        rankings = [random_ranking(rng, alternatives, 1 if rng.random() < 0.25 else rng.randint(2, 5))
+                    for _ in range(rng.randint(2, 7))]
+        expected = naive_census(rankings)
+        _census([f"r{i}" for i in range(len(rankings))], rankings)
+        calls.clear()
+        for pick in (rng.sample(range(len(rankings)), rng.randint(1, len(rankings))),
+                     [rng.randrange(len(rankings)) for _ in range(rng.randint(2, 9))]):
+            names = [f"q{k}" for k in range(len(pick))]
+            census = _census(names, [rankings[i] for i in pick])
+            assert census.names == tuple(names)
+            for a, b in product(range(len(pick)), repeat=2):
+                assert tuple(int(c[a, b]) for c in census.counts) == expected[pick[a], pick[b]], (pick, a, b)
+        i, j = rng.sample(range(len(rankings)), 2)
+        assert as_tuple(pair_stats(rankings[i], rankings[j])) == expected[i, j]
+        assert calls == []
+
+
+def test_an_equal_ranking_built_anew_is_censused_afresh(monkeypatch):
+    rng = random.Random(3501)
+    alternatives = AlternativeSet(tuple(f"a{i}" for i in range(9)))
+    rankings = [random_ranking(rng, alternatives, 4) for _ in range(3)]
+    twin = Ranking(alternatives, rankings[0].rank_vector())
+    assert twin == rankings[0] and twin is not rankings[0]
+    calls = spy_on_census_kernels(monkeypatch)
+    given = correlation_matrix({"r0": rankings[0], "r1": rankings[1], "r2": rankings[2]})
+    rebuilt = correlation_matrix({"r0": twin, "r1": rankings[1], "r2": rankings[2]})
+    assert calls == ["_sign_gram", "_joint_ties"] * 2
+    assert np.array_equal(rebuilt.values, given.values)
+
+
+def test_the_memo_holds_one_set(monkeypatch):
+    rng = random.Random(3502)
+    alternatives = AlternativeSet(tuple(f"a{i}" for i in range(9)))
+    first, second = ([random_ranking(rng, alternatives, 4) for _ in range(2)] for _ in range(2))
+    calls = spy_on_census_kernels(monkeypatch)
+    stats = [pair_stats(*first), pair_stats(*second), pair_stats(*first), pair_stats(*first)]
+    assert calls == ["_sign_gram", "_joint_ties"] * 3  # the last call alone reads the memo
+    assert stats[0] == stats[2] == stats[3] == correlation.PairStats(*naive_pair_stats(*first))
+
+
+def test_threads_sharing_the_memo_read_whole_entries():
+    # more threads than cores census two sets in turn, switching often: an entry read half old, half new
+    # would give one set's counts to the other
+    rng = random.Random(3503)
+    alternatives = AlternativeSet(tuple(f"a{i}" for i in range(9)))
+    sets = [[random_ranking(rng, alternatives, 4) for _ in range(3)] for _ in range(2)]
+    expected = [naive_census(rankings) for rankings in sets]
+    results = []
+
+    def work(k):
+        for step in range(100):
+            try:
+                counts = _census(["x", "y", "z"], sets[(k + step) % 2]).counts
+                results.append(all(tuple(int(c[r, q]) for c in counts) == want
+                                    for (r, q), want in expected[(k + step) % 2].items()))
+            except Exception as error:  # a torn entry may index out of range: record it as a failure
+                results.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [True] * 400

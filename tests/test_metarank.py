@@ -31,7 +31,7 @@ from majorityrank import (
     rankings_majority,
     run_reproduce,
 )
-from conftest import order_ranking
+from conftest import forget_census, order_ranking
 from majorityrank.core import SCHEMES
 from majorityrank import correlation, metarank
 from majorityrank import io as mio
@@ -514,7 +514,9 @@ def assert_meta_ranking_is_neutral(candidates, criteria, rng) -> int:
     cyclic = 0
     for measure in MEASURES:
         given = rankings_majority(candidates, criteria, measure)
+        forget_census()  # each side is censused by the kernel, not read from the memo of the one before
         permuted = rankings_majority(shuffled, criteria, measure)
+        forget_census()
         reordered = rankings_majority(candidates, rng.sample(criteria, len(criteria)), measure)
         assert permuted.candidates == tuple(shuffled)
         assert np.array_equal(permuted.wins, given.wins[np.ix_(order, order)])
@@ -594,6 +596,39 @@ def test_majority_outputs_are_homogeneous_and_split_on_the_study():
     alternatives, candidates, profile = mio.load_profile(criteria_csv)
     candidates |= mio.load_aligned_ranks(bundled_fixtures_dir() / "table6_aggregates.csv", criteria_csv, alternatives)
     assert_homogeneous_and_splitting(alternatives, list(profile.criteria), candidates, random.Random(34))
+
+
+def assert_pipeline_is_neutral(alternatives, criteria, candidates, rng) -> None:
+    """Permuting the alternative set permutes beats and changes no output compared by name: the cycle counts,
+    every ``AGGREGATES`` method in both schemes, the leagues, both meta weak orders and the meta wins."""
+    outputs, wins = majority_outputs(Profile(alternatives, criteria), candidates)
+    order = rng.sample(range(len(alternatives)), len(alternatives))
+    moved = AlternativeSet([alternatives.items[i] for i in order])
+    rebuilt = {id(ranking): Ranking(moved, dict(ranking.ranks), ranking.scheme)  # each name keeps its rank
+               for ranking in [*candidates.values(), *(c.ranking for c in criteria)]}
+    moved_criteria = [Criterion(c.name, c.weight, rebuilt[id(c.ranking)]) for c in criteria]
+    moved_outputs, moved_wins = majority_outputs(Profile(moved, moved_criteria),
+                                                 {name: rebuilt[id(ranking)] for name, ranking in candidates.items()})
+    assert moved_outputs.pop("beats") == np.array(outputs.pop("beats"))[np.ix_(order, order)].tolist()
+    assert moved_outputs == outputs
+    assert all(np.array_equal(moved_wins[measure], wins[measure]) for measure in MEASURES)
+
+
+def test_pipeline_is_neutral_on_random_tied_profiles():
+    rng = random.Random(3600)
+    for _ in range(40):
+        alternatives = AlternativeSet(tuple(f"a{i}" for i in range(rng.randint(4, 14))))
+        rankings = [nondegenerate_ranking(rng, alternatives) for _ in range(rng.randint(6, 13))]
+        criteria = [Criterion(f"c{i}", rng.randint(1, 3), ranking) for i, ranking in enumerate(rankings[:5])]
+        candidates = {c.name: c.ranking for c in criteria} | {f"x{i}": r for i, r in enumerate(rankings[5:])}
+        assert_pipeline_is_neutral(alternatives, criteria, candidates, rng)
+
+
+def test_pipeline_is_neutral_on_the_study():
+    criteria_csv = bundled_fixtures_dir() / "table6_criteria.csv"
+    alternatives, candidates, profile = mio.load_profile(criteria_csv)
+    candidates |= mio.load_aligned_ranks(bundled_fixtures_dir() / "table6_aggregates.csv", criteria_csv, alternatives)
+    assert_pipeline_is_neutral(alternatives, list(profile.criteria), candidates, random.Random(36))
 
 
 def counted_calls(monkeypatch, name) -> list[int]:
