@@ -48,8 +48,6 @@ def _score_vector(ms: MajorityStructure, version: int) -> np.ndarray:
     """The chosen version's integer scores in alternative-set order."""
     if version not in VERSIONS:
         raise InputError(f"Copeland version must be one of {VERSIONS}, got {version!r}")
-    wins = ms.beats.sum(axis=1)
-    losses = ms.beats.sum(axis=0)
     if version == 1:
-        return wins - losses
-    return wins if version == 2 else len(ms) - losses
+        return ms.wins - ms.losses
+    return ms.wins if version == 2 else len(ms) - ms.losses

@@ -213,9 +213,9 @@ def _census(names: Sequence[str], rankings: Sequence[Ranking]) -> _PairCensus:
     m <= ``_CENSUS_MAX_SIZE`` (77,936), above which SizeLimitError is raised.
     """
     global _last_census
-    first = rankings[0].alternatives.items
+    first = rankings[0].alternatives
     for name, ranking in zip(names, rankings):
-        if ranking.alternatives.items != first:
+        if ranking.alternatives is not first and ranking.alternatives.items != first.items:
             raise InputError(f"rankings are over different alternative sets: {name!r} differs from {names[0]!r}", name)
     m, name = len(first), names[0]
     if m < 2:

@@ -7,7 +7,9 @@ that rank the pair equal contribute to neither side.  A tie is a pair that
 neither side beats, so the structure stores only the beats matrix.
 Each structure counts its cycles once: the first ``count_cycles`` or
 ``cycle_counts`` call runs the trace kernel for every length whose size
-cap admits the structure, and later calls read that count.
+cap admits the structure, and later calls read that count.  Two bounds
+keep the kernel exact (``_max_exact_size``): its float32 partial sums stay
+below 2**24, and its float64 row sums of the trace are at most m**(k-1) < 2**53.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from .errors import InputError, NumericalError, SizeLimitError
 # For k >= 6 the decomposition 3+3 breaks the argument.
 _CYCLE_LENGTHS = (3, 4, 5)
 
-# Columns of the trace per block: an m x 128 float64 temporary (a block's A^3 columns
-# or its elementwise products) is 1 MB at m = 1000.
+# Columns of the trace per block: a block's float32 A^3 columns, m x 128, are 0.5 MB at m = 1000.
 _TRACE_BLOCK = 128
 
 # float32 holds every integer below this exactly; every float32 product of the trace stays below it.
@@ -68,6 +69,16 @@ class MajorityStructure:
         ties = ~(self.beats | self.beats.T | np.eye(len(self), dtype=bool))
         ties.setflags(write=False)
         return ties
+
+    @cached_property
+    def wins(self) -> np.ndarray:
+        """Read-only count of the alternatives each one beats: the row sums of ``beats``."""
+        return _frozen(self.beats.sum(axis=1))
+
+    @cached_property
+    def losses(self) -> np.ndarray:
+        """Read-only count of the alternatives that beat each one: the column sums of ``beats``."""
+        return _frozen(self.beats.sum(axis=0))
 
     @cached_property
     def _cycles(self) -> dict[int, int]:
@@ -130,13 +141,13 @@ def sections(ms: MajorityStructure, x: str) -> Sections:
 def count_cycles(ms: MajorityStructure, k: int) -> int:
     """Exact number of directed k-cycles in the majority relation, k in {3, 4, 5}.
 
-    trace(A^k) = sum(A^2 * (A^(k-2))^T) is accumulated over column blocks of
-    width ``_TRACE_BLOCK``.  A and A^2 are float32 and held at full size.  For
-    k = 5 each block's A^3 columns come from one float32 product of A with
-    the block's A^2 columns split into base-2**s digit planes, side by side
-    (``_digit_shifts``), recombined by a float64 sum.  Each block's
-    elementwise products are formed in float64 and cast to int64 before
-    summing; ``_max_exact_size`` states why all of them stay exact.  That
+    trace(A^k) = sum_c sum_j A^2[c, j] (A^(k-2))[j, c] is accumulated over
+    column blocks of width ``_TRACE_BLOCK``, as one float64 row sum per
+    column c; only those row totals go to int64.  A and A^2 are float32 and
+    held at full size.  For k = 5 a block's A^3 columns come from float32
+    products of A with A^2 over inner-dimension chunks (``_inner_chunks``),
+    whose row sums add in float64.  No m x m or m x block float64 array is
+    formed; ``_max_exact_size`` states why every value stays exact.  That
     runs once per structure, for every k its caps admit (``cycle_counts``
     reads the same count); each call checks k's cap and reads it.
     """
@@ -162,58 +173,46 @@ def _check_sizes(m: int, lengths: tuple[int, ...]) -> None:
 
 
 def _count_cycles(ms: MajorityStructure, lengths: tuple[int, ...]) -> dict[int, int]:
-    """The trace kernel for ``lengths``, from one A^2; A^3 digit products only if 5 is among them."""
+    """The trace kernel for ``lengths``, from one A^2; A^3 chunk products only if 5 is among them."""
     m = len(ms)
     a = np.asarray(ms.beats, dtype=np.float32)
     a2 = a @ a
+    chunks = _inner_chunks(m)
     traces = dict.fromkeys(lengths, 0)
     for start in range(0, m, _TRACE_BLOCK):
         cols = slice(start, start + _TRACE_BLOCK)
         for k in lengths:
-            tail = a[:, cols] if k == 3 else a2[:, cols] if k == 4 else _a3_columns(a, a2[:, cols])
-            traces[k] += int(np.multiply(a2[cols, :].T, tail, dtype=np.float64).astype(np.int64).sum())
+            tails = [a[:, cols]] if k == 3 else [a2[:, cols]] if k == 4 else (a[:, c] @ a2[c, cols] for c in chunks)
+            rows = sum(np.einsum("ij,ji->i", a2[cols], tail, dtype=np.float64) for tail in tails)
+            traces[k] += int(rows.astype(np.int64).sum())
     for k, trace in traces.items():
         if trace % k:
             raise NumericalError(f"trace of the {k}-th majority power, {trace}, is not a multiple of {k}")
     return {k: trace // k for k, trace in traces.items()}
 
 
-def _digit_shifts(m: int) -> tuple[int, np.ndarray]:
-    """The digit width s, the largest with m * (2**s - 1) < ``_FLOAT32_EXACT``, and the shifts of the
-    base-2**s digits that cover every A^2 entry (at most m - 1): one digit up to m = 4,096, two at the
-    5-cycle cap."""
-    s = ((_FLOAT32_EXACT - 1) // m + 1).bit_length() - 1
-    return s, np.arange(0, max(m - 1, 1).bit_length(), s, dtype=np.int32)
-
-
-def _a3_columns(a: np.ndarray, a2_cols: np.ndarray) -> np.ndarray:
-    """float64 A^3 columns from one float32 product of A with the digit planes of A^2's columns, side by
-    side; each plane is scaled by its power of two in float32, which is exact, and summed in float64."""
-    s, shifts = _digit_shifts(len(a))
-    digits = (a2_cols.astype(np.int32)[:, None, :] >> shifts[:, None]) & ((1 << s) - 1)
-    planes = a @ digits.reshape(len(a), -1).astype(np.float32)
-    return np.ldexp(planes.reshape(digits.shape), shifts[:, None]).sum(axis=1, dtype=np.float64)
+def _inner_chunks(m: int) -> list[slice]:
+    """The inner-dimension chunks of A^3 = A A^2, of width w = (2**24 - 1) // (m - 1), so that a chunk product's
+    partial sums, at most w * (m - 2), stay below 2**24: one chunk up to m = 4,096, three at the 5-cycle cap."""
+    width = (_FLOAT32_EXACT - 1) // max(m - 1, 1)
+    return [slice(start, start + width) for start in range(0, m, width)]
 
 
 def _max_exact_size(k: int) -> int:
     """Largest m for which the trace kernel counts k-cycles exactly.
 
-    An entry of A^j counts j-walks between two vertices: A^2 entries are
-    at most m - 1 and A^3 entries at most m * (m - 1).  Every float32
-    product holds non-negative integers below 2**24 (``_FLOAT32_EXACT``) in
-    its entries and BLAS partial sums, so it is exact: A^2's are at most m,
-    and the digit products' at most m * (2**s - 1), below 2**24 by the
-    choice of s, which is at least 1 while m < 2**24.  Scaling a digit
-    product by a power of two is exact.  Every float64 value the kernel
-    forms (the partial sums of the recombined A^3 columns and the
-    elementwise products) is a non-negative integer at most m**(k-2); below
-    2**53 each is exact.  The trace counts each k-cycle once per ordered
-    start, so it is at most the m!/(m-k)! ordered k-tuples of distinct
-    vertices, which int64 holds while below 2**63.  That last bound binds
-    first for every k, so float32 costs no cap.
+    An entry of A^j counts j-walks between two vertices; on a loop-free asymmetric relation an A^2 entry is
+    at most m - 2.  Every float32 product holds non-negative integers below 2**24 (``_FLOAT32_EXACT``) in its
+    entries and BLAS partial sums, so it is exact: A^2's are at most m - 2, and an A^3 chunk product's at most
+    w * (m - 2) with w the chunk width of ``_inner_chunks``, below 2**24 by its choice (w >= 1 while
+    m < 2**24).  Each float64 row sum of the trace is a diagonal entry of A^k, the closed k-walks through one
+    vertex, at most m**(k-1); every partial sum, over j and over chunks in any order, is a non-negative
+    integer no larger, so below 2**53 each is exact.  The trace counts each k-cycle once per ordered start,
+    so it is at most the m!/(m-k)! ordered k-tuples of distinct vertices, which int64 holds while below
+    2**63.  That last bound binds first for every k, so float32 costs no cap.
     """
     def exact(m: int) -> bool:
-        return math.perm(m, k) < 2 ** 63 and m < _FLOAT32_EXACT and m ** (k - 2) < 2 ** 53
+        return math.perm(m, k) < 2 ** 63 and m < _FLOAT32_EXACT and m ** (k - 1) < 2 ** 53
 
     m = int(2 ** (63 / k))  # perm(m, k) < m**k <= 2**63, so this m is exact
     while exact(m + 1):

@@ -571,6 +571,27 @@ def test_the_memo_holds_one_set(monkeypatch):
     assert stats[0] == stats[2] == stats[3] == correlation.PairStats(*naive_pair_stats(*first))
 
 
+def test_census_reads_rankings_over_equal_alternative_sets_alike():
+    # the alternative-set check tests identity before it compares names: equal but distinct sets pass it as one
+    # set does, and a different set is refused with the same text
+    rng = random.Random(3503)
+    items = tuple(f"a{i}" for i in range(9))
+    rankings = [random_ranking(rng, AlternativeSet(items), 4) for _ in range(3)]
+    shared = [Ranking(rankings[0].alternatives, r.rank_vector()) for r in rankings]
+    assert len({id(r.alternatives) for r in rankings}) == 3 and len({id(r.alternatives) for r in shared}) == 1
+    names = ["r0", "r1", "r2"]
+    expected = naive_census(rankings)
+    for given in (rankings, shared, [shared[0], rankings[1], shared[2]]):
+        forget_census()
+        census = _census(names, given)
+        for a, b in product(range(3), repeat=2):
+            assert tuple(int(c[a, b]) for c in census.counts) == expected[a, b]
+    other = Ranking(AlternativeSet(items[:-1] + ("z",)), rankings[1].rank_vector())
+    with pytest.raises(InputError) as excinfo:
+        _census(["y", "x"], [shared[0], other])
+    assert str(excinfo.value) == "rankings are over different alternative sets: 'x' differs from 'y'"
+
+
 def test_threads_sharing_the_memo_read_whole_entries():
     # more threads than cores census two sets in turn, switching often: an entry read half old, half new
     # would give one set's counts to the other

@@ -25,7 +25,7 @@ from majorityrank import (
 from majorityrank import majority
 from majorityrank.core import MAX_TOTAL_WEIGHT
 from majorityrank.io import load_profile
-from majorityrank.majority import _digit_shifts, _max_exact_size
+from majorityrank.majority import _inner_chunks, _max_exact_size
 from conftest import TOY_BEATS, order_ranking, structures
 from oracles import brute_cycles, int64_cycles, naive_majority, noisy_profile_structure, random_structure
 
@@ -190,64 +190,64 @@ def test_cycle_count_size_limit_names_the_per_k_bound(k, limit):
 
     # The int64 trace is at most the m!/(m-k)! ordered k-tuples of distinct
     # vertices and must stay below 2**63; that binds first for every k.  The
-    # float64 values (A^3 columns and elementwise products), at most
-    # m**(k-2), stay far below 2**53 at the limit.
+    # float64 row sums of the trace, each at most m**(k-1), stay below 2**53
+    # one past the limit.
     assert math.perm(limit, k) < 2 ** 63 <= math.perm(limit + 1, k)
-    assert (limit + 1) ** (k - 2) < 2 ** 53
+    assert (limit + 1) ** (k - 1) < 2 ** 53
     with pytest.raises(SizeLimitError) as excinfo:
         count_cycles(Oversized(), k)
     assert str(excinfo.value) == f"counting {k}-cycles supports at most {limit} alternatives, got {limit + 1}"
 
 
 def test_digit_products_stay_exact_at_the_5_cycle_cap():
+    # A^3 = A A^2 is summed over inner chunks of width w: a chunk product's entries and BLAS partial sums are at
+    # most w * (m - 2), since an A^2 entry is at most m - 2, so w = (2**24 - 1) // (m - 1) keeps them below the
+    # float32 limit
     m = _max_exact_size(5)
-    s, shifts = _digit_shifts(m)
-    assert (m, s, shifts.tolist()) == (6210, 11, [0, 11])
-    # the digit products' entries and BLAS partial sums are at most m * (2**s - 1): below the float32 limit, and s
-    # is the widest digit for which that holds
-    assert m * ((1 << s) - 1) < majority._FLOAT32_EXACT <= m * ((1 << (s + 1)) - 1)
-    # the digits cover every A^2 entry, at most m - 1
-    assert (m - 1).bit_length() <= s * len(shifts)
-    # each recombined A^3 entry, at most m * (m - 2) on an asymmetric relation, is exact in float64
-    assert m * (m - 2) < 2 ** 53
-    # the digit count derives from m alone: one digit up to m = 4,096, two beyond
-    assert [len(_digit_shifts(n)[1]) for n in (2, 135, 1000, 4096, 4097, 6210)] == [1, 1, 1, 1, 2, 2]
+    chunks = _inner_chunks(m)
+    assert (m, [(c.start, c.stop) for c in chunks]) == (6210, [(0, 2702), (2702, 5404), (5404, 8106)])
+    assert 2702 * (m - 1) < majority._FLOAT32_EXACT <= 2703 * (m - 1)
+    # the chunks cover the inner dimension, and their count derives from m alone: one up to m = 4,096, two from
+    # 4,097, three at the cap
+    assert chunks[0].start == 0 and all(a.stop == b.start for a, b in zip(chunks, chunks[1:])) and chunks[-1].stop >= m
+    assert [len(_inner_chunks(n)) for n in (1, 2, 135, 1000, 4096, 4097, 6210)] == [1, 1, 1, 1, 1, 2, 3]
 
 
-@pytest.mark.parametrize("limit, sizes, digit_counts", [
-    (2 ** 4, (5, 8), {2, 3}),
-    (2 ** 7, (9, 60), {2, 3, 6}),
-    (2 ** 9, (17, 60), {2}),
+@pytest.mark.parametrize("limit, sizes, chunk_counts", [
+    (2 ** 4, (5, 8), {2, 4}),
+    (2 ** 7, (12, 24), {2, 3, 4, 5}),
+    (2 ** 9, (24, 60), {2, 3, 4, 5, 6, 7, 8}),
 ], ids=["2**4", "2**7", "2**9"])
-def test_cycle_counts_recombine_every_number_of_digit_planes(monkeypatch, limit, sizes, digit_counts):
-    # with the float32 limit forced down, A^2 splits into several digit planes; the recombined counts must not move
+def test_cycle_counts_recombine_every_number_of_digit_planes(monkeypatch, limit, sizes, chunk_counts):
+    # with the float32 limit forced down (never below m, so each chunk keeps a column), A^3 is summed over
+    # several inner chunks, across column blocks of 7; the counts must not move
     monkeypatch.setattr(majority, "_FLOAT32_EXACT", limit)
+    monkeypatch.setattr(majority, "_TRACE_BLOCK", 7)
     rng = random.Random(limit)
     seen = set()
     for tie_prob in (0.0, 0.2, 0.6):
         for _ in range(20):
             ms = random_structure(rng, rng.randint(*sizes), tie_prob)
-            seen.add(len(_digit_shifts(len(ms))[1]))
+            seen.add(len(_inner_chunks(len(ms))))
             counts = cycle_counts(ms)
             assert counts == {k: int64_cycles(ms, k) for k in (3, 4, 5)}
             if len(ms) <= 8:
                 assert counts == {k: brute_cycles(ms, k) for k in (3, 4, 5)}
-    assert seen == digit_counts
+    assert seen == chunk_counts
 
 
 def test_cycle_counts_hold_no_float64_copy_of_the_majority_matrix():
-    # Bound: float32 A and A^2 (4 m^2 bytes each) plus one m x m float64 array (8 m^2), 16 m^2 bytes in all.
-    # A float64 copy of A beside A and A^2 reaches it before any block temporary, so the block's digit planes,
-    # A^3 columns and elementwise products must fit in the 8 m^2 bytes left.
-    m = 600
-    ms = random_structure(random.Random(600), m)
-    tracemalloc.start()
-    try:
-        cycle_counts(ms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * m ** 2
+    # Bound: float32 A and A^2 (4 m^2 bytes each) plus 8 bytes per entry of one m x _TRACE_BLOCK block.  The
+    # block's float32 A^3 columns and the row sums' buffers must fit in it: no m x m or m x block float64 array.
+    for m in (600, 1000):
+        ms = random_structure(random.Random(m), m)
+        tracemalloc.start()
+        try:
+            cycle_counts(ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m ** 2 + 8 * m * majority._TRACE_BLOCK, m
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -438,6 +438,35 @@ def test_cycle_trace_matches_int64_powers_over_several_column_blocks(maker):
     for k in (3, 4, 5):
         assert count_cycles(ms, k) == int64_cycles(ms, k)
     assert cycle_counts(equal_structure(ms)) == {k: int64_cycles(ms, k) for k in (3, 4, 5)}
+
+
+def tie_free_study_shaped_structure(m: int) -> MajorityStructure:
+    """Eight criteria correlated through one latent score, with unrounded scores and the odd total weight 11:
+    no criterion ties a pair and no pair's votes split evenly, so the majority relation is a tournament."""
+    rng = np.random.default_rng(0)
+    alternatives = AlternativeSet(tuple(f"a{i}" for i in range(m)))
+    latent = rng.normal(0, 1, m)
+    return build_majority(Profile(alternatives, [
+        Criterion(f"c{i}", weight, from_scores(alternatives, dict(zip(alternatives, latent + rng.normal(0, 0.5, m)))))
+        for i, weight in enumerate((2, 2, 1, 1, 1, 1, 2, 1))
+    ]))
+
+
+@pytest.mark.parametrize("m", [300, 1000])
+def test_3_cycles_of_a_tournament_follow_from_its_score_sequence(m):
+    # Kendall and Babington Smith (Biometrika 31, 1940): a tournament has C(m, 3) - sum C(s_i, 2) 3-cycles, s_i
+    # the wins; no oracle runs at this size, and m = 1000 runs all 8 column blocks of the trace
+    ms = tie_free_study_shaped_structure(m)
+    assert not ms.ties.any()
+    assert cycle_counts(ms)[3] == math.comb(m, 3) - sum(math.comb(s, 2) for s in ms.wins.tolist())
+
+
+def test_wins_and_losses_are_the_read_only_row_and_column_sums_of_beats():
+    ms = random_structure(random.Random(24), 9)
+    assert np.array_equal(ms.wins, ms.beats.sum(axis=1)) and np.array_equal(ms.losses, ms.beats.sum(axis=0))
+    for array in (ms.wins, ms.losses):
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
